@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -207,98 +206,156 @@ def noise(model: QarModel, bath: int, *, precondition_rtol: float = 1e-10) -> fl
 def _constant_coefficient(family: CountingFamily, s: float) -> float:
     """a_N(s) = (-1)^N det(L(s)) with det(L(0)) dropped analytically.
 
-    L(s) differs from L(0) only in the counted columns, by k * expm1(s * dE)
-    entries. Expanding the determinant multilinearly over those columns, the
-    all-bare term is det(L(0)) = 0 exactly (columns of a generator sum to
-    zero), so only subsets replacing at least one column by its correction
-    column survive. This removes the cancellation that otherwise buries the
-    small-s behaviour of the constant coefficient in roundoff.
+    L(s) differs from L(0) only by the k * expm1(s * dE) corrections of the
+    counted transitions. Adding every row of L(s) to its last row leaves the
+    determinant unchanged and turns that row into 1^T L(s) = 1^T L(0) plus the
+    column sums of the corrections, where 1^T L(0) = 0 exactly (columns of a
+    generator sum to zero). So the last row is replaced by the correction
+    column sums alone and one determinant remains. This removes the O(1)
+    cancellation that otherwise buries the small-s behaviour of the constant
+    coefficient in roundoff.
     """
     n = family.n
-    cols: dict[int, np.ndarray] = {}
-    for row, col, kk, de in family.dressed:
-        delta = cols.setdefault(col, np.zeros(n))
-        delta[row] += kk * math.expm1(s * de)
-    if not cols:
+    if not family.dressed:
         if np.count_nonzero(family.d1):
             # hand-built family without dressed data: fall back to the
             # recursion's own constant coefficient (generic precision)
             return float(charpoly(family.evaluate_extended(s)).coefficient(n))
         return 0.0
-    dressed_cols = sorted(cols)
-    total = []
-    base = family.base
-    for r in range(1, len(dressed_cols) + 1):
-        for subset in combinations(dressed_cols, r):
-            m = base.copy()
-            for c in subset:
-                m[:, c] = cols[c]
-            total.append(np.linalg.det(m))
-    return (-1.0) ** n * math.fsum(total)
+    m = family.base.copy()
+    col_sums = np.zeros(n)
+    for row, col, kk, de in family.dressed:
+        delta = kk * math.expm1(s * de)
+        m[row, col] += delta
+        col_sums[col] += delta
+    m[-1] = col_sums
+    return (-1.0) ** n * float(np.linalg.det(m))
+
+
+def _roots(coeffs: list[float]) -> np.ndarray:
+    """Roots of a monic polynomial, as np.roots finds them.
+
+    Trailing zero coefficients are split off as roots at 0 and the rest goes
+    through the companion-matrix eigenvalues.
+    """
+    n_zero = 0
+    while n_zero < len(coeffs) - 1 and coeffs[-1 - n_zero] == 0.0:
+        n_zero += 1
+    p = coeffs[: len(coeffs) - n_zero]
+    if len(p) > 1:
+        comp = np.diag(np.ones(len(p) - 2), -1)
+        comp[0, :] = np.negative(p[1:])
+        roots = np.linalg.eigvals(comp)
+    else:
+        roots = np.zeros(0)
+    return np.concatenate([roots, np.zeros(n_zero, roots.dtype)])
+
+
+def _polish_root(
+    family: CountingFamily,
+    sk: float,
+    lam: float,
+    newton_rtol: float,
+    max_newton_iter: int,
+    collision_rtol: float,
+) -> float:
+    """Newton-polish the continued root at s = sk and check it stays isolated."""
+    coeffs = charpoly(family.evaluate_extended(sk)).monic().tolist()
+    coeffs[-1] = _constant_coefficient(family, sk)
+    n = len(coeffs) - 1
+    deriv = [c * (n - j) for j, c in enumerate(coeffs[:-1])]
+    converged = False
+    step = math.nan
+    for _ in range(max_newton_iter):
+        p = 0.0
+        for c in coeffs:
+            p = p * lam + c
+        dp = 0.0
+        for c in deriv:
+            dp = dp * lam + c
+        if dp == 0.0:
+            break
+        step = p / dp
+        lam -= step
+        if abs(step) <= newton_rtol * abs(lam) + 1e-300:
+            converged = True
+            break
+    if not converged:
+        raise ContinuationError(
+            f"Newton did not converge at s = {sk:.6g} "
+            f"(last step {step:.3g}, root estimate {lam:.3g})"
+        )
+    roots = _roots(coeffs)
+    scale = float(np.max(np.abs(roots)))
+    others = np.sort(np.abs(roots - lam))
+    if len(others) > 1 and others[1] < collision_rtol * scale:
+        raise ContinuationError(
+            f"root collision at s = {sk:.6g}: nearest other root within "
+            f"{others[1]:.3g} (< {collision_rtol:.1g} of scale {scale:.3g})"
+        )
+    return lam
 
 
 def cgf(
     family: CountingFamily,
-    s: float,
+    s: float | np.ndarray,
     *,
     window_factor: float = 4.0,
     step_factor: float = 0.05,
     newton_rtol: float = 1e-12,
     max_newton_iter: int = 100,
     collision_rtol: float = 1e-8,
-) -> float:
+) -> float | np.ndarray:
     """Scaled cumulant generating function G(s) of the counted heat.
 
     G is the root of the characteristic polynomial of L(s) continued from
     G(0) = 0 by stepping s and Newton-polishing at each step, which pins the
     physical branch without ranking eigenvalues. Root collisions along the
     path (closer than ``collision_rtol`` of the spectral scale) abort.
+
+    ``s`` is a scalar (a float comes back) or an array (an array of the same
+    shape comes back, in input order; targets equal to 0 give 0.0). Every
+    target is checked against the window before any step. On each side of
+    s = 0 the targets share one continuation, visited in order of |s|:
+    between consecutive targets the path takes n = ceil(|s_to - s_prev| /
+    ds_max) equal steps, so a lone target is reached on the grid s * k / n
+    from the origin.
     """
-    if s == 0.0:
-        return 0.0
+    targets = np.asarray(s, dtype=float)
+    flat = targets.ravel()
     window = window_factor * max(family.betas)
-    if abs(s) > window:
+    if not np.all(np.abs(flat) <= window):
         raise ValidationError(
-            f"|s| = {abs(s):.3g} outside the continuation window {window:.3g} "
-            f"(= {window_factor} * max beta)"
+            f"|s| = {np.max(np.abs(flat)):.3g} outside the continuation window "
+            f"{window:.3g} (= {window_factor} * max beta)"
         )
     ds_max = step_factor / family.energy_span
-    n_steps = max(1, int(math.ceil(abs(s) / ds_max)))
-    lam = 0.0
-    for k in range(1, n_steps + 1):
-        sk = s * k / n_steps
-        coeffs = charpoly(family.evaluate_extended(sk)).monic()
-        coeffs[-1] = _constant_coefficient(family, sk)
-        deriv = np.polyder(coeffs)
-        converged = False
-        for _ in range(max_newton_iter):
-            step = np.polyval(coeffs, lam) / np.polyval(deriv, lam)
-            lam -= step
-            if abs(step) <= newton_rtol * abs(lam) + 1e-300:
-                converged = True
-                break
-        if not converged:
-            raise ContinuationError(
-                f"Newton did not converge at s = {sk:.6g} "
-                f"(last step {step:.3g}, root estimate {lam:.3g})"
-            )
-        roots = np.roots(coeffs)
-        scale = float(np.max(np.abs(roots)))
-        others = np.sort(np.abs(roots - lam))
-        if len(others) > 1 and others[1] < collision_rtol * scale:
-            raise ContinuationError(
-                f"root collision at s = {sk:.6g}: nearest other root within "
-                f"{others[1]:.3g} (< {collision_rtol:.1g} of scale {scale:.3g})"
-            )
-    return lam
+    out = np.zeros(flat.shape)
+    for side in (np.flatnonzero(flat > 0.0), np.flatnonzero(flat < 0.0)):
+        lam = 0.0
+        s_prev = 0.0
+        for i in side[np.argsort(np.abs(flat[side]), kind="stable")]:
+            s_to = float(flat[i])
+            n_steps = 0
+            if s_to != s_prev:
+                n_steps = max(1, int(math.ceil(abs(s_to - s_prev) / ds_max)))
+            for k in range(1, n_steps + 1):
+                sk = s_prev + (s_to - s_prev) * k / n_steps
+                lam = _polish_root(
+                    family, sk, lam, newton_rtol, max_newton_iter, collision_rtol
+                )
+            out[i] = lam
+            s_prev = s_to
+    if targets.ndim == 0:
+        return float(out[0])
+    return out.reshape(targets.shape)
 
 
 def numeric_cumulants(family: CountingFamily, h: float = 1e-4) -> tuple[float, float]:
     """Finite-difference first and second cumulants of G at s = 0."""
     if not 0.0 < h <= 1e-3:
         raise ValidationError(f"step must satisfy 0 < h <= 1e-3, got {h}")
-    g_plus = cgf(family, h)
-    g_minus = cgf(family, -h)
+    g_plus, g_minus = cgf(family, np.array([h, -h])).tolist()
     return (g_plus - g_minus) / (2.0 * h), (g_plus + g_minus) / (h * h)
 
 
@@ -338,8 +395,11 @@ def fcs_report(
     if bath is None:
         bath = model.cold_index
     family = build_counting_family(model, bath)
-    current, _, cp = _current_from_family(family)
-    value, cooling = cooling_condition(model)
+    current, value, cp = _current_from_family(family)
+    if bath == model.cold_index:
+        cooling = value > 0.0
+    else:
+        value, cooling = cooling_condition(model)
     return FcsReport(
         bath_label=model.baths[bath].label,
         current=current,

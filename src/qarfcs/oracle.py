@@ -107,7 +107,8 @@ def fluctuation_symmetry_check(model: QarModel, s_samples) -> float:
     The symmetry point beta_cold - beta_other follows from the similarity
     L(s*) - s) ~ L(s)^T under the diagonal conjugation exp(beta_other * E);
     it holds for any two-bath coupling pattern but has no single-field analog
-    for three or more baths, so those are refused.
+    for three or more baths, so those are refused. Both sides of every pair
+    come from one ``cgf`` call, which shares a continuation per sign of s.
     """
     if model.n_baths != 2:
         raise TopologyError(
@@ -117,10 +118,9 @@ def fluctuation_symmetry_check(model: QarModel, s_samples) -> float:
     cold = model.cold_index
     s_star = model.baths[cold].beta - model.baths[1 - cold].beta
     family = build_counting_family(model, cold)
-    worst = 0.0
-    for s in s_samples:
-        worst = max(worst, abs(cgf(family, float(s)) - cgf(family, s_star - float(s))))
-    return worst
+    s = np.asarray(s_samples, dtype=float).ravel()
+    g = cgf(family, np.concatenate([s, s_star - s]))
+    return float(np.max(np.abs(g[: s.size] - g[s.size :]), initial=0.0))
 
 
 def _random_tree(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:

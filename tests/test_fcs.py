@@ -11,6 +11,7 @@ from qarfcs.errors import (
 )
 from qarfcs.fcs import (
     CharPoly,
+    _constant_coefficient,
     adjugate,
     adjugate_derivative,
     cgf,
@@ -265,6 +266,83 @@ class TestCgf:
         with pytest.raises(ValidationError, match="window"):
             cgf(fam, 4.1)  # window is 4 * max beta = 4.0
 
+    def test_array_matches_scalar_calls(self, rng):
+        for _ in range(8):
+            m = random_connected_model(rng)
+            fam = build_counting_family(m, m.cold_index)
+            w = 4.0 * max(fam.betas)
+            s = np.array([0.3 * w, -0.05 * w, 0.1 * w, 1e-4, -0.3 * w, 0.2 * w])
+            got = cgf(fam, s)
+            scale = np.max(np.abs(fam.base)) * fam.energy_span
+            expected = np.array([cgf(fam, x) for x in s])
+            assert got.shape == s.shape
+            assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+
+    def test_array_keeps_input_order(self):
+        fam = build_counting_family(preset("A", 0.5, 0.9), 0)
+        s = np.array([0.6, -0.2, 0.1, 0.4, -0.5])
+        got = cgf(fam, s)
+        scale = np.max(np.abs(fam.base)) * fam.energy_span
+        for i, x in enumerate(s):
+            assert abs(got[i] - cgf(fam, x)) <= 1e-12 * scale
+        # the path depends on the set of targets only, not on their order
+        for perm in ([4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
+            assert np.array_equal(cgf(fam, s[perm]), got[perm])
+
+    def test_array_duplicates_and_zero(self, spin_boson):
+        fam = build_counting_family(spin_boson, 0)
+        got = cgf(fam, [0.3, 0.0, 0.3, -0.0, -0.3, -0.3])
+        assert got[1] == 0.0 and got[3] == 0.0
+        assert got[0] == got[2] and got[4] == got[5]
+        assert got[0] == cgf(fam, 0.3) and got[4] == cgf(fam, -0.3)
+
+    def test_array_empty(self, spin_boson):
+        fam = build_counting_family(spin_boson, 0)
+        got = cgf(fam, np.array([]))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    def test_single_target_is_bitwise_scalar(self, rng):
+        for _ in range(5):
+            m = random_connected_model(rng)
+            fam = build_counting_family(m, m.cold_index)
+            for s in (1e-4, -1e-4, 0.7):
+                scalar = cgf(fam, s)
+                assert isinstance(scalar, float)
+                assert cgf(fam, np.array([s]))[0] == scalar
+
+    def test_array_window_guard(self, spin_boson):
+        fam = build_counting_family(spin_boson, 0)
+        with pytest.raises(ValidationError, match="window"):
+            cgf(fam, np.array([0.1, -0.2, -4.1, 0.3]))
+
+
+class TestConstantCoefficient:
+    """a_N(s) of det(lambda - L(s)), checked without reference to its method."""
+
+    def test_small_s_slope_is_current(self, rng):
+        # a_N(h) / h -> a_N'(0) = -a_(N-1)(0) * J with an O(h * dE) remainder
+        # (~1e-6 at the first step). The second step is far below the O(1)
+        # cancellation floor of a plain det(L(h)), which it would miss by ~1e-3.
+        for n in range(2, 6):
+            for _ in range(6):
+                m = random_connected_model(rng, n_levels=n)
+                fam = build_counting_family(m, m.cold_index)
+                a_pen = charpoly(fam.base).coefficient(n - 1)
+                j = heat_current(m, m.cold_index)
+                for h_rel, rtol in ((1e-7, 1e-5), (1e-12, 1e-9)):
+                    h = h_rel / fam.energy_span
+                    slope = _constant_coefficient(fam, h) / h
+                    assert slope == pytest.approx(-a_pen * j, rel=rtol, abs=0.0)
+
+    def test_matches_determinant_at_finite_s(self, rng):
+        for n in range(2, 6):
+            for topology in ("tree", "any"):
+                m = random_connected_model(rng, n_levels=n, topology=topology)
+                fam = build_counting_family(m, m.cold_index)
+                expected = (-1.0) ** n * np.linalg.det(fam.evaluator(0.5))
+                got = _constant_coefficient(fam, 0.5)
+                assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
+
 
 class TestNumericCumulants:
     def test_spin_boson_against_closed_forms(self, spin_boson):
@@ -344,3 +422,11 @@ class TestReport:
         assert len(rep.charpoly_coeffs) == 3
         payload = rep.to_dict()
         assert payload["cooling"] is True
+
+    def test_cooling_certificate_matches_cooling_condition(self):
+        for pid in "ABCD":
+            m = preset(pid, 0.3, 0.9)
+            value, cooling = cooling_condition(m)
+            for bath in range(m.n_baths):
+                rep = fcs_report(m, bath)
+                assert rep.cooling_value == value and rep.cooling is cooling
