@@ -7,6 +7,8 @@ characteristic-polynomial current and noise pipeline, brute-force validators,
 closed-form reference results, and the parameter-scan drivers.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     QarError,
     ValidationError,
@@ -78,59 +80,9 @@ from .scan import (
 
 __version__ = "0.1.0"
 
+# every name imported above, in import order
 __all__ = [
-    "QarError",
-    "ValidationError",
-    "TopologyError",
-    "NoiseNotApplicableError",
-    "ContinuationError",
-    "ConsistencyError",
-    "CopUndefinedError",
-    "SystemSpec",
-    "OhmicSpectralDensity",
-    "BathSpec",
-    "QarModel",
-    "bose_occupation",
-    "spectral_value",
-    "rate",
-    "rate_table",
-    "preset",
-    "PRESET_IDS",
-    "model_from_dict",
-    "model_to_dict",
-    "load_model",
-    "save_model",
-    "CountingFamily",
-    "build_generator",
-    "bath_generator",
-    "build_counting_family",
-    "CharPoly",
-    "FcsReport",
-    "charpoly",
-    "adjugate",
-    "adjugate_derivative",
-    "heat_current",
-    "cooling_condition",
-    "noise",
-    "cgf",
-    "numeric_cumulants",
-    "fcs_report",
-    "SteadyState",
-    "steady_state",
-    "direct_current",
-    "conservation_residual",
-    "fluctuation_symmetry_check",
-    "random_connected_model",
-    "Decomposition",
-    "sb_current",
-    "sb_noise",
-    "ideal_cooling",
-    "cop",
-    "cycle_conditions",
-    "leaky_cooling",
-    "decompose",
-    "ScanGrid",
-    "LineScan",
-    "grid_scan",
-    "line_scan",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

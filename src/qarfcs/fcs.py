@@ -11,6 +11,11 @@ adjugate in the counting variable. Both come out of one Faddeev-LeVerrier
 recursion, run in extended precision: the recursion's last coefficients are
 small differences of large products, and 80-bit arithmetic keeps the
 cancellation noise far below every tolerance used here.
+
+The recursion also takes a stack of matrices. The generating function G(s)
+uses that: ``cgf`` plans its whole step grid first, takes the polynomials
+of every step from one stacked pass, and leaves only the Newton polish of
+the continued root sequential.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ class CharPoly:
 
     Also carries the adjugate assembled from the penultimate recursion step,
     adj(M) = (-1)^(N-1) (M^(N-1) + a_1 M^(N-2) + ... + a_{N-1} I).
+    For a stack of matrices ``coeffs`` is (..., N) and ``adjugate`` is
+    (..., N, N); ``coefficient`` reads a single polynomial.
     """
 
     coeffs: np.ndarray
@@ -45,7 +52,7 @@ class CharPoly:
 
     @property
     def n(self) -> int:
-        return len(self.coeffs)
+        return self.coeffs.shape[-1]
 
     def coefficient(self, j: int) -> float:
         """a_j with the monic convention a_0 = 1."""
@@ -54,29 +61,36 @@ class CharPoly:
         return float(self.coeffs[j - 1])
 
     def monic(self) -> np.ndarray:
-        """[1, a_1, ..., a_N], the np.polyval coefficient order."""
-        return np.concatenate([[1.0], self.coeffs])
+        """[1, a_1, ..., a_N] along the last axis, the np.polyval coefficient order."""
+        return np.concatenate([np.ones_like(self.coeffs[..., :1]), self.coeffs], axis=-1)
 
 
 def charpoly(m: np.ndarray) -> CharPoly:
-    """Faddeev-LeVerrier coefficients and adjugate of a square matrix."""
+    """Faddeev-LeVerrier coefficients and adjugate of a square matrix or a stack.
+
+    ``m`` is (N, N) or (..., N, N); every matrix of a stack gets the same
+    operations in the same order as a lone call, so the results are bitwise
+    those of one call per matrix.
+    """
     m = np.asarray(m)
-    n = m.shape[0]
-    if m.ndim != 2 or m.shape[1] != n:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"charpoly needs a square matrix, got shape {m.shape}")
+    n = m.shape[-1]
     if n == 1:
-        return CharPoly(coeffs=np.array([-float(m[0, 0])]), adjugate=np.eye(1))
+        return CharPoly(coeffs=np.negative(m[..., 0]).astype(float), adjugate=np.ones(m.shape))
     ml = m.astype(_LD)
     ident = np.eye(n, dtype=_LD)
-    a = np.zeros(n, dtype=_LD)
+    a = np.zeros(m.shape[:-1], dtype=_LD)
     mk = ident
     adj = None
     for k in range(1, n + 1):
         mk = ml @ mk
-        a[k - 1] = -np.trace(mk) / k
+        ak = -np.trace(mk, axis1=-2, axis2=-1) / k
+        a[..., k - 1] = ak
+        shift = ak[..., None, None] * ident
         if k == n - 1:
-            adj = (-1.0) ** (n - 1) * (mk + a[k - 1] * ident)
-        mk = mk + a[k - 1] * ident
+            adj = (-1.0) ** (n - 1) * (mk + shift)
+        mk = mk + shift
     return CharPoly(
         coeffs=np.asarray(a, dtype=float),
         adjugate=np.asarray(adj, dtype=float),
@@ -203,7 +217,7 @@ def noise(model: QarModel, bath: int, *, precondition_rtol: float = 1e-10) -> fl
     ) * current**2
 
 
-def _constant_coefficient(family: CountingFamily, s: float) -> float:
+def _constant_coefficient(family: CountingFamily, s: float | np.ndarray) -> float | np.ndarray:
     """a_N(s) = (-1)^N det(L(s)) with det(L(0)) dropped analytically.
 
     L(s) differs from L(0) only by the k * expm1(s * dE) corrections of the
@@ -214,86 +228,171 @@ def _constant_coefficient(family: CountingFamily, s: float) -> float:
     column sums alone and one determinant remains. This removes the O(1)
     cancellation that otherwise buries the small-s behaviour of the constant
     coefficient in roundoff.
+
+    Needs the family's dressed transitions. ``s`` is a scalar (a float comes
+    back) or a 1-D array, whose determinants are taken as one stack.
     """
-    n = family.n
-    if not family.dressed:
-        if np.count_nonzero(family.d1):
-            # hand-built family without dressed data: fall back to the
-            # recursion's own constant coefficient (generic precision)
-            return float(charpoly(family.evaluate_extended(s)).coefficient(n))
-        return 0.0
-    m = family.base.copy()
-    col_sums = np.zeros(n)
-    for row, col, kk, de in family.dressed:
-        delta = kk * math.expm1(s * de)
-        m[row, col] += delta
-        col_sums[col] += delta
-    m[-1] = col_sums
-    return (-1.0) ** n * float(np.linalg.det(m))
+    grid = np.atleast_1d(np.asarray(s, dtype=float))
+    rows, cols, kk, de = map(np.array, zip(*family.dressed))
+    # math.expm1 per element, not np.expm1: numpy's SIMD loop can differ from
+    # libm in the last bit
+    x = np.multiply.outer(grid, de)
+    delta = kk * np.array(list(map(math.expm1, x.ravel().tolist()))).reshape(x.shape)
+    m = np.repeat(family.base[None], grid.size, axis=0)
+    np.add.at(m, (slice(None), rows, cols), delta)
+    m[:, -1] = 0.0
+    np.add.at(m[:, -1], (slice(None), cols), delta)
+    a_n = (-1.0) ** family.n * np.linalg.det(m)
+    return float(a_n[0]) if np.ndim(s) == 0 else a_n
 
 
-def _roots(coeffs: list[float]) -> np.ndarray:
-    """Roots of a monic polynomial, as np.roots finds them.
+def _step_polynomials(family: CountingFamily, grid: list[float]) -> np.ndarray:
+    """Monic coefficients [1, a_1(s_k), ..., a_N(s_k)] of every step, shape (K, N + 1).
 
-    Trailing zero coefficients are split off as roots at 0 and the rest goes
-    through the companion-matrix eigenvalues.
+    One long-double stack of L(s_k) and one stacked recursion give a_1..a_(N-1);
+    a_N comes from one stacked row-replaced determinant. Hand-built families
+    without dressed data stack their evaluator and keep the recursion's own
+    a_N (generic precision), or 0 when nothing is counted.
     """
-    n_zero = 0
-    while n_zero < len(coeffs) - 1 and coeffs[-1 - n_zero] == 0.0:
-        n_zero += 1
-    p = coeffs[: len(coeffs) - n_zero]
-    if len(p) > 1:
-        comp = np.diag(np.ones(len(p) - 2), -1)
-        comp[0, :] = np.negative(p[1:])
-        roots = np.linalg.eigvals(comp)
+    if family.dressed:
+        rows, cols, kk, de = map(np.array, zip(*family.dressed))
+        corrections = kk.astype(_LD) * np.expm1(
+            np.multiply.outer(np.asarray(grid, dtype=_LD), de.astype(_LD))
+        )
+        stack = np.repeat(family.base.astype(_LD)[None], len(grid), axis=0)
+        np.add.at(stack, (slice(None), rows, cols), corrections)
     else:
-        roots = np.zeros(0)
-    return np.concatenate([roots, np.zeros(n_zero, roots.dtype)])
+        stack = np.stack([family.evaluate_extended(sk) for sk in grid])
+    coeffs = charpoly(stack).monic()
+    if family.dressed:
+        coeffs[:, -1] = _constant_coefficient(family, np.asarray(grid))
+    elif not np.count_nonzero(family.d1):
+        coeffs[:, -1] = 0.0
+    return coeffs
 
 
-def _polish_root(
+def _first_collision(
+    coeffs: np.ndarray, lams: list[float], collision_rtol: float
+) -> tuple[int, float, float] | None:
+    """First step whose root has another root within ``collision_rtol`` of the scale.
+
+    The roots are those np.roots finds: trailing zero coefficients split off
+    as roots at 0 and the rest are companion-matrix eigenvalues, one stacked
+    ``eigvals`` per count of trailing zeros. Returns (step, distance to the
+    nearest other root, spectral scale) or None.
+    """
+    k, n = coeffs.shape[0], coeffs.shape[1] - 1
+    if n < 2 or k == 0:
+        return None
+    lam = np.asarray(lams)
+    n_zero = np.cumprod(coeffs[:, :0:-1] == 0.0, axis=1).sum(axis=1)
+    gap = np.empty(k)
+    scale = np.empty(k)
+    for z in set(n_zero.tolist()):
+        rows = np.flatnonzero(n_zero == z)
+        deg = n - z
+        if deg:
+            comp = np.zeros((rows.size, deg, deg))
+            comp[:, 0, :] = np.negative(coeffs[rows, 1 : deg + 1])
+            comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+            roots = np.linalg.eigvals(comp)
+        else:
+            roots = np.zeros((rows.size, 0))
+        roots = np.concatenate([roots, np.zeros((rows.size, z), roots.dtype)], axis=1)
+        scale[rows] = np.max(np.abs(roots), axis=1)
+        gap[rows] = np.sort(np.abs(roots - lam[rows, None]), axis=1)[:, 1]
+    hit = np.flatnonzero(gap < collision_rtol * scale)
+    if not hit.size:
+        return None
+    return int(hit[0]), float(gap[hit[0]]), float(scale[hit[0]])
+
+
+def _plan_steps(
+    flat: np.ndarray, ds_max: float
+) -> tuple[list[float], set[int], list[tuple[int, int]]]:
+    """The continuation grid for the targets ``flat``, planned before any step.
+
+    The positive targets come first, then the negative ones, each side in
+    order of |s| from s = 0; between consecutive targets the path takes
+    n = ceil(|s_to - s_prev| / ds_max) equal steps. Returns the steps in
+    visiting order, the steps where a side starts again from G(0) = 0, and
+    (target index, step index) for every nonzero target.
+    """
+    grid: list[float] = []
+    side_starts = set()
+    reached = []
+    for side in (np.flatnonzero(flat > 0.0), np.flatnonzero(flat < 0.0)):
+        side_starts.add(len(grid))
+        s_prev = 0.0
+        order = side[np.argsort(np.abs(flat[side]), kind="stable")].tolist()
+        for i, s_to in zip(order, flat[order].tolist()):
+            if s_to != s_prev:
+                n_steps = max(1, int(math.ceil(abs(s_to - s_prev) / ds_max)))
+                grid.extend(
+                    s_prev + (s_to - s_prev) * k / n_steps for k in range(1, n_steps + 1)
+                )
+            reached.append((i, len(grid) - 1))
+            s_prev = s_to
+    return grid, side_starts, reached
+
+
+def _continue_root(
     family: CountingFamily,
-    sk: float,
-    lam: float,
+    grid: list[float],
+    side_starts: set[int],
     newton_rtol: float,
     max_newton_iter: int,
     collision_rtol: float,
-) -> float:
-    """Newton-polish the continued root at s = sk and check it stays isolated."""
-    coeffs = charpoly(family.evaluate_extended(sk)).monic().tolist()
-    coeffs[-1] = _constant_coefficient(family, sk)
-    n = len(coeffs) - 1
-    deriv = [c * (n - j) for j, c in enumerate(coeffs[:-1])]
-    converged = False
-    step = math.nan
-    for _ in range(max_newton_iter):
-        p = 0.0
-        for c in coeffs:
-            p = p * lam + c
-        dp = 0.0
-        for c in deriv:
-            dp = dp * lam + c
-        if dp == 0.0:
+) -> list[float]:
+    """The continued root at every step of ``grid``.
+
+    Newton in Python floats, seeded from the previous step's root (or from 0
+    where a side starts), is the only sequential part. A failure is reported
+    at the earliest failing step; within one step a Newton failure comes
+    before a collision.
+    """
+    coeffs = _step_polynomials(family, grid)
+    n = coeffs.shape[1] - 1
+    lams: list[float] = []
+    newton_error = None
+    lam = 0.0
+    for k, poly in enumerate(coeffs.tolist()):
+        if k in side_starts:
+            lam = 0.0
+        deriv = [c * (n - j) for j, c in enumerate(poly[:-1])]
+        converged = False
+        step = math.nan
+        for _ in range(max_newton_iter):
+            p = 0.0
+            for c in poly:
+                p = p * lam + c
+            dp = 0.0
+            for c in deriv:
+                dp = dp * lam + c
+            if dp == 0.0:
+                break
+            step = p / dp
+            lam -= step
+            if abs(step) <= newton_rtol * abs(lam) + 1e-300:
+                converged = True
+                break
+        if not converged:
+            newton_error = ContinuationError(
+                f"Newton did not converge at s = {grid[k]:.6g} "
+                f"(last step {step:.3g}, root estimate {lam:.3g})"
+            )
             break
-        step = p / dp
-        lam -= step
-        if abs(step) <= newton_rtol * abs(lam) + 1e-300:
-            converged = True
-            break
-    if not converged:
+        lams.append(lam)
+    collision = _first_collision(coeffs[: len(lams)], lams, collision_rtol)
+    if collision is not None:
+        k, gap, scale = collision
         raise ContinuationError(
-            f"Newton did not converge at s = {sk:.6g} "
-            f"(last step {step:.3g}, root estimate {lam:.3g})"
+            f"root collision at s = {grid[k]:.6g}: nearest other root within "
+            f"{gap:.3g} (< {collision_rtol:.1g} of scale {scale:.3g})"
         )
-    roots = _roots(coeffs)
-    scale = float(np.max(np.abs(roots)))
-    others = np.sort(np.abs(roots - lam))
-    if len(others) > 1 and others[1] < collision_rtol * scale:
-        raise ContinuationError(
-            f"root collision at s = {sk:.6g}: nearest other root within "
-            f"{others[1]:.3g} (< {collision_rtol:.1g} of scale {scale:.3g})"
-        )
-    return lam
+    if newton_error is not None:
+        raise newton_error
+    return lams
 
 
 def cgf(
@@ -320,6 +419,11 @@ def cgf(
     between consecutive targets the path takes n = ceil(|s_to - s_prev| /
     ds_max) equal steps, so a lone target is reached on the grid s * k / n
     from the origin.
+
+    The whole step grid is planned first, so the polynomials of every step
+    come from one stacked pass (one long-double stack of L(s_k), one stacked
+    ``charpoly``, one stacked determinant for a_N) and the collision check
+    is one stacked companion ``eigvals``. Newton is the only sequential part.
     """
     targets = np.asarray(s, dtype=float)
     flat = targets.ravel()
@@ -329,23 +433,14 @@ def cgf(
             f"|s| = {np.max(np.abs(flat)):.3g} outside the continuation window "
             f"{window:.3g} (= {window_factor} * max beta)"
         )
-    ds_max = step_factor / family.energy_span
+    grid, side_starts, reached = _plan_steps(flat, step_factor / family.energy_span)
     out = np.zeros(flat.shape)
-    for side in (np.flatnonzero(flat > 0.0), np.flatnonzero(flat < 0.0)):
-        lam = 0.0
-        s_prev = 0.0
-        for i in side[np.argsort(np.abs(flat[side]), kind="stable")]:
-            s_to = float(flat[i])
-            n_steps = 0
-            if s_to != s_prev:
-                n_steps = max(1, int(math.ceil(abs(s_to - s_prev) / ds_max)))
-            for k in range(1, n_steps + 1):
-                sk = s_prev + (s_to - s_prev) * k / n_steps
-                lam = _polish_root(
-                    family, sk, lam, newton_rtol, max_newton_iter, collision_rtol
-                )
-            out[i] = lam
-            s_prev = s_to
+    if grid:
+        lams = _continue_root(
+            family, grid, side_starts, newton_rtol, max_newton_iter, collision_rtol
+        )
+        for i, k in reached:
+            out[i] = lams[k]
     if targets.ndim == 0:
         return float(out[0])
     return out.reshape(targets.shape)

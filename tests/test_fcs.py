@@ -6,6 +6,7 @@ import pytest
 from qarfcs.analytic import sb_current, sb_noise
 from qarfcs.errors import (
     ConsistencyError,
+    ContinuationError,
     NoiseNotApplicableError,
     ValidationError,
 )
@@ -80,6 +81,29 @@ class TestCharPoly:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValidationError):
             charpoly(np.zeros((2, 3)))
+        with pytest.raises(ValidationError):
+            charpoly(np.zeros((4, 2, 3)))
+        with pytest.raises(ValidationError):
+            charpoly(np.zeros(3))
+
+    def test_stack_is_bitwise_per_matrix(self, rng):
+        for n in range(1, 6):
+            scales = 10.0 ** rng.uniform(-4.0, 0.0, size=(2, 3, 1, 1))
+            stack = rng.normal(size=(2, 3, n, n)) * scales
+            cp = charpoly(stack)
+            assert cp.coeffs.shape == (2, 3, n) and cp.adjugate.shape == (2, 3, n, n)
+            assert cp.n == n
+            for idx in np.ndindex(2, 3):
+                single = charpoly(stack[idx])
+                assert single.n == n
+                assert np.array_equal(cp.coeffs[idx], single.coeffs)
+                assert np.array_equal(cp.adjugate[idx], single.adjugate)
+
+    def test_stack_monic(self, rng):
+        cp = charpoly(rng.normal(size=(4, 3, 3)))
+        monic = cp.monic()
+        assert monic.shape == (4, 4)
+        assert np.all(monic[:, 0] == 1.0) and np.array_equal(monic[:, 1:], cp.coeffs)
 
 
 class TestAdjugate:
@@ -314,6 +338,70 @@ class TestCgf:
         fam = build_counting_family(spin_boson, 0)
         with pytest.raises(ValidationError, match="window"):
             cgf(fam, np.array([0.1, -0.2, -4.1, 0.3]))
+
+    def test_perron_root_oracle(self, rng):
+        # L(s) is a Metzler matrix with an irreducible graph, so G(s) is its
+        # Perron root: the eigenvalue of largest real part, real and simple
+        for topology in ("tree", "any"):
+            for _ in range(12):
+                m = random_connected_model(rng, topology=topology)
+                fam = build_counting_family(m, m.cold_index)
+                s = np.linspace(-0.9, 0.9, 9) * 4.0 * max(fam.betas)
+                perron = [np.max(np.linalg.eigvals(fam.evaluator(x)).real) for x in s]
+                scale = np.max(np.abs(fam.base))
+                assert np.max(np.abs(cgf(fam, s) - perron)) <= 1e-12 * scale
+
+    def test_one_stacked_charpoly_per_call(self, monkeypatch):
+        import qarfcs.fcs as fcs_module
+
+        calls = []
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return charpoly(m)
+
+        monkeypatch.setattr(fcs_module, "charpoly", counting)
+        fam = build_counting_family(preset("A", 0.5, 0.9), 0)
+        cgf(fam, np.array([0.3, -0.2, 0.1]))
+        # 6 steps to 0.3 and 4 steps to -0.2 at ds_max = 0.05
+        assert calls == [(10, 3, 3)]
+
+    def _preset_a_family(self):
+        model = preset("A", 0.5, 0.9)
+        return build_counting_family(model, model.cold_index)
+
+    def test_newton_failure(self):
+        fam = self._preset_a_family()
+        with pytest.raises(ContinuationError, match=r"Newton did not converge at s = 0\.05 "):
+            cgf(fam, np.array([0.3, -0.2]), max_newton_iter=1)
+
+    def test_root_collision(self):
+        fam = self._preset_a_family()
+        with pytest.raises(ContinuationError, match=r"root collision at s = 0\.05:"):
+            cgf(fam, np.array([0.3, -0.2]), collision_rtol=1.0)
+
+    def test_newton_failure_reported_before_collision(self):
+        fam = self._preset_a_family()
+        with pytest.raises(ContinuationError, match=r"Newton did not converge at s = 0\.05 "):
+            cgf(fam, np.array([0.3, -0.2]), max_newton_iter=1, collision_rtol=1.0)
+
+    def test_each_side_starts_from_the_origin(self):
+        # four Newton iterations reach the first step on either side from
+        # G(0) = 0, but not from the far root G(0.9) of the positive side
+        fam = self._preset_a_family()
+        got = cgf(fam, np.array([0.9, -0.2]), max_newton_iter=4)
+        assert got.tolist() == [cgf(fam, 0.9), cgf(fam, -0.2)]
+
+    def test_uncoupled_counted_bath_is_zero(self):
+        # no counted transitions: a_N(s) = 0 on every step and the zero root
+        # splits off before the companion eigenvalues
+        model = preset("A", 0.5, 0.9)
+        idle = BathSpec("X", 0.7, {}, model.baths[0].spectral)
+        model = QarModel(model.system, model.baths + (idle,), model.cold_index)
+        fam = build_counting_family(model, 3)
+        assert fam.dressed == ()
+        assert cgf(fam, 0.3) == 0.0
+        assert np.array_equal(cgf(fam, np.array([0.3, -0.2, 0.0])), np.zeros(3))
 
 
 class TestConstantCoefficient:
