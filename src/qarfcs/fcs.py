@@ -251,21 +251,13 @@ def _step_polynomials(family: CountingFamily, grid: list[float]) -> np.ndarray:
 
     One long-double stack of L(s_k) and one stacked recursion give a_1..a_(N-1);
     a_N comes from one stacked row-replaced determinant. Hand-built families
-    without dressed data stack their evaluator and keep the recursion's own
-    a_N (generic precision), or 0 when nothing is counted.
+    without dressed data keep the recursion's own a_N (generic precision), or
+    0 when nothing is counted.
     """
+    steps = np.asarray(grid)
+    coeffs = charpoly(family.evaluate_extended(steps)).monic()
     if family.dressed:
-        rows, cols, kk, de = map(np.array, zip(*family.dressed))
-        corrections = kk.astype(_LD) * np.expm1(
-            np.multiply.outer(np.asarray(grid, dtype=_LD), de.astype(_LD))
-        )
-        stack = np.repeat(family.base.astype(_LD)[None], len(grid), axis=0)
-        np.add.at(stack, (slice(None), rows, cols), corrections)
-    else:
-        stack = np.stack([family.evaluate_extended(sk) for sk in grid])
-    coeffs = charpoly(stack).monic()
-    if family.dressed:
-        coeffs[:, -1] = _constant_coefficient(family, np.asarray(grid))
+        coeffs[:, -1] = _constant_coefficient(family, steps)
     elif not np.count_nonzero(family.d1):
         coeffs[:, -1] = 0.0
     return coeffs
@@ -276,31 +268,21 @@ def _first_collision(
 ) -> tuple[int, float, float] | None:
     """First step whose root has another root within ``collision_rtol`` of the scale.
 
-    The roots are those np.roots finds: trailing zero coefficients split off
-    as roots at 0 and the rest are companion-matrix eigenvalues, one stacked
-    ``eigvals`` per count of trailing zeros. Returns (step, distance to the
-    nearest other root, spectral scale) or None.
+    The roots are the eigenvalues of every step's companion matrix, taken in
+    one stacked ``eigvals``. A zero a_N (a counted bath without couplings)
+    leaves a zero last column, whose eigenvalue 0 comes out within roundoff
+    of the spectral scale. Returns (step, distance to the nearest other root,
+    spectral scale) or None.
     """
     k, n = coeffs.shape[0], coeffs.shape[1] - 1
     if n < 2 or k == 0:
         return None
-    lam = np.asarray(lams)
-    n_zero = np.cumprod(coeffs[:, :0:-1] == 0.0, axis=1).sum(axis=1)
-    gap = np.empty(k)
-    scale = np.empty(k)
-    for z in set(n_zero.tolist()):
-        rows = np.flatnonzero(n_zero == z)
-        deg = n - z
-        if deg:
-            comp = np.zeros((rows.size, deg, deg))
-            comp[:, 0, :] = np.negative(coeffs[rows, 1 : deg + 1])
-            comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-            roots = np.linalg.eigvals(comp)
-        else:
-            roots = np.zeros((rows.size, 0))
-        roots = np.concatenate([roots, np.zeros((rows.size, z), roots.dtype)], axis=1)
-        scale[rows] = np.max(np.abs(roots), axis=1)
-        gap[rows] = np.sort(np.abs(roots - lam[rows, None]), axis=1)[:, 1]
+    comp = np.zeros((k, n, n))
+    comp[:, 0, :] = np.negative(coeffs[:, 1:])
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    roots = np.linalg.eigvals(comp)
+    scale = np.max(np.abs(roots), axis=1)
+    gap = np.sort(np.abs(roots - np.asarray(lams)[:, None]), axis=1)[:, 1]
     hit = np.flatnonzero(gap < collision_rtol * scale)
     if not hit.size:
         return None

@@ -58,22 +58,29 @@ class CountingFamily:
     def energy_span(self) -> float:
         return max(self.energies) - min(self.energies)
 
-    def evaluate_extended(self, s: float) -> np.ndarray:
-        """L(s) in extended precision.
+    def evaluate_extended(self, s: float | np.ndarray) -> np.ndarray:
+        """L(s) in extended precision, for one s or a stack over a 1-D array of s.
 
         The cumulant continuation resolves root shifts far below the double
         rounding of the dressed entries, so the base + k*expm1(s*dE) sums are
         formed in long double there. Families assembled without dressed
         transition data (hand-built evaluators) fall back to the evaluator.
+        A scalar gives (N, N) and an array (K, N, N); the scalar call is the
+        size-1 case, so every matrix of a stack is bitwise its own call's.
         """
-        if not self.dressed:
-            return np.asarray(self.evaluator(s), dtype=np.longdouble)
-        out = self.base.astype(np.longdouble)
-        if s != 0.0:
-            sl = np.longdouble(s)
-            for row, col, kk, de in self.dressed:
-                out[row, col] += np.longdouble(kk) * np.expm1(sl * np.longdouble(de))
-        return out
+        grid = np.atleast_1d(np.asarray(s, dtype=float))
+        if self.dressed:
+            rows, cols, kk, de = map(np.array, zip(*self.dressed))
+            corrections = kk.astype(np.longdouble) * np.expm1(
+                np.multiply.outer(grid.astype(np.longdouble), de.astype(np.longdouble))
+            )
+            out = np.repeat(self.base.astype(np.longdouble)[None], grid.size, axis=0)
+            np.add.at(out, (slice(None), rows, cols), corrections)
+        else:
+            out = np.stack(
+                [np.asarray(self.evaluator(sk), dtype=np.longdouble) for sk in grid.tolist()]
+            )
+        return out[0] if np.ndim(s) == 0 else out
 
 
 def build_counting_family(model: QarModel, counted_bath: int) -> CountingFamily:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,19 @@ class TestCountingFamily:
             a = fam.evaluator(s)
             b = np.asarray(fam.evaluate_extended(s), dtype=float)
             assert np.allclose(a, b, rtol=1e-15, atol=0)
+
+    def test_extended_evaluator_stack_is_bitwise_per_s(self):
+        m = preset("C", 0.3, 0.7)
+        fam = build_counting_family(m, 0)
+        hand = dataclasses.replace(fam, dressed=())
+        grid = np.array([-0.7, 0.0, 0.2, 1.1])
+        for f in (fam, hand):
+            stack = f.evaluate_extended(grid)
+            assert stack.shape == (grid.size, m.n_levels, m.n_levels)
+            assert stack.dtype == np.longdouble
+            for sk, mat in zip(grid.tolist(), stack):
+                assert np.array_equal(mat, f.evaluate_extended(sk))
+        assert np.array_equal(fam.evaluate_extended(0.0), fam.base)
 
     def test_uncoupled_counted_bath_gives_zero_d1(self):
         m = make_spin_boson()
