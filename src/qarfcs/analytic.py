@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ConsistencyError, CopUndefinedError, TopologyError, ValidationError
 from .fcs import charpoly, heat_current, _trace_product
-from .liouvillian import build_generator
 from .model import QarModel, bose_occupation, rate_table
 
 Pair = tuple[int, int]
@@ -219,11 +218,17 @@ def decompose(model: QarModel, *, current_units: bool = False) -> Decomposition:
     leak, and the pure-cold coefficient must vanish (one bath alone drives no
     current). Because the on-transition rates enter the numerator linearly,
     the on/off split is exact.
+
+    All extraction generators (the six scaling points with both other baths
+    off the transition and the unit point with only the work bath off, per
+    transition) and L(0), which is also every transition's full-rate point,
+    go through one stacked ``charpoly`` pass.
     """
     cold, hot, work = _ideal_roles(model)
     tables = [rate_table(model, b) for b in range(3)]
     energies = model.system.energies
     n = 3
+    sign = (-1.0) ** (n + 1)
     labels = {hot: model.baths[hot].label, work: model.baths[work].label}
 
     basis = lambda x: (
@@ -235,13 +240,16 @@ def decompose(model: QarModel, *, current_units: bool = False) -> Decomposition:
         x[1] * x[2],
     )
     vand = np.array([basis(p) for p in _EXTRACTION_POINTS])
+    # the scaling points as per-bath factors, in bath order
+    points = np.array(_EXTRACTION_POINTS)[:, np.argsort((cold, hot, work))]
+    unit = np.ones((1, 3))
 
-    def generator_of(tabs, x: tuple[float, float, float]) -> np.ndarray:
-        scales = {cold: x[0], hot: x[1], work: x[2]}
-        l = np.zeros((n, n))
+    def generators_of(tabs, scales: np.ndarray) -> np.ndarray:
+        """sum_b scales[:, b] * L_b in bath order, one matrix per row of scales."""
+        l = np.zeros((len(scales), n, n))
         for b in range(3):
             k = tabs[b]
-            l += scales[b] * (k.T - np.diag(k.sum(axis=1)))
+            l += scales[:, b, None, None] * (k.T - np.diag(k.sum(axis=1)))
         return l
 
     def without_on_transition(bath: int, pair: Pair, tabs):
@@ -253,12 +261,9 @@ def decompose(model: QarModel, *, current_units: bool = False) -> Decomposition:
         out[bath] = k
         return out
 
-    cycles: dict[Pair, float] = {}
-    leaks: dict[tuple[str, Pair], float] = {}
-    scale_ref = 0.0
-    pure_cold_worst = 0.0
     k_cold = tables[cold]
-    unit = (1.0, 1.0, 1.0)
+    d1s: dict[Pair, np.ndarray] = {}
+    stack = []
     for i in range(n):
         for j in range(i + 1, n):
             if k_cold[i, j] == 0.0 and k_cold[j, i] == 0.0:
@@ -267,30 +272,32 @@ def decompose(model: QarModel, *, current_units: bool = False) -> Decomposition:
             d1 = np.zeros((n, n))
             d1[j, i] = de * k_cold[i, j]
             d1[i, j] = -de * k_cold[j, i]
-
-            raw_scale = 0.0
-
-            def numerator(tabs, x=unit):
-                nonlocal raw_scale
-                adj = charpoly(generator_of(tabs, x)).adjugate
-                # cancellation-free magnitude: the roundoff floor of the
-                # extraction, which stays finite where the signed numerator
-                # vanishes (cooling boundary)
-                raw_scale = max(raw_scale, _trace_product(np.abs(adj), np.abs(d1)))
-                return (-1.0) ** (n + 1) * _trace_product(adj, d1)
-
+            d1s[(i, j)] = d1
             tabs_no_work = without_on_transition(work, (i, j), tables)
             tabs_bare = without_on_transition(hot, (i, j), tabs_no_work)
-            vals = np.array([numerator(tabs_bare, p) for p in _EXTRACTION_POINTS])
-            c_cc, c_hh, c_ww, c_ch, c_cw, c_hw = np.linalg.solve(vand, vals)
-            t_bare = math.fsum([c_cc, c_hh, c_ww, c_ch, c_cw, c_hw])
-            t_no_work = numerator(tabs_no_work)
-            t_full = numerator(tables)
-            scale_ref = max(scale_ref, raw_scale)
-            pure_cold_worst = max(pure_cold_worst, abs(c_cc))
-            cycles[(i, j)] = float(c_hw)
-            leaks[(labels[hot], (i, j))] = float(c_ch + c_hh) + (t_no_work - t_bare)
-            leaks[(labels[work], (i, j))] = float(c_cw + c_ww) + (t_full - t_no_work)
+            stack += [generators_of(tabs_bare, points), generators_of(tabs_no_work, unit)]
+    stack.append(generators_of(tables, unit))
+    cp = charpoly(np.concatenate(stack))
+    per_pair = len(_EXTRACTION_POINTS) + 1
+    l0_adj = cp.adjugate[-1]
+
+    cycles: dict[Pair, float] = {}
+    leaks: dict[tuple[str, Pair], float] = {}
+    scale_ref = 0.0
+    pure_cold_worst = 0.0
+    for q, (pair, d1) in enumerate(d1s.items()):
+        adj = np.concatenate([cp.adjugate[q * per_pair : (q + 1) * per_pair], l0_adj[None]])
+        # cancellation-free magnitude: the roundoff floor of the extraction,
+        # which stays finite where the signed numerator vanishes (cooling
+        # boundary)
+        scale_ref = max(scale_ref, *_trace_product(np.abs(adj), np.abs(d1)).tolist())
+        *vals, t_no_work, t_full = (sign * _trace_product(adj, d1)).tolist()
+        c_cc, c_hh, c_ww, c_ch, c_cw, c_hw = np.linalg.solve(vand, np.array(vals))
+        t_bare = math.fsum([c_cc, c_hh, c_ww, c_ch, c_cw, c_hw])
+        pure_cold_worst = max(pure_cold_worst, abs(c_cc))
+        cycles[pair] = float(c_hw)
+        leaks[(labels[hot], pair)] = float(c_ch + c_hh) + (t_no_work - t_bare)
+        leaks[(labels[work], pair)] = float(c_cw + c_ww) + (t_full - t_no_work)
 
     if pure_cold_worst > 1e-12 * max(scale_ref, 1e-300):
         raise ConsistencyError(
@@ -299,15 +306,8 @@ def decompose(model: QarModel, *, current_units: bool = False) -> Decomposition:
             "steady current"
         )
 
-    cp = charpoly(build_generator(model))
-    a_pen = cp.coefficient(2)
-    family_d1 = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            de = energies[j] - energies[i]
-            family_d1[j, i] += de * k_cold[i, j]
-            family_d1[i, j] += -de * k_cold[j, i]
-    numerator = (-1.0) ** (n + 1) * _trace_product(cp.adjugate, family_d1)
+    a_pen = float(cp.coeffs[-1, n - 2])
+    numerator = sign * _trace_product(l0_adj, sum(d1s.values(), np.zeros((n, n))))
     parts = math.fsum(list(cycles.values()) + list(leaks.values()))
     residual = abs(parts - numerator)
 

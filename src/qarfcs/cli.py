@@ -206,6 +206,13 @@ def _cmd_current(args) -> int:
     return 0
 
 
+def _deviation(value: float, ref: float) -> str:
+    """Deviation of value from ref: relative, or absolute where ref is exactly 0."""
+    if ref == 0.0:
+        return f"abs dev {abs(value - ref):.3e}"
+    return f"rel dev {abs(value - ref) / abs(ref):.3e}"
+
+
 def _cmd_noise(args) -> int:
     tols = _parse_tols(args.tol)
     model = _model_from_args(args)
@@ -222,8 +229,8 @@ def _cmd_noise(args) -> int:
         family = build_counting_family(model, bath)
         j_num, s_num = numeric_cumulants(family)
         payload.update({"current_numeric": j_num, "noise_numeric": s_num})
-        lines.append(f"numeric current = {j_num:.17e} (rel dev {abs(j_num - j) / abs(j):.3e})")
-        lines.append(f"numeric noise = {s_num:.17e} (rel dev {abs(s_num - s) / abs(s):.3e})")
+        lines.append(f"numeric current = {j_num:.17e} ({_deviation(j_num, j)})")
+        lines.append(f"numeric noise = {s_num:.17e} ({_deviation(s_num, s)})")
     _emit(payload, args, lines)
     return 0
 
@@ -464,9 +471,16 @@ _COMMANDS = {
 }
 
 
+# built on the first ``main`` call, not at import, and reused by later calls;
+# parse_args keeps no state between calls (``append`` copies its default)
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except QarError as exc:

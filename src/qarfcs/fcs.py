@@ -130,15 +130,19 @@ def adjugate_derivative(family: CountingFamily) -> np.ndarray:
     return np.asarray(dadj, dtype=float)
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """tr(a @ b) by compensated summation over the nonzero products."""
-    n = a.shape[0]
-    return math.fsum(
-        a[i, j] * b[j, i]
-        for i in range(n)
-        for j in range(n)
-        if a[i, j] != 0.0 and b[j, i] != 0.0
-    )
+def _trace_product(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """tr(a @ b) by compensated summation over the products at b's nonzero entries.
+
+    ``a`` may be a stack (..., N, N); each of its matrices gets its own exactly
+    rounded ``fsum``, and a 2-D ``a`` returns a float. The products where a is
+    zero are +-0.0 and leave every sum unchanged.
+    """
+    i, j = np.nonzero(b)
+    terms = a[..., j, i] * b[i, j]
+    if terms.ndim == 1:
+        return math.fsum(terms.tolist())
+    rows = terms.reshape(math.prod(terms.shape[:-1]), terms.shape[-1])
+    return np.array([math.fsum(row) for row in rows.tolist()]).reshape(terms.shape[:-1])
 
 
 def _current_from_family(family: CountingFamily) -> tuple[float, float, CharPoly]:

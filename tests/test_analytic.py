@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qarfcs import analytic
 from qarfcs.analytic import (
     cop,
     cycle_conditions,
@@ -208,6 +209,116 @@ def ideal_cycle_closed_form(m):
     return (e2 - e1) * kh[2, 0] * kw[2, 1] * kc[1, 0] * bracket
 
 
+# float.hex of every Decomposition field, recorded from the per-matrix
+# implementation before the extraction generators were stacked
+_DECOMPOSE_GOLDEN = {
+    ("A", 0.3, 0.9): (
+        "0x1.8376b16b997fcp-30",
+        "0x1.d0316120d39c3p-15",
+        "0x1.26bbec0381e9cp-25",
+        "0x1.c000000000000p-80",
+        {(0, 1): "0x1.8376b16b99801p-30"},
+        {
+            ("H", (0, 1)): "0x1.4904a59dde400p-85",
+            ("W", (0, 1)): "-0x1.8fac41bb86d5fp-79",
+        },
+    ),
+    ("A", 0.5, 0.5): (
+        "-0x1.b8d7470eca4c0p-32",
+        "0x1.4e8e3e7028f4cp-14",
+        "0x1.6f53dbf648187p-24",
+        "0x1.0000000000000p-83",
+        {(0, 1): "-0x1.b8d7470eca47cp-32"},
+        {
+            ("H", (0, 1)): "-0x1.57939ebcbea5dp-80",
+            ("W", (0, 1)): "-0x1.8096264ccb2d1p-79",
+        },
+    ),
+    ("B", 0.3, 0.9): (
+        "0x1.ba15f3fef06f2p-31",
+        "0x1.1fbe852c9c0c8p-14",
+        "0x1.4d672b86c0f5ep-25",
+        "0x1.4000000000000p-81",
+        {
+            (0, 1): "0x1.83366de5c631dp-30",
+            (0, 2): "-0x1.4c7764f1ddafbp-39",
+            (1, 2): "0x1.9c3b289268298p-42",
+        },
+        {
+            ("H", (0, 1)): "-0x1.8d525d1301d21p-39",
+            ("W", (0, 1)): "-0x1.3182b622f72f2p-32",
+            ("H", (0, 2)): "-0x1.34aa71472f6bfp-36",
+            ("W", (0, 2)): "-0x1.5f6f19c8ef7d4p-33",
+            ("H", (1, 2)): "-0x1.6142b88ec43ddp-40",
+            ("W", (1, 2)): "-0x1.3af63c15c4357p-33",
+        },
+    ),
+    ("B", 0.5, 0.5): (
+        "-0x1.dae351a1bb014p-30",
+        "0x1.8c1c3c05fbb8cp-14",
+        "0x1.90bfdb6e6dd3ap-24",
+        "0x1.0000000000000p-82",
+        {
+            (0, 1): "-0x1.bb30ee91cda7bp-32",
+            (0, 2): "-0x1.4160f9c8da75dp-38",
+            (1, 2): "-0x1.c966ce260c3fdp-43",
+        },
+        {
+            ("H", (0, 1)): "-0x1.3924f19890285p-34",
+            ("W", (0, 1)): "-0x1.cb124e0134813p-31",
+            ("H", (0, 2)): "-0x1.7488e15edf37dp-33",
+            ("W", (0, 2)): "-0x1.20c20407a99d0p-33",
+            ("H", (1, 2)): "-0x1.27b238ab2f381p-37",
+            ("W", (1, 2)): "-0x1.cb33294c2d062p-34",
+        },
+    ),
+    ("C", 0.3, 0.9): (
+        "0x1.66b830d7da7b8p-30",
+        "0x1.747c2cc4e330bp-14",
+        "0x1.26bbec0381e9cp-25",
+        "0x1.c000000000000p-80",
+        {(0, 1): "0x1.8376b16b99801p-30"},
+        {
+            ("H", (0, 1)): "-0x1.cbe8093bf043dp-34",
+            ("W", (0, 1)): "-0x1.8fac41bb86d5fp-79",
+        },
+    ),
+    ("C", 0.5, 0.5): (
+        "-0x1.a9eb0c4e8bb98p-29",
+        "0x1.2ecfab77c3cd9p-13",
+        "0x1.6f53dbf648187p-24",
+        "0x1.0000000000000p-81",
+        {(0, 1): "-0x1.b8d7470eca47cp-32"},
+        {
+            ("H", (0, 1)): "-0x1.72d0236cb2703p-29",
+            ("W", (0, 1)): "-0x1.8096264ccb2d1p-79",
+        },
+    ),
+    ("D", 0.3, 0.9): (
+        "-0x1.e8b430c114768p-28",
+        "0x1.7e2edd6ed015fp-12",
+        "0x1.430c2acd7e64ep-24",
+        "0x1.0000000000000p-78",
+        {(0, 1): "0x1.8376b16b99801p-30"},
+        {
+            ("H", (0, 1)): "0x1.4904a59dde400p-85",
+            ("W", (0, 1)): "-0x1.24c8ee8dfd6b6p-27",
+        },
+    ),
+    ("D", 0.5, 0.5): (
+        "-0x1.ab89a9375a198p-26",
+        "0x1.ac99f83ce5dbap-12",
+        "0x1.270232c541464p-23",
+        "0x0.0p+0",
+        {(0, 1): "-0x1.b8d7470eca47cp-32"},
+        {
+            ("H", (0, 1)): "-0x1.57939ebcbea5dp-80",
+            ("W", (0, 1)): "-0x1.a4a64c1b1ef06p-26",
+        },
+    ),
+}
+
+
 class TestDecompose:
     def test_preset_a_single_cycle_term(self):
         m = preset("A", 0.4, 0.7)
@@ -274,3 +385,38 @@ class TestDecompose:
     def test_requires_three_baths(self, spin_boson):
         with pytest.raises(TopologyError):
             decompose(spin_boson)
+
+    @pytest.mark.parametrize("pid", ["A", "B", "C", "D", "random"])
+    def test_one_stacked_charpoly_per_call(self, pid, monkeypatch):
+        if pid == "random":
+            rng = np.random.default_rng(11)
+            m = random_connected_model(rng, n_levels=3, n_baths=3, topology="any")
+        else:
+            m = preset(pid, 0.3, 0.9)
+        calls = []
+
+        def counting(mat):
+            calls.append(np.shape(mat))
+            return charpoly(mat)
+
+        monkeypatch.setattr(analytic, "charpoly", counting)
+        decompose(m)
+        assert len(calls) == 1
+        # 7 extraction generators per cold-coupled transition, then L(0)
+        n_pairs = sum(g > 0 for g in m.baths[m.cold_index].couplings.values())
+        assert calls[0] == (7 * n_pairs + 1, 3, 3)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps != 2.0**-63,
+        reason="golden bits were recorded with 80-bit long double",
+    )
+    @pytest.mark.parametrize("key", sorted(_DECOMPOSE_GOLDEN), ids="{0[0]}-{0[1]}-{0[2]}".format)
+    def test_golden_bits(self, key):
+        total, norm, magnitude, residual, cycles, leaks = _DECOMPOSE_GOLDEN[key]
+        dec = decompose(preset(*key))
+        assert dec.total.hex() == total
+        assert dec.normalization.hex() == norm
+        assert dec.magnitude.hex() == magnitude
+        assert dec.reconstruction_residual.hex() == residual
+        assert {k: v.hex() for k, v in dec.cycles.items()} == cycles
+        assert {k: v.hex() for k, v in dec.leaks.items()} == leaks

@@ -4,7 +4,8 @@ import math
 import pytest
 
 from qarfcs.analytic import sb_current
-from qarfcs.cli import main
+from qarfcs import cli
+from qarfcs.cli import build_parser, main
 from qarfcs.model import OhmicSpectralDensity, preset, save_model, spectral_value
 from tests.conftest import make_spin_boson
 
@@ -136,6 +137,28 @@ class TestNoise:
             "--tol", "noise_precondition=1.0",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_verify_with_zero_current(self, capsys, tmp_path, fmt):
+        # one bath drives no current: J = 0 exactly, so deviations are absolute
+        path = tmp_path / "one_bath.json"
+        path.write_text(json.dumps({
+            "energies": [0, 0.5],
+            "baths": [{"label": "C", "beta": 1,
+                       "couplings": [{"i": 1, "j": 2, "gamma": 0.001}]}],
+            "cold": "C",
+        }))
+        code, out, _ = run(
+            capsys, "noise", "--model", str(path), "--verify", "--format", fmt
+        )
+        assert code == 0
+        if fmt == "json":
+            data = json.loads(out)
+            assert data["current"] == 0.0
+            assert abs(data["current_numeric"]) < 1e-12
+        else:
+            assert "numeric current" in out and "(abs dev " in out
+            assert "rel dev" not in out
 
 
 class TestScanCommands:
@@ -270,3 +293,45 @@ class TestOutputFiles:
         )
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["cooling"] is True
+
+
+class TestParserReuse:
+    def test_build_parser_returns_fresh_parsers(self):
+        assert build_parser() is not build_parser()
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        built = []
+        original = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for _ in range(3):
+            run(capsys, "presets")
+        assert len(built) == 1
+
+    def test_tol_does_not_leak_into_next_call(self, capsys, monkeypatch):
+        seen = []
+        original = cli._parse_tols
+
+        def recording(pairs):
+            seen.append(pairs)
+            return original(pairs)
+
+        monkeypatch.setattr(cli, "_parse_tols", recording)
+        point = ("--preset", "A", "--e21", "0.5", "--betaH", "0.9")
+        assert run(capsys, "current", *point)[0] == 0
+        assert run(capsys, "check", "--trials", "10", "--tol", "symmetry=1e-9")[0] == 0
+        assert run(capsys, "noise", *point)[0] == 0
+        assert seen == [["symmetry=1e-9"], None]
+
+    @pytest.mark.parametrize("command", ["current", "decompose", "noise"])
+    def test_same_stdout_on_first_and_second_call(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        argv = (command, "--preset", "A", "--e21", "0.3", "--betaH", "0.9")
+        first = run(capsys, *argv)
+        assert first == run(capsys, *argv)
+        assert first[0] == 0 and first[1]

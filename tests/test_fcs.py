@@ -13,6 +13,7 @@ from qarfcs.errors import (
 from qarfcs.fcs import (
     CharPoly,
     _constant_coefficient,
+    _trace_product,
     adjugate,
     adjugate_derivative,
     cgf,
@@ -262,6 +263,55 @@ class TestAdjugateDerivative:
         )
         fam = build_counting_family(m, 2)
         assert np.count_nonzero(adjugate_derivative(fam)) == 0
+
+
+def entrywise_trace_product(a, b):
+    """tr(a @ b) as fsum over the entry pairs where both factors are nonzero."""
+    n = a.shape[0]
+    return math.fsum(
+        a[i, j] * b[j, i]
+        for i in range(n)
+        for j in range(n)
+        if a[i, j] != 0.0 and b[j, i] != 0.0
+    )
+
+
+class TestTraceProduct:
+    def test_bitwise_entrywise_on_random_pairs_with_zeros(self, rng):
+        for _ in range(2000):
+            n = int(rng.integers(1, 6))
+            a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-20, 5, size=(n, n))
+            b = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-20, 5, size=(n, n))
+            a[rng.random((n, n)) < 0.3] = 0.0
+            a[rng.random((n, n)) < 0.1] = -0.0
+            b[rng.random((n, n)) < 0.4] = 0.0
+            got = _trace_product(a, b)
+            assert type(got) is float
+            assert got.hex() == entrywise_trace_product(a, b).hex()
+
+    @pytest.mark.parametrize("pid", ["A", "B", "C", "D"])
+    def test_bitwise_entrywise_on_presets(self, pid):
+        for e21, beta_h in ((0.3, 0.9), (0.5, 0.5), (0.1, 0.2)):
+            fam = build_counting_family(preset(pid, e21, beta_h), 0)
+            adj = charpoly(fam.base).adjugate
+            dadj = adjugate_derivative(fam)
+            for a, b in ((adj, fam.d1), (adj, fam.d2), (dadj, fam.d1)):
+                assert _trace_product(a, b).hex() == entrywise_trace_product(a, b).hex()
+
+    def test_stack_matches_per_matrix(self, rng):
+        for n in range(1, 6):
+            stack = rng.normal(size=(2, 3, n, n))
+            stack[rng.random(stack.shape) < 0.3] = 0.0
+            b = rng.normal(size=(n, n))
+            b[rng.random((n, n)) < 0.4] = 0.0
+            got = _trace_product(stack, b)
+            assert got.shape == (2, 3)
+            for idx in np.ndindex(2, 3):
+                assert got[idx] == _trace_product(stack[idx], b)
+
+    def test_zero_b_gives_zero(self):
+        assert _trace_product(np.ones((3, 3)), np.zeros((3, 3))) == 0.0
+        assert np.array_equal(_trace_product(np.ones((4, 3, 3)), np.zeros((3, 3))), np.zeros(4))
 
 
 class TestCgf:
