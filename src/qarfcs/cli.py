@@ -28,7 +28,7 @@ from .fcs import (
     numeric_cumulants,
 )
 from .liouvillian import build_counting_family, build_generator
-from .model import PRESET_IDS, load_model, preset, preset_note, rate, rate_table
+from .model import PRESET_DEFAULTS, PRESET_IDS, load_model, preset, preset_note, rate, rate_table
 from .oracle import (
     conservation_residual,
     direct_current,
@@ -69,16 +69,7 @@ def _model_from_args(args) -> "object":
     if args.preset:
         if args.e21 is None or args.betaH is None:
             raise ValidationError("--preset needs --e21 and --betaH")
-        return preset(
-            args.preset,
-            args.e21,
-            args.betaH,
-            e31=args.e31,
-            beta_c=args.betaC,
-            beta_w=args.betaW,
-            omega_c=args.omegaC,
-            gamma=args.gamma,
-        )
+        return preset(args.preset, args.e21, args.betaH, **_preset_params(args))
     raise ValidationError("a model source is required: --model <path> or --preset <id>")
 
 
@@ -110,11 +101,22 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=PRESET_IDS, help="built-in three-level preset")
     p.add_argument("--e21", type=float, help="level spacing E2-E1 for presets")
     p.add_argument("--betaH", type=float, help="hot-bath inverse temperature for presets")
-    p.add_argument("--e31", type=float, default=1.0)
-    p.add_argument("--betaC", type=float, default=1.0)
-    p.add_argument("--betaW", type=float, default=0.1)
-    p.add_argument("--omegaC", type=float, default=10.0)
-    p.add_argument("--gamma", type=float, default=1e-3)
+    _add_preset_params(p)
+
+
+# command-line flag of each ``preset`` parameter other than (E21, beta_H)
+_PRESET_FLAGS = {
+    "e31": "e31", "beta_c": "betaC", "beta_w": "betaW", "omega_c": "omegaC", "gamma": "gamma",
+}
+
+
+def _add_preset_params(p: argparse.ArgumentParser) -> None:
+    for key, flag in _PRESET_FLAGS.items():
+        p.add_argument(f"--{flag}", type=float, default=PRESET_DEFAULTS[key])
+
+
+def _preset_params(args) -> dict[str, float]:
+    return {key: getattr(args, flag) for key, flag in _PRESET_FLAGS.items()}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -150,22 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--preset", choices=PRESET_IDS, required=True)
     p.add_argument("--resolution", default="101x101", help="grid size as NxM")
-    p.add_argument("--e31", type=float, default=1.0)
-    p.add_argument("--betaC", type=float, default=1.0)
-    p.add_argument("--betaW", type=float, default=0.1)
-    p.add_argument("--omegaC", type=float, default=10.0)
-    p.add_argument("--gamma", type=float, default=1e-3)
+    _add_preset_params(p)
 
     p = sub.add_parser("line", help="J_C(E21) curves at fixed betaH")
     _add_common(p)
     p.add_argument("--presets", default="A,B,C,D", help="comma-separated preset ids")
     p.add_argument("--betaH", type=float, required=True)
     p.add_argument("--resolution", type=int, default=201, help="points along E21")
-    p.add_argument("--e31", type=float, default=1.0)
-    p.add_argument("--betaC", type=float, default=1.0)
-    p.add_argument("--betaW", type=float, default=0.1)
-    p.add_argument("--omegaC", type=float, default=10.0)
-    p.add_argument("--gamma", type=float, default=1e-3)
+    _add_preset_params(p)
 
     p = sub.add_parser("decompose", help="cycle/leak split of the cold current")
     _add_model_args(p)
@@ -240,14 +234,7 @@ def _cmd_scan(args) -> int:
         n_e21, n_bh = (int(x) for x in args.resolution.lower().split("x"))
     except ValueError as exc:
         raise ValidationError(f"--resolution must be NxM, got {args.resolution!r}") from exc
-    overrides = {
-        "e31": args.e31,
-        "beta_c": args.betaC,
-        "beta_w": args.betaW,
-        "omega_c": args.omegaC,
-        "gamma": args.gamma,
-    }
-    grid = scan_mod.grid_scan(args.preset, n_e21, n_bh, overrides)
+    grid = scan_mod.grid_scan(args.preset, n_e21, n_bh, _preset_params(args))
     out = args.out or f"scan_{args.preset}.{args.format}"
     if args.format == "json":
         scan_mod.write_grid_json(grid, out)
@@ -264,14 +251,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_line(args) -> int:
     ids = [x.strip() for x in args.presets.split(",") if x.strip()]
-    overrides = {
-        "e31": args.e31,
-        "beta_c": args.betaC,
-        "beta_w": args.betaW,
-        "omega_c": args.omegaC,
-        "gamma": args.gamma,
-    }
-    result = scan_mod.line_scan(ids, args.betaH, args.resolution, overrides)
+    result = scan_mod.line_scan(ids, args.betaH, args.resolution, _preset_params(args))
     out = args.out or f"line_betaH{args.betaH:g}.{args.format}"
     if args.format == "json":
         scan_mod.write_line_json(result, out)

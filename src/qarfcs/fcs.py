@@ -146,6 +146,7 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 
 
 def _current_from_family(family: CountingFamily) -> tuple[float, float, CharPoly]:
+    """(current, its sign-certificate numerator, charpoly of L(0)) at the counted bath."""
     cp = charpoly(family.base)
     n = cp.n
     a_pen = cp.coefficient(n - 1)
@@ -154,7 +155,8 @@ def _current_from_family(family: CountingFamily) -> tuple[float, float, CharPoly
             f"a_(N-1)(0) = {a_pen:.3g} is not positive; the generator does not "
             "describe a relaxing connected model"
         )
-    value = (-1.0) ** (n + 1) * _trace_product(cp.adjugate, family.d1)
+    # + 0.0 turns the -0.0 of a model without current into +0.0
+    value = (-1.0) ** (n + 1) * _trace_product(cp.adjugate, family.d1) + 0.0
     return value / a_pen, value, cp
 
 
@@ -179,18 +181,20 @@ def cooling_condition(model: QarModel) -> tuple[float, bool]:
 _NOISE_PRECOND_SAMPLES = (0.5, -0.5, 1.0, -1.0)
 
 
-def _check_noise_precondition(family: CountingFamily, rtol: float) -> CharPoly:
-    """The truncated noise formula needs a_{N-1}(s), a_{N-2}(s) constant in s."""
-    cp0 = charpoly(family.base)
+def _check_noise_precondition(family: CountingFamily, cp0: CharPoly, rtol: float) -> None:
+    """The truncated noise formula needs a_{N-1}(s), a_{N-2}(s) constant in s.
+
+    ``cp0`` is the characteristic polynomial of L(0).
+    """
     n = cp0.n
-    span = family.energy_span
+    samples = np.array(_NOISE_PRECOND_SAMPLES) / family.energy_span
+    stack = family.evaluate_extended(samples)
     for j in (n - 1, n - 2):
         ref = cp0.coefficient(j)
         if j == 0:
             continue  # monic coefficient, constant by definition
-        for f in _NOISE_PRECOND_SAMPLES:
-            s = f / span
-            dev = abs(charpoly(family.evaluator(s)).coefficient(j) - ref)
+        for s, l_s in zip(samples.tolist(), stack):
+            dev = abs(charpoly(l_s).coefficient(j) - ref)
             if dev > rtol * abs(ref):
                 raise NoiseNotApplicableError(
                     f"coefficient a_{j}(s) varies with the counting variable "
@@ -198,7 +202,6 @@ def _check_noise_precondition(family: CountingFamily, rtol: float) -> CharPoly:
                     "the truncated noise formula needs the counted bath to own "
                     "its transitions exclusively"
                 )
-    return cp0
 
 
 def noise(model: QarModel, bath: int, *, precondition_rtol: float = 1e-10) -> float:
@@ -208,17 +211,16 @@ def noise(model: QarModel, bath: int, *, precondition_rtol: float = 1e-10) -> fl
     transitions (the truncation is then uncontrolled).
     """
     family = build_counting_family(model, bath)
-    cp = _check_noise_precondition(family, precondition_rtol)
+    current, _, cp = _current_from_family(family)
+    _check_noise_precondition(family, cp, precondition_rtol)
     n = cp.n
     a_pen = cp.coefficient(n - 1)
-    if a_pen <= 0.0:
-        raise ConsistencyError("a_(N-1)(0) must be positive")
-    current = (-1.0) ** (n + 1) * _trace_product(cp.adjugate, family.d1) / a_pen
     dadj = adjugate_derivative(family)
     traces = _trace_product(dadj, family.d1) + _trace_product(cp.adjugate, family.d2)
+    # + 0.0 as in _current_from_family
     return (-1.0) ** (n + 1) / a_pen * traces - 2.0 * (
         cp.coefficient(n - 2) / a_pen
-    ) * current**2
+    ) * current**2 + 0.0
 
 
 def _constant_coefficient(family: CountingFamily, s: float | np.ndarray) -> float | np.ndarray:
@@ -231,39 +233,33 @@ def _constant_coefficient(family: CountingFamily, s: float | np.ndarray) -> floa
     generator sum to zero). So the last row is replaced by the correction
     column sums alone and one determinant remains. This removes the O(1)
     cancellation that otherwise buries the small-s behaviour of the constant
-    coefficient in roundoff.
+    coefficient in roundoff. A family with nothing counted gives a zero row,
+    so a_N = 0.
 
-    Needs the family's dressed transitions. ``s`` is a scalar (a float comes
-    back) or a 1-D array, whose determinants are taken as one stack.
+    ``s`` is a scalar (a float comes back) or a 1-D array, whose determinants
+    are taken as one stack.
     """
     grid = np.atleast_1d(np.asarray(s, dtype=float))
-    rows, cols, kk, de = map(np.array, zip(*family.dressed))
-    # math.expm1 per element, not np.expm1: numpy's SIMD loop can differ from
-    # libm in the last bit
-    x = np.multiply.outer(grid, de)
-    delta = kk * np.array(list(map(math.expm1, x.ravel().tolist()))).reshape(x.shape)
-    m = np.repeat(family.base[None], grid.size, axis=0)
-    np.add.at(m, (slice(None), rows, cols), delta)
-    m[:, -1] = 0.0
-    np.add.at(m[:, -1], (slice(None), cols), delta)
-    a_n = (-1.0) ** family.n * np.linalg.det(m)
+    a_n = _row_replaced_det(*family._dressed_stack(grid))
     return float(a_n[0]) if np.ndim(s) == 0 else a_n
+
+
+def _row_replaced_det(stack: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
+    """(-1)^N det of every matrix of ``stack`` with its last row set to ``col_sums``."""
+    m = stack.astype(float)
+    m[:, -1] = col_sums
+    return (-1.0) ** m.shape[-1] * np.linalg.det(m)
 
 
 def _step_polynomials(family: CountingFamily, grid: list[float]) -> np.ndarray:
     """Monic coefficients [1, a_1(s_k), ..., a_N(s_k)] of every step, shape (K, N + 1).
 
     One long-double stack of L(s_k) and one stacked recursion give a_1..a_(N-1);
-    a_N comes from one stacked row-replaced determinant. Hand-built families
-    without dressed data keep the recursion's own a_N (generic precision), or
-    0 when nothing is counted.
+    a_N comes from one stacked row-replaced determinant of the same stack.
     """
-    steps = np.asarray(grid)
-    coeffs = charpoly(family.evaluate_extended(steps)).monic()
-    if family.dressed:
-        coeffs[:, -1] = _constant_coefficient(family, steps)
-    elif not np.count_nonzero(family.d1):
-        coeffs[:, -1] = 0.0
+    stack, col_sums = family._dressed_stack(np.asarray(grid, dtype=float))
+    coeffs = charpoly(stack).monic()
+    coeffs[:, -1] = _row_replaced_det(stack, col_sums)
     return coeffs
 
 

@@ -9,8 +9,7 @@ into the system counts positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,22 +32,31 @@ def build_generator(model: QarModel) -> np.ndarray:
 class CountingFamily:
     """Counting-dressed generator family for one counted bath.
 
-    ``evaluator`` maps the real counting variable s to the dense matrix L(s);
-    ``d1`` and ``d2`` are the exact first and second derivative matrices of
-    L(s) at s = 0, built from the rate table (never by differencing). They are
-    sparse: only entries of transitions coupled to the counted bath are
-    nonzero, with the upward (absorbing) entry +dE*k and the downward entry
-    -dE*k in d1, and both entries +dE^2*k in d2.
+    ``dressed`` lists every directed transition the counted bath drives as
+    (row, col, rate k, signed energy dE) and is the only counted data: L(s)
+    is ``base`` plus k * expm1(s * dE) at each (row, col). ``d1`` and ``d2``
+    are derived from it once: the exact first and second derivative matrices
+    of L(s) at s = 0, dE*k and dE^2*k at each dressed entry (never by
+    differencing). An empty ``dressed`` is a family with only its base
+    generator, so L(s) = base for every s.
     """
 
     base: np.ndarray
     counted_bath: int
-    evaluator: Callable[[float], np.ndarray]
-    d1: np.ndarray
-    d2: np.ndarray
     energies: tuple[float, ...]
     betas: tuple[float, ...]
     dressed: tuple[tuple[int, int, float, float], ...] = ()
+    d1: np.ndarray = field(init=False, repr=False)
+    d2: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        d1 = np.zeros(self.base.shape)
+        d2 = np.zeros(self.base.shape)
+        for row, col, k, de in self.dressed:
+            d1[row, col] += de * k
+            d2[row, col] += de * de * k
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
 
     @property
     def n(self) -> int:
@@ -58,36 +66,45 @@ class CountingFamily:
     def energy_span(self) -> float:
         return max(self.energies) - min(self.energies)
 
+    def _dressed_stack(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """L(s_k) and the column sums of L(s_k) - L(0) for a 1-D array of s.
+
+        Both are long double, (K, N, N) and (K, N), and come from one set of
+        k * expm1(s * dE) corrections. The column sums are formed from the
+        corrections alone, so they carry no roundoff of the base generator.
+        """
+        rows, cols, k, de = np.array(self.dressed, dtype=float).reshape(-1, 4).T
+        rows, cols = rows.astype(int), cols.astype(int)
+        ld = np.longdouble
+        corrections = k.astype(ld) * np.expm1(np.multiply.outer(s.astype(ld), de.astype(ld)))
+        out = np.repeat(self.base.astype(ld)[None], s.size, axis=0)
+        np.add.at(out, (slice(None), rows, cols), corrections)
+        col_sums = np.zeros(out.shape[:-1], dtype=ld)
+        np.add.at(col_sums, (slice(None), cols), corrections)
+        return out, col_sums
+
     def evaluate_extended(self, s: float | np.ndarray) -> np.ndarray:
         """L(s) in extended precision, for one s or a stack over a 1-D array of s.
 
         The cumulant continuation resolves root shifts far below the double
         rounding of the dressed entries, so the base + k*expm1(s*dE) sums are
-        formed in long double there. Families assembled without dressed
-        transition data (hand-built evaluators) fall back to the evaluator.
-        A scalar gives (N, N) and an array (K, N, N); the scalar call is the
-        size-1 case, so every matrix of a stack is bitwise its own call's.
+        formed in long double. A scalar gives (N, N) and an array (K, N, N);
+        the scalar call is the size-1 case, so every matrix of a stack is
+        bitwise its own call's.
         """
-        grid = np.atleast_1d(np.asarray(s, dtype=float))
-        if self.dressed:
-            rows, cols, kk, de = map(np.array, zip(*self.dressed))
-            corrections = kk.astype(np.longdouble) * np.expm1(
-                np.multiply.outer(grid.astype(np.longdouble), de.astype(np.longdouble))
-            )
-            out = np.repeat(self.base.astype(np.longdouble)[None], grid.size, axis=0)
-            np.add.at(out, (slice(None), rows, cols), corrections)
-        else:
-            out = np.stack(
-                [np.asarray(self.evaluator(sk), dtype=np.longdouble) for sk in grid.tolist()]
-            )
+        out, _ = self._dressed_stack(np.atleast_1d(np.asarray(s, dtype=float)))
         return out[0] if np.ndim(s) == 0 else out
+
+    def evaluator(self, s: float) -> np.ndarray:
+        """L(s) rounded to double."""
+        return np.asarray(self.evaluate_extended(s), dtype=float)
 
 
 def build_counting_family(model: QarModel, counted_bath: int) -> CountingFamily:
     """Dress the counted bath's rates with exp(s * dE) factors.
 
     L(s) is assembled as L(0) plus k * expm1(s * dE) corrections, which makes
-    evaluator(0.0) bitwise equal to the bare generator.
+    L(0) bitwise equal to the bare generator.
     """
     if not 0 <= counted_bath < model.n_baths:
         raise ValidationError(f"counted bath index {counted_bath} out of range")
@@ -95,33 +112,17 @@ def build_counting_family(model: QarModel, counted_bath: int) -> CountingFamily:
     energies = model.system.energies
     k = rate_table(model, counted_bath)
     n = model.n_levels
-
-    # (row, col, rate, signed energy) per directed counted transition
-    dressed: list[tuple[int, int, float, float]] = []
-    d1 = np.zeros((n, n))
-    d2 = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j or k[i, j] == 0.0:
-                continue
-            de = energies[j] - energies[i]  # heat absorbed on i -> j
-            dressed.append((j, i, k[i, j], de))
-            d1[j, i] += de * k[i, j]
-            d2[j, i] += de * de * k[i, j]
-
-    def evaluator(s: float) -> np.ndarray:
-        out = base.copy()
-        if s != 0.0:
-            for row, col, kk, de in dressed:
-                out[row, col] += kk * np.expm1(s * de)
-        return out
-
+    # (row, col, rate, signed energy) per directed counted transition; the
+    # heat absorbed on i -> j is energies[j] - energies[i]
+    dressed = [
+        (j, i, k[i, j], energies[j] - energies[i])
+        for i in range(n)
+        for j in range(n)
+        if i != j and k[i, j] != 0.0
+    ]
     return CountingFamily(
         base=base,
         counted_bath=counted_bath,
-        evaluator=evaluator,
-        d1=d1,
-        d2=d2,
         energies=tuple(energies),
         betas=tuple(b.beta for b in model.baths),
         dressed=tuple(dressed),

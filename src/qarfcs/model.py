@@ -40,11 +40,8 @@ class OhmicSpectralDensity:
     """
 
     omega_c: float = 10.0
-    kind: str = "ohmic"
 
     def __post_init__(self) -> None:
-        if self.kind != "ohmic":
-            raise ValidationError(f"unknown spectral density kind {self.kind!r}")
         if self.omega_c <= 0.0:
             raise ValidationError(f"cutoff must be positive, got {self.omega_c}")
 
@@ -130,6 +127,22 @@ class BathSpec:
         return self.couplings.get(_normalize_pair((i, j)), 0.0)
 
 
+def _unreached(n: int, pairs) -> list[int]:
+    """Levels 0..n-1 that no chain of the coupled ``pairs`` joins to level 0, ascending."""
+    reached = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for (i, j) in pairs:
+            if i == u and j not in reached:
+                reached.add(j)
+                stack.append(j)
+            elif j == u and i not in reached:
+                reached.add(i)
+                stack.append(i)
+    return sorted(set(range(n)) - reached)
+
+
 @dataclass(frozen=True)
 class QarModel:
     """A validated multilevel model: system, baths, and the refrigerated bath."""
@@ -156,19 +169,8 @@ class QarModel:
                 if g > 0.0:
                     seen.add((i, j))
         # unique steady state needs every level reachable through some coupling
-        reached = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for (i, j) in seen:
-                if i == u and j not in reached:
-                    reached.add(j)
-                    stack.append(j)
-                elif j == u and i not in reached:
-                    reached.add(i)
-                    stack.append(i)
-        if len(reached) != n:
-            missing = sorted(set(range(n)) - reached)
+        missing = _unreached(n, seen)
+        if missing:
             raise ValidationError(
                 f"transition graph is disconnected: levels {missing} are not "
                 "reachable, so the steady state is not unique"
@@ -224,6 +226,10 @@ def rate_table(model: QarModel, bath: int) -> np.ndarray:
 
 PRESET_IDS = ("A", "B", "C", "D")
 
+# preset parameters other than (E21, beta_H); the scan writers emit them in
+# this order
+PRESET_DEFAULTS = {"e31": 1.0, "beta_c": 1.0, "beta_w": 0.1, "omega_c": 10.0, "gamma": 1e-3}
+
 _PRESET_NOTES = {
     "A": "ideal three-level refrigerator: C on 1-2, H on 1-3, W on 2-3",
     "B": "ideal couplings plus weak (gamma/50) couplings of every bath to "
@@ -238,11 +244,11 @@ def preset(
     e21: float,
     beta_h: float,
     *,
-    e31: float = 1.0,
-    beta_c: float = 1.0,
-    beta_w: float = 0.1,
-    omega_c: float = 10.0,
-    gamma: float = 1e-3,
+    e31: float = PRESET_DEFAULTS["e31"],
+    beta_c: float = PRESET_DEFAULTS["beta_c"],
+    beta_w: float = PRESET_DEFAULTS["beta_w"],
+    omega_c: float = PRESET_DEFAULTS["omega_c"],
+    gamma: float = PRESET_DEFAULTS["gamma"],
     gamma_weak: float | None = None,
 ) -> QarModel:
     """Three-level refrigerator presets A-D.

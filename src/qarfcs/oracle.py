@@ -17,7 +17,7 @@ import numpy as np
 from .errors import TopologyError, ValidationError
 from .fcs import cgf
 from .liouvillian import build_counting_family, build_generator
-from .model import BathSpec, OhmicSpectralDensity, QarModel, SystemSpec, rate_table
+from .model import BathSpec, OhmicSpectralDensity, QarModel, SystemSpec, _unreached, rate_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,25 +209,9 @@ def random_connected_model(
             size = int(rng.integers(1, len(pairs) + 1))
             idx = rng.choice(len(pairs), size=size, replace=False)
             coup.append({pairs[i]: draw_gamma() for i in idx})
-        covered = set(e for g in coup for e in g)
-        if topology == "tree":
-            if len(covered) != len(pairs):
-                continue  # every tree edge must be driven, else disconnected
-        else:
-            adj = np.zeros((n, n), dtype=bool)
-            for g in coup:
-                for (i, j) in g:
-                    adj[i, j] = adj[j, i] = True
-            seen = {0}
-            stack = [0]
-            while stack:
-                u = stack.pop()
-                for v in range(n):
-                    if adj[u, v] and v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            if len(seen) != n:
-                continue
+        # on a tree this means every edge is driven
+        if _unreached(n, set(e for g in coup for e in g)):
+            continue
         if nb >= 2 and not (set(coup[hot]) & set(coup[cold])):
             shared = pairs[int(rng.integers(0, len(pairs)))]
             coup[hot][shared] = draw_gamma()

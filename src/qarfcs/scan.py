@@ -16,15 +16,7 @@ import numpy as np
 from .errors import ValidationError
 from .fcs import _current_from_family, heat_current
 from .liouvillian import build_counting_family
-from .model import PRESET_IDS, preset
-
-_FIXED_DEFAULTS = {
-    "e31": 1.0,
-    "beta_c": 1.0,
-    "beta_w": 0.1,
-    "omega_c": 10.0,
-    "gamma": 1e-3,
-}
+from .model import PRESET_DEFAULTS, PRESET_IDS, preset
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +54,9 @@ class LineScan:
 
 
 def _merged_params(overrides: dict | None) -> dict:
-    params = dict(_FIXED_DEFAULTS)
+    params = dict(PRESET_DEFAULTS)
     if overrides:
-        unknown = set(overrides) - set(_FIXED_DEFAULTS)
+        unknown = set(overrides) - set(PRESET_DEFAULTS)
         if unknown:
             raise ValidationError(f"unknown scan overrides: {sorted(unknown)}")
         params.update(overrides)
@@ -107,16 +99,7 @@ def grid_scan(
     for i, e21 in enumerate(ax_e21):
         for j, bh in enumerate(ax_bh):
             try:
-                model = preset(
-                    preset_id,
-                    float(e21),
-                    float(bh),
-                    e31=params["e31"],
-                    beta_c=params["beta_c"],
-                    beta_w=params["beta_w"],
-                    omega_c=params["omega_c"],
-                    gamma=params["gamma"],
-                )
+                model = preset(preset_id, float(e21), float(bh), **params)
             except ValidationError as exc:
                 raise ValidationError(
                     f"grid point (e21={e21:.6g}, betaH={bh:.6g}): {exc}"
@@ -155,16 +138,7 @@ def line_scan(
     for pid in ids:
         row = np.empty(len(ax_e21))
         for i, e21 in enumerate(ax_e21):
-            model = preset(
-                pid,
-                float(e21),
-                float(betaH),
-                e31=params["e31"],
-                beta_c=params["beta_c"],
-                beta_w=params["beta_w"],
-                omega_c=params["omega_c"],
-                gamma=params["gamma"],
-            )
+            model = preset(pid, float(e21), float(betaH), **params)
             row[i] = heat_current(model, model.cold_index)
         currents[pid] = row
     return LineScan(betaH=float(betaH), e21_axis=ax_e21, currents=currents, params=params)

@@ -155,8 +155,12 @@ class TestNoise:
         if fmt == "json":
             data = json.loads(out)
             assert data["current"] == 0.0
+            assert math.copysign(1.0, data["current"]) == 1.0
+            assert math.copysign(1.0, data["noise"]) == 1.0
             assert abs(data["current_numeric"]) < 1e-12
         else:
+            assert "\ncurrent = 0.00000000000000000e+00\n" in out
+            assert "\nnoise = 0.00000000000000000e+00\n" in out
             assert "numeric current" in out and "(abs dev " in out
             assert "rel dev" not in out
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -165,9 +166,6 @@ class TestHeatCurrent:
         fam = CountingFamily(
             base=np.diag([1.0, 2.0]),
             counted_bath=0,
-            evaluator=lambda s: np.diag([1.0, 2.0]),
-            d1=np.zeros((2, 2)),
-            d2=np.zeros((2, 2)),
             energies=(0.0, 1.0),
             betas=(1.0,),
         )
@@ -480,6 +478,12 @@ class TestConstantCoefficient:
                 expected = (-1.0) ** n * np.linalg.det(fam.evaluator(0.5))
                 got = _constant_coefficient(fam, 0.5)
                 assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+    def test_nothing_counted_is_exactly_zero(self):
+        # a family with only its base generator: the replaced row is all zeros
+        fam = dataclasses.replace(build_counting_family(preset("B", 0.4, 0.8), 0), dressed=())
+        assert _constant_coefficient(fam, 0.5) == 0.0
+        assert np.array_equal(_constant_coefficient(fam, np.array([0.5, -0.3])), np.zeros(2))
 
 
 class TestNumericCumulants:

@@ -51,8 +51,6 @@ class TestSpectralDensity:
         with pytest.raises(ValidationError):
             OhmicSpectralDensity(omega_c=-1.0)
         with pytest.raises(ValidationError):
-            OhmicSpectralDensity(kind="lorentzian")
-        with pytest.raises(ValidationError):
             spectral_value(OhmicSpectralDensity(), 1e-3, -1.0)
 
 
