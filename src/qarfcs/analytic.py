@@ -246,11 +246,9 @@ def decompose(model: QarModel, *, current_units: bool = False) -> Decomposition:
 
     def generators_of(tabs, scales: np.ndarray) -> np.ndarray:
         """sum_b scales[:, b] * L_b in bath order, one matrix per row of scales."""
-        l = np.zeros((len(scales), n, n))
-        for b in range(3):
-            k = tabs[b]
-            l += scales[:, b, None, None] * (k.T - np.diag(k.sum(axis=1)))
-        return l
+        k = np.array(tabs)
+        gens = k.transpose(0, 2, 1) - k.sum(axis=2)[:, :, None] * np.eye(n)
+        return (scales[:, :, None, None] * gens).sum(axis=1)
 
     def without_on_transition(bath: int, pair: Pair, tabs):
         i, j = pair

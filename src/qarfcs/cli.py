@@ -417,6 +417,8 @@ def _run_checks(seed: int, trials: int, tols: dict[str, float]):
 
 
 def _cmd_check(args) -> int:
+    if args.trials < 1:
+        raise ValidationError(f"--trials must be at least 1, got {args.trials}")
     tols = _parse_tols(args.tol)
     results = list(_run_checks(args.seed, args.trials, tols))
     failed = [name for name, ok, _ in results if not ok]

@@ -20,6 +20,7 @@ the continued root sequential.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,6 +66,14 @@ class CharPoly:
         return np.concatenate([np.ones_like(self.coeffs[..., :1]), self.coeffs], axis=-1)
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """Read-only long-double identity of size n, shared by every recursion."""
+    ident = np.eye(n, dtype=_LD)
+    ident.flags.writeable = False
+    return ident
+
+
 def charpoly(m: np.ndarray) -> CharPoly:
     """Faddeev-LeVerrier coefficients and adjugate of a square matrix or a stack.
 
@@ -79,22 +88,17 @@ def charpoly(m: np.ndarray) -> CharPoly:
     if n == 1:
         return CharPoly(coeffs=np.negative(m[..., 0]).astype(float), adjugate=np.ones(m.shape))
     ml = m.astype(_LD)
-    ident = np.eye(n, dtype=_LD)
     a = np.zeros(m.shape[:-1], dtype=_LD)
-    mk = ident
-    adj = None
+    # M_1 = M, M_(k+1) = M (M_k + a_k I); adj(M) is (-1)^(N-1) (M_(N-1) + a_(N-1) I)
+    mk = ml
     for k in range(1, n + 1):
-        mk = ml @ mk
-        ak = -np.trace(mk, axis1=-2, axis2=-1) / k
+        ak = mk.trace(axis1=-2, axis2=-1) / -k
         a[..., k - 1] = ak
-        shift = ak[..., None, None] * ident
-        if k == n - 1:
-            adj = (-1.0) ** (n - 1) * (mk + shift)
-        mk = mk + shift
-    return CharPoly(
-        coeffs=np.asarray(a, dtype=float),
-        adjugate=np.asarray(adj, dtype=float),
-    )
+        if k == n:
+            break
+        adj = mk + ak[..., None, None] * _identity(n)
+        mk = ml @ adj
+    return CharPoly(coeffs=a.astype(float), adjugate=(adj if n % 2 else -adj).astype(float))
 
 
 def adjugate(m: np.ndarray) -> np.ndarray:
@@ -114,15 +118,14 @@ def adjugate_derivative(family: CountingFamily) -> np.ndarray:
     n = m.shape[0]
     if n == 1:
         return np.zeros((1, 1))
-    ident = np.eye(n, dtype=_LD)
+    ident = _identity(n)
     mk = ident
     dmk = np.zeros_like(m)
-    dadj = None
     for k in range(1, n + 1):
         dmk = dm @ mk + m @ dmk
         mk = m @ mk
-        ak = -np.trace(mk) / k
-        dak = -np.trace(dmk) / k
+        ak = mk.trace() / -k
+        dak = dmk.trace() / -k
         if k == n - 1:
             dadj = (-1.0) ** (n - 1) * (dmk + dak * ident)
         mk = mk + ak * ident
@@ -303,11 +306,13 @@ def _plan_steps(
     grid: list[float] = []
     side_starts = set()
     reached = []
-    for side in (np.flatnonzero(flat > 0.0), np.flatnonzero(flat < 0.0)):
+    values = flat.tolist()
+    for sign in (1.0, -1.0):
         side_starts.add(len(grid))
         s_prev = 0.0
-        order = side[np.argsort(np.abs(flat[side]), kind="stable")].tolist()
-        for i, s_to in zip(order, flat[order].tolist()):
+        # (|s|, index) pairs sort by |s| and keep ties in input order
+        for _, i in sorted((abs(v), i) for i, v in enumerate(values) if v * sign > 0.0):
+            s_to = values[i]
             if s_to != s_prev:
                 n_steps = max(1, int(math.ceil(abs(s_to - s_prev) / ds_max)))
                 grid.extend(

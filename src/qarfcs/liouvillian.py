@@ -24,8 +24,12 @@ def bath_generator(model: QarModel, bath: int) -> np.ndarray:
 
 
 def build_generator(model: QarModel) -> np.ndarray:
-    """Full generator L(0) = sum over baths of the single-bath generators."""
-    return sum(bath_generator(model, b) for b in range(model.n_baths))
+    """Full generator L(0), bitwise the sum of ``bath_generator`` over the baths.
+
+    One (B, N, N) stack of rate tables gives the same additions in the same order.
+    """
+    stack = np.array([rate_table(model, b) for b in range(model.n_baths)])
+    return stack.sum(axis=0).T - np.diag(stack.sum(axis=2).sum(axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,15 +114,15 @@ def build_counting_family(model: QarModel, counted_bath: int) -> CountingFamily:
         raise ValidationError(f"counted bath index {counted_bath} out of range")
     base = build_generator(model)
     energies = model.system.energies
-    k = rate_table(model, counted_bath)
+    k = rate_table(model, counted_bath).tolist()
     n = model.n_levels
     # (row, col, rate, signed energy) per directed counted transition; the
     # heat absorbed on i -> j is energies[j] - energies[i]
     dressed = [
-        (j, i, k[i, j], energies[j] - energies[i])
+        (j, i, k[i][j], energies[j] - energies[i])
         for i in range(n)
         for j in range(n)
-        if i != j and k[i, j] != 0.0
+        if i != j and k[i][j] != 0.0
     ]
     return CountingFamily(
         base=base,

@@ -157,6 +157,9 @@ class QarModel:
             raise ValidationError("at least one bath is required")
         if not 0 <= self.cold_index < len(self.baths):
             raise ValidationError(f"cold bath index {self.cold_index} out of range")
+        labels = [bath.label for bath in self.baths]
+        if len(set(labels)) < len(labels):
+            raise ValidationError(f"bath labels must be unique, got {labels}")
         n = self.system.n_levels
         seen: set[Pair] = set()
         for bath in self.baths:
@@ -200,11 +203,11 @@ def rate(model: QarModel, frm: int, to: int, bath: int) -> float:
     if frm == to:
         raise ValidationError("rate requires two distinct levels")
     b = model.baths[bath]
-    g = b.coupling(frm, to)
+    g = b.couplings.get((frm, to) if frm < to else (to, frm), 0.0)
     if g == 0.0:
         return 0.0
-    e_from = model.system.energies[frm]
-    e_to = model.system.energies[to]
+    energies = model.system.energies
+    e_from, e_to = energies[frm], energies[to]
     omega = abs(e_to - e_from)
     gam = spectral_value(b.spectral, g, omega)
     n = bose_occupation(omega, b.beta)
@@ -297,33 +300,39 @@ def preset_note(model_id: str) -> str:
     return _PRESET_NOTES[model_id.upper()]
 
 
+def _field(raw, key: str, convert, where: str, default=None):
+    """``convert(raw[key])``, or a ValidationError that names ``where`` and the field."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {type(raw).__name__}")
+    if key not in raw and default is None:
+        raise ValidationError(f"{where} is missing field {key!r}")
+    try:
+        return convert(raw.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: field {key!r} has invalid value {raw[key]!r}") from exc
+
+
 def model_from_dict(data: dict) -> QarModel:
     """Build a model from the JSON schema (1-based level indices)."""
-    try:
-        energies = data["energies"]
-        baths_raw = data["baths"]
-        cold = data["cold"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"model file is missing field {exc}") from exc
-    system = SystemSpec(energies=tuple(energies), gap_tol=data.get("gap_tol", DEFAULT_GAP_TOL))
+    system = SystemSpec(
+        energies=_field(data, "energies", lambda v: tuple(map(float, v)), "model file"),
+        gap_tol=_field(data, "gap_tol", float, "model file", DEFAULT_GAP_TOL),
+    )
+    cold = _field(data, "cold", lambda v: v, "model file")
     baths = []
-    for raw in baths_raw:
+    for n, raw in enumerate(_field(data, "baths", list, "model file"), start=1):
+        label = _field(raw, "label", str, f"bath {n}")
+        where = f"bath {label!r}"
         coup: dict[Pair, float] = {}
-        for entry in raw.get("couplings", []):
-            i, j = int(entry["i"]), int(entry["j"])
+        for c, entry in enumerate(_field(raw, "couplings", list, where, []), start=1):
+            at = f"{where} coupling {c}"
+            i, j = _field(entry, "i", int, at), _field(entry, "j", int, at)
             if i < 1 or j < 1:
-                raise ValidationError(
-                    f"bath {raw.get('label')!r}: file couplings are 1-based, got ({i}, {j})"
-                )
-            coup[(i - 1, j - 1)] = float(entry["gamma"])
-        baths.append(
-            BathSpec(
-                label=str(raw["label"]),
-                beta=float(raw["beta"]),
-                couplings=coup,
-                spectral=OhmicSpectralDensity(omega_c=float(raw.get("omega_c", 10.0))),
-            )
-        )
+                raise ValidationError(f"{where}: file couplings are 1-based, got ({i}, {j})")
+            coup[(i - 1, j - 1)] = _field(entry, "gamma", float, at)
+        beta = _field(raw, "beta", float, where)
+        sd = OhmicSpectralDensity(omega_c=_field(raw, "omega_c", float, where, 10.0))
+        baths.append(BathSpec(label=label, beta=beta, couplings=coup, spectral=sd))
     labels = [b.label for b in baths]
     if cold not in labels:
         raise ValidationError(f"cold bath {cold!r} not among baths {labels}")

@@ -3,6 +3,12 @@ import pytest
 
 from qarfcs.model import BathSpec, OhmicSpectralDensity, QarModel, SystemSpec
 
+# golden bits and digests depend on the width of the recursion's long double
+EIGHTY_BIT = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps != 2.0**-63,
+    reason="golden bits were recorded with 80-bit long double",
+)
+
 
 def make_spin_boson(
     omega0=1.0, beta_c=1.0, beta_h=0.5, gamma_c=0.01, gamma_h=0.01, omega_c=10.0

@@ -103,6 +103,70 @@ class TestCurrent:
         assert "disconnected" in err
 
 
+_GOOD_FILE = {
+    "energies": [0.0, 0.5, 1.0],
+    "baths": [
+        {"label": "C", "beta": 1.0, "couplings": [{"i": 1, "j": 2, "gamma": 1e-3}]},
+        {"label": "H", "beta": 0.5, "couplings": [{"i": 1, "j": 3, "gamma": 1e-3}]},
+        {"label": "W", "beta": 0.1, "couplings": [{"i": 2, "j": 3, "gamma": 1e-3}]},
+    ],
+    "cold": "C",
+}
+
+
+def _malformed(edit):
+    data = json.loads(json.dumps(_GOOD_FILE))
+    edit(data)
+    return data
+
+
+class TestMalformedModelFile:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (_malformed(lambda d: d["baths"][1].pop("beta")), "bath 'H' is missing field 'beta'"),
+            (_malformed(lambda d: d["baths"][2].pop("label")), "bath 3 is missing field 'label'"),
+            (
+                _malformed(lambda d: d["baths"][0]["couplings"][0].pop("i")),
+                "bath 'C' coupling 1 is missing field 'i'",
+            ),
+            (
+                _malformed(lambda d: d["baths"][0]["couplings"][0].pop("j")),
+                "bath 'C' coupling 1 is missing field 'j'",
+            ),
+            (
+                _malformed(lambda d: d["baths"][1]["couplings"][0].pop("gamma")),
+                "bath 'H' coupling 1 is missing field 'gamma'",
+            ),
+            (
+                _malformed(lambda d: d["baths"][1]["couplings"][0].update(gamma="abc")),
+                "bath 'H' coupling 1: field 'gamma' has invalid value 'abc'",
+            ),
+            ([_GOOD_FILE], "model file must be a JSON object, got list"),
+            (_malformed(lambda d: d["baths"][2].update(label="H")), "bath labels must be unique"),
+        ],
+        ids=["beta", "label", "i", "j", "gamma", "gamma-abc", "top-level-list", "duplicate-label"],
+    )
+    def test_exit_2_with_bath_and_field(self, capsys, tmp_path, data, message, fmt):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "current", "--model", str(path), "--format", fmt)
+        assert code == 2
+        if fmt == "json":
+            error = json.loads(out)["error"]
+            assert error["code"] == "validation" and error["exit"] == 2
+            assert message in error["message"]
+        else:
+            assert err.startswith("error (validation): ") and message in err
+
+    def test_good_file_still_loads(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_GOOD_FILE))
+        code, out, _ = run(capsys, "current", "--model", str(path), "--format", "json")
+        assert code == 0 and json.loads(out)["bath"] == "C"
+
+
 class TestNoise:
     def test_preset_a_with_verify(self, capsys):
         code, out, _ = run(
@@ -271,6 +335,15 @@ class TestCheckCommand:
         _, out1, _ = run(capsys, "check", "--seed", "7", "--trials", "10")
         _, out2, _ = run(capsys, "check", "--seed", "7", "--trials", "10")
         assert out1 == out2
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_trials_below_one_refused(self, capsys, trials, fmt):
+        code, out, err = run(capsys, "check", "--trials", trials, "--format", fmt)
+        assert code == 2
+        assert "checks passed" not in out
+        text = json.loads(out)["error"]["message"] if fmt == "json" else err
+        assert f"--trials must be at least 1, got {trials}" in text
 
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "check", "--trials", "10", "--format", "json")

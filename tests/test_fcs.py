@@ -14,6 +14,7 @@ from qarfcs.errors import (
 from qarfcs.fcs import (
     CharPoly,
     _constant_coefficient,
+    _plan_steps,
     _trace_product,
     adjugate,
     adjugate_derivative,
@@ -36,7 +37,7 @@ from qarfcs.model import (
     spectral_value,
 )
 from qarfcs.oracle import random_connected_model
-from tests.conftest import make_spin_boson
+from tests.conftest import EIGHTY_BIT, make_spin_boson
 
 
 def cofactor_adjugate(m):
@@ -48,6 +49,132 @@ def cofactor_adjugate(m):
             minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
             out[j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
     return out
+
+
+# float.hex of the coefficients and the row-major adjugate of L(0), recorded
+# from the recursion before its per-call numpy dispatch was trimmed
+_CHARPOLY_GOLDEN = {
+    ("A", 0.3, 0.9): (
+        ["0x1.74d3e1120468fp-6", "0x1.d0316120d39c3p-15", "0x1.0300000000000p-80"],
+        [
+            "0x1.b8f007c7047bap-16", "0x1.b8f007c7047bbp-16", "0x1.b8f007c7047bbp-16",
+            "0x1.0079fb2b33498p-16", "0x1.0079fb2b33498p-16", "0x1.0079fb2b33498p-16",
+            "0x1.cdf17e9edee67p-17", "0x1.cdf17e9edee67p-17", "0x1.cdf17e9edee68p-17",
+        ],
+    ),
+    ("A", 0.5, 0.5): (
+        ["0x1.941c2dca72316p-6", "0x1.4e8e3e7028f4cp-14", "0x1.41d0000000000p-76"],
+        [
+            "0x1.2d27557015f4bp-15", "0x1.2d27557015f4bp-15", "0x1.2d27557015f4bp-15",
+            "0x1.787298faca128p-16", "0x1.787298faca129p-16", "0x1.787298faca128p-16",
+            "0x1.6777b5e5add72p-16", "0x1.6777b5e5add73p-16", "0x1.6777b5e5add73p-16",
+        ],
+    ),
+    ("B", 0.3, 0.9): (
+        ["0x1.83d00269dc5aep-6", "0x1.1fbe852c9c0c8p-14", "0x1.296aaaaaaaaabp-78"],
+        [
+            "0x1.0541226803d9ap-15", "0x1.0541226803d9ap-15", "0x1.0541226803d9ap-15",
+            "0x1.4aecf6651902fp-16", "0x1.4aecf66519030p-16", "0x1.4aecf6651902fp-16",
+            "0x1.298ad97d4f7bcp-16", "0x1.298ad97d4f7bcp-16", "0x1.298ad97d4f7bcp-16",
+        ],
+    ),
+    ("B", 0.5, 0.5): (
+        ["0x1.a410927926785p-6", "0x1.8c1c3c05fbb8cp-14", "-0x1.1c80000000000p-76"],
+        [
+            "0x1.5abbbcf698b26p-15", "0x1.5abbbcf698b28p-15", "0x1.5abbbcf698b27p-15",
+            "0x1.c8f45e76c9df3p-16", "0x1.c8f45e76c9df4p-16", "0x1.c8f45e76c9df4p-16",
+            "0x1.b20517b3f39f0p-16", "0x1.b20517b3f39f1p-16", "0x1.b20517b3f39f0p-16",
+        ],
+    ),
+    ("C", 0.3, 0.9): (
+        ["0x1.985ff85ab2ce2p-6", "0x1.747c2cc4e330bp-14", "0x1.06a0000000000p-77"],
+        [
+            "0x1.4fd908e771033p-15", "0x1.4fd908e771032p-15", "0x1.4fd908e771033p-15",
+            "0x1.b0a1e42b6b3c8p-16", "0x1.b0a1e42b6b3c8p-16", "0x1.b0a1e42b6b3c9p-16",
+            "0x1.819cbd193f7ffp-16", "0x1.819cbd193f7ffp-16", "0x1.819cbd193f800p-16",
+        ],
+    ),
+    ("C", 0.5, 0.5): (
+        ["0x1.d2c63191da38ep-6", "0x1.2ecfab77c3cd9p-13", "0x1.812aaaaaaaaabp-75"],
+        [
+            "0x1.0343bcf651418p-14", "0x1.0343bcf651417p-14", "0x1.0343bcf651416p-14",
+            "0x1.65841da2b02a9p-15", "0x1.65841da2b02a9p-15", "0x1.65841da2b02a9p-15",
+            "0x1.4f33164fbc88cp-15", "0x1.4f33164fbc88cp-15", "0x1.4f33164fbc88cp-15",
+        ],
+    ),
+    ("D", 0.3, 0.9): (
+        ["0x1.596c6d9a2f670p-5", "0x1.7e2edd6ed015fp-12", "-0x1.3db9555555555p-71"],
+        [
+            "0x1.1e0e358fac0a7p-13", "0x1.1e0e358fac0a8p-13", "0x1.1e0e358fac0a8p-13",
+            "0x1.002c2fdb3d314p-13", "0x1.002c2fdb3d314p-13", "0x1.002c2fdb3d314p-13",
+            "0x1.bc46aae56de08p-14", "0x1.bc46aae56de07p-14", "0x1.bc46aae56de05p-14",
+        ],
+    ),
+    ("D", 0.5, 0.5): (
+        ["0x1.65efdad810eacp-5", "0x1.ac99f83ce5dbap-12", "0x1.44cc000000000p-71"],
+        [
+            "0x1.41c3f2d4d1c02p-13", "0x1.41c3f2d4d1c00p-13", "0x1.41c3f2d4d1c00p-13",
+            "0x1.19831bc25529fp-13", "0x1.19831bc25529fp-13", "0x1.19831bc25529fp-13",
+            "0x1.fbd9c3c5499a1p-14", "0x1.fbd9c3c5499a0p-14", "0x1.fbd9c3c5499a3p-14",
+        ],
+    ),
+    ("random", 2): (
+        ["0x1.fb8a2463b96b8p-6", "-0x0.0p+0"],
+        [
+            "-0x1.267e1efd76c44p-6", "-0x1.267e1efd76c44p-6",
+            "-0x1.aa180acc854e7p-7", "-0x1.aa180acc854e7p-7",
+        ],
+    ),
+    ("random", 3): (
+        ["0x1.8012c62c91e38p-5", "0x1.1dbc6be998cdep-11", "0x1.31c0000000000p-73"],
+        [
+            "0x1.95adba68a012ep-13", "0x1.95adba68a012dp-13", "0x1.95adba68a012dp-13",
+            "0x1.7c3817f51f5c9p-13", "0x1.7c3817f51f5c8p-13", "0x1.7c3817f51f5c8p-13",
+            "0x1.650bdd48a3c82p-13", "0x1.650bdd48a3c81p-13", "0x1.650bdd48a3c82p-13",
+        ],
+    ),
+    ("random", 4): (
+        [
+            "0x1.aba45b77f2062p-5", "0x1.c4afdafb12639p-11", "0x1.344cfb3d6be71p-18",
+            "-0x1.0bb7800000000p-78",
+        ],
+        [
+            "-0x1.5cd91d833d016p-20", "-0x1.5cd91d833d017p-20", "-0x1.5cd91d833d017p-20",
+            "-0x1.5cd91d833d018p-20",
+            "-0x1.413f40abfce01p-20", "-0x1.413f40abfce00p-20", "-0x1.413f40abfce01p-20",
+            "-0x1.413f40abfce02p-20",
+            "-0x1.256897a9fdc61p-20", "-0x1.256897a9fdc61p-20", "-0x1.256897a9fdc60p-20",
+            "-0x1.256897a9fdc61p-20",
+            "-0x1.0db2f71c77f4fp-20", "-0x1.0db2f71c77f4ep-20", "-0x1.0db2f71c77f4ep-20",
+            "-0x1.0db2f71c77f4ep-20",
+        ],
+    ),
+    ("random", 5): (
+        [
+            "0x1.f4f4b5a3d7449p-6", "0x1.5e6e84b681c63p-12", "0x1.9b4a4396a24bfp-20",
+            "0x1.4f1d3567e2ca7p-29", "0x1.ed9999999999ap-95",
+        ],
+        [
+            "0x1.5ffa12379fcc3p-31", "0x1.5ffa12379fcc4p-31", "0x1.5ffa12379fcc3p-31",
+            "0x1.5ffa12379fcc3p-31", "0x1.5ffa12379fcc3p-31",
+            "0x1.2ff36cadf11c0p-31", "0x1.2ff36cadf11c0p-31", "0x1.2ff36cadf11c0p-31",
+            "0x1.2ff36cadf11c0p-31", "0x1.2ff36cadf11c0p-31",
+            "0x1.02d8b08b3c95ep-31", "0x1.02d8b08b3c95fp-31", "0x1.02d8b08b3c95fp-31",
+            "0x1.02d8b08b3c95fp-31", "0x1.02d8b08b3c95fp-31",
+            "0x1.cadf3a5fab128p-32", "0x1.cadf3a5fab129p-32", "0x1.cadf3a5fab129p-32",
+            "0x1.cadf3a5fab129p-32", "0x1.cadf3a5fab129p-32",
+            "0x1.887e11fdd044cp-32", "0x1.887e11fdd044cp-32", "0x1.887e11fdd044cp-32",
+            "0x1.887e11fdd044cp-32", "0x1.887e11fdd044dp-32",
+        ],
+    ),
+}
+
+
+def _golden_generator(key):
+    if key[0] == "random":
+        rng = np.random.default_rng(100 + key[1])
+        return build_generator(random_connected_model(rng, n_levels=key[1], topology="any"))
+    return build_generator(preset(*key))
 
 
 class TestCharPoly:
@@ -106,6 +233,23 @@ class TestCharPoly:
         monic = cp.monic()
         assert monic.shape == (4, 4)
         assert np.all(monic[:, 0] == 1.0) and np.array_equal(monic[:, 1:], cp.coeffs)
+
+    @EIGHTY_BIT
+    @pytest.mark.parametrize("key", list(_CHARPOLY_GOLDEN), ids=str)
+    def test_golden_bits(self, key):
+        coeffs, adj = _CHARPOLY_GOLDEN[key]
+        cp = charpoly(_golden_generator(key))
+        assert [c.hex() for c in cp.coeffs.tolist()] == coeffs
+        assert [x.hex() for x in cp.adjugate.ravel().tolist()] == adj
+
+    @EIGHTY_BIT
+    def test_golden_bits_of_one_stacked_call(self):
+        keys = [key for key in _CHARPOLY_GOLDEN if key[0] != "random"]
+        cp = charpoly(np.array([_golden_generator(key) for key in keys]))
+        for q, key in enumerate(keys):
+            coeffs, adj = _CHARPOLY_GOLDEN[key]
+            assert [c.hex() for c in cp.coeffs[q].tolist()] == coeffs
+            assert [x.hex() for x in cp.adjugate[q].ravel().tolist()] == adj
 
 
 class TestAdjugate:
@@ -310,6 +454,55 @@ class TestTraceProduct:
     def test_zero_b_gives_zero(self):
         assert _trace_product(np.ones((3, 3)), np.zeros((3, 3))) == 0.0
         assert np.array_equal(_trace_product(np.ones((4, 3, 3)), np.zeros((3, 3))), np.zeros(4))
+
+
+def numpy_plan_steps(flat, ds_max):
+    """Reference step plan: sides by np.flatnonzero, each ordered by a stable argsort of |s|."""
+    grid, side_starts, reached = [], set(), []
+    for side in (np.flatnonzero(flat > 0.0), np.flatnonzero(flat < 0.0)):
+        side_starts.add(len(grid))
+        s_prev = 0.0
+        order = side[np.argsort(np.abs(flat[side]), kind="stable")].tolist()
+        for i, s_to in zip(order, flat[order].tolist()):
+            if s_to != s_prev:
+                n_steps = max(1, int(math.ceil(abs(s_to - s_prev) / ds_max)))
+                grid.extend(
+                    s_prev + (s_to - s_prev) * k / n_steps for k in range(1, n_steps + 1)
+                )
+            reached.append((i, len(grid) - 1))
+            s_prev = s_to
+    return grid, side_starts, reached
+
+
+class TestPlanSteps:
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            [0.3, -0.3, 0.3, 0.0, -0.0, 0.1, -0.1, 0.3, -0.7, 0.0],
+            [-0.2, -0.2, -0.05, 0.0],
+            [0.0, -0.0],
+            [1e-4, -1e-4],
+            [0.45],
+            [],
+        ],
+    )
+    def test_matches_numpy_reference(self, targets):
+        flat = np.array(targets, dtype=float)
+        grid, side_starts, reached = _plan_steps(flat, 0.04)
+        ref_grid, ref_starts, ref_reached = numpy_plan_steps(flat, 0.04)
+        assert [g.hex() for g in grid] == [g.hex() for g in ref_grid]
+        assert side_starts == ref_starts
+        assert reached == ref_reached
+
+    def test_matches_numpy_reference_on_random_targets(self, rng):
+        for _ in range(50):
+            flat = rng.choice([-1.0, 0.0, 1.0], size=12) * rng.choice(
+                [0.0, 0.1, 0.25, rng.uniform(0.0, 0.9)], size=12
+            )
+            got = _plan_steps(flat, 0.03)
+            ref = numpy_plan_steps(flat, 0.03)
+            assert [g.hex() for g in got[0]] == [g.hex() for g in ref[0]]
+            assert got[1:] == ref[1:]
 
 
 class TestCgf:

@@ -56,10 +56,12 @@ class TestBareGenerator:
         assert np.allclose(build_generator(m), expected, rtol=0, atol=0)
 
     def test_additivity_over_baths(self, rng):
-        for _ in range(20):
-            m = random_connected_model(rng)
+        models = [random_connected_model(rng) for _ in range(20)]
+        models += [preset(pid, e21, bh) for pid in "ABCD" for e21, bh in ((0.3, 0.9), (0.5, 0.5))]
+        for m in models:
             total = sum(bath_generator(m, b) for b in range(m.n_baths))
-            assert np.array_equal(build_generator(m), total)
+            # bitwise, signed zeros included
+            assert build_generator(m).tobytes() == total.tobytes()
 
 
 class TestCountingFamily:

@@ -164,6 +164,21 @@ class TestValidation:
                 cold_index=0,
             )
 
+    def test_duplicate_labels_rejected(self):
+        # two leaking baths under one label would share one key in every
+        # label-keyed result (the decompose leaks) and in bath lookups
+        sd = OhmicSpectralDensity()
+        with pytest.raises(ValidationError, match="unique"):
+            QarModel(
+                system=SystemSpec((0.0, 0.4, 1.0)),
+                baths=(
+                    BathSpec("C", 1.0, {(0, 1): 1e-3}, sd),
+                    BathSpec("X", 0.5, {(0, 2): 1e-3, (0, 1): 1e-3}, sd),
+                    BathSpec("X", 0.1, {(1, 2): 1e-3, (0, 1): 1e-3}, sd),
+                ),
+                cold_index=0,
+            )
+
     def test_models_are_immutable(self):
         m = preset("A", 0.5, 0.9)
         with pytest.raises(AttributeError):
@@ -245,6 +260,55 @@ class TestModelFiles:
     def test_missing_fields(self):
         with pytest.raises(ValidationError):
             model_from_dict({"energies": [0.0, 1.0]})
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["baths"][1].pop("beta"), "bath 'H' is missing field 'beta'"),
+            (lambda d: d["baths"][1].pop("label"), "bath 2 is missing field 'label'"),
+            (
+                lambda d: d["baths"][2]["couplings"][0].pop("i"),
+                "bath 'W' coupling 1 is missing field 'i'",
+            ),
+            (
+                lambda d: d["baths"][2]["couplings"][0].pop("j"),
+                "bath 'W' coupling 1 is missing field 'j'",
+            ),
+            (
+                lambda d: d["baths"][0]["couplings"][0].pop("gamma"),
+                "bath 'C' coupling 1 is missing field 'gamma'",
+            ),
+            (
+                lambda d: d["baths"][0]["couplings"][0].update(gamma="abc"),
+                "bath 'C' coupling 1: field 'gamma' has invalid value 'abc'",
+            ),
+            (
+                lambda d: d["baths"][1].update(beta=None),
+                "bath 'H': field 'beta' has invalid value None",
+            ),
+            (lambda d: d["baths"].append(3), "bath 4 must be a JSON object, got int"),
+            (lambda d: d.update(energies="abc"), "field 'energies' has invalid value 'abc'"),
+            (lambda d: d.pop("cold"), "model file is missing field 'cold'"),
+        ],
+        ids=["beta", "label", "i", "j", "gamma", "gamma-abc", "beta-null", "bath-int",
+             "energies-abc", "cold"],
+    )
+    def test_malformed_entries_name_bath_and_field(self, edit, message):
+        data = model_to_dict(preset("A", 0.5, 0.9))
+        edit(data)
+        with pytest.raises(ValidationError) as info:
+            model_from_dict(data)
+        assert message in str(info.value)
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(ValidationError, match="model file must be a JSON object, got list"):
+            model_from_dict([1, 2])
+
+    def test_duplicate_labels_in_file_rejected(self):
+        data = model_to_dict(preset("C", 0.5, 0.9))
+        data["baths"][2]["label"] = "H"
+        with pytest.raises(ValidationError, match="unique"):
+            model_from_dict(data)
 
     def test_unknown_cold_label(self):
         data = model_to_dict(preset("A", 0.5, 0.9))

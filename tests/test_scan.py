@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from qarfcs.scan import (
     write_line_csv,
     write_line_json,
 )
+from tests.conftest import EIGHTY_BIT
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +149,28 @@ class TestWriters:
         data = json.loads(json_path.read_text())
         assert set(data["currents"]) == {"A", "D"}
         assert len(data["e21_axis"]) == 21
+
+
+# sha256 of the CSV writers' output, recorded before the per-call numpy
+# dispatch of the rate, generator and recursion layers was trimmed
+@EIGHTY_BIT
+class TestPinnedOutput:
+    @pytest.mark.parametrize(
+        "pid, digest",
+        [
+            ("A", "3313987666f7c7cb43315be71a212a8e76e6ce573d982a107aeba4bf8650fb68"),
+            ("B", "aa8faa533d01aa334987b0184e71319b6b33a68eccd218fc0e4d6a9d55a77328"),
+            ("C", "9c2fbb3a362cd0850b56d6dbc435ea3bf56f9e381a84d34d307c49f02fdf725c"),
+            ("D", "baed0853f25cba287448382956b271078939418f22345e823fd0c827a3399186"),
+        ],
+    )
+    def test_grid_csv_digest(self, tmp_path, pid, digest):
+        path = tmp_path / "grid.csv"
+        write_grid_csv(grid_scan(pid, 21, 21), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_default_line_csv_digest(self, tmp_path):
+        path = tmp_path / "line.csv"
+        write_line_csv(line_scan(["A", "B", "C", "D"], 0.9), path)
+        digest = "f0d26310cb9f79643321cb45d44eb98ee6f49c25b44074b0e577edaaa78ed2b0"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
