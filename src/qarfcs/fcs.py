@@ -137,15 +137,15 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """tr(a @ b) by compensated summation over the products at b's nonzero entries.
 
     ``a`` may be a stack (..., N, N); each of its matrices gets its own exactly
-    rounded ``fsum``, and a 2-D ``a`` returns a float. The products where a is
-    zero are +-0.0 and leave every sum unchanged.
+    rounded ``fsum`` over Python-float products, and a 2-D ``a`` returns a float.
+    The products where a is zero are +-0.0 and leave every sum unchanged.
     """
-    i, j = np.nonzero(b)
-    terms = a[..., j, i] * b[i, j]
-    if terms.ndim == 1:
-        return math.fsum(terms.tolist())
-    rows = terms.reshape(math.prod(terms.shape[:-1]), terms.shape[-1])
-    return np.array([math.fsum(row) for row in rows.tolist()]).reshape(terms.shape[:-1])
+    nonzero = [
+        (i, j, x) for i, row in enumerate(b.tolist()) for j, x in enumerate(row) if x != 0.0
+    ]
+    stack = a.reshape(-1, *b.shape).tolist()
+    sums = [math.fsum(m[j][i] * x for i, j, x in nonzero) for m in stack]
+    return sums[0] if a.ndim == 2 else np.array(sums).reshape(a.shape[:-2])
 
 
 def _current_from_family(family: CountingFamily) -> tuple[float, float, CharPoly]:
@@ -271,11 +271,11 @@ def _first_collision(
 ) -> tuple[int, float, float] | None:
     """First step whose root has another root within ``collision_rtol`` of the scale.
 
-    The roots are the eigenvalues of every step's companion matrix, taken in
-    one stacked ``eigvals``. A zero a_N (a counted bath without couplings)
-    leaves a zero last column, whose eigenvalue 0 comes out within roundoff
-    of the spectral scale. Returns (step, distance to the nearest other root,
-    spectral scale) or None.
+    The roots are the eigenvalues of the steps' companion matrices, taken in
+    one stacked ``eigvals`` (``cgf`` passes the steps that p'(G) left undecided).
+    A zero a_N (a counted bath without couplings) leaves a zero last column,
+    whose eigenvalue 0 comes out within roundoff of the spectral scale.
+    Returns (step, distance to the nearest other root, spectral scale) or None.
     """
     k, n = coeffs.shape[0], coeffs.shape[1] - 1
     if n < 2 or k == 0:
@@ -290,6 +290,27 @@ def _first_collision(
     if not hit.size:
         return None
     return int(hit[0]), float(gap[hit[0]]), float(scale[hit[0]])
+
+
+def _certified_separation(poly: list[float], deriv: list[float], lam: float, rtol: float) -> bool:
+    """Whether p'(lam) proves every other root at least ``rtol`` of the scale away.
+
+    p'(lam) = prod(lam - r_i) over the other roots, each factor at most 2F with F
+    the Fujiwara bound on the spectral radius, so the nearest one lies at least
+    |p'(lam)| / (2F)^(N-2) away. The factor 4 on rtol * F absorbs the roundoff of
+    the root and of the companion eigenvalues; a non-finite bound decides nothing.
+    """
+    n = len(deriv)
+    dp = 0.0
+    for c in deriv:
+        dp = dp * lam + c
+    radii = [abs(c) ** (1.0 / j) for j, c in enumerate(poly[1:-1], start=1)]
+    f = 2.0 * max(radii + [abs(poly[-1] / 2.0) ** (1.0 / n)])
+    try:
+        bound = 4.0 * rtol * f * (2.0 * f) ** (n - 2)
+    except OverflowError:
+        return False
+    return math.isfinite(bound) and abs(dp) >= bound
 
 
 def _plan_steps(
@@ -341,6 +362,7 @@ def _continue_root(
     coeffs = _step_polynomials(family, grid)
     n = coeffs.shape[1] - 1
     lams: list[float] = []
+    undecided: list[int] = []
     newton_error = None
     lam = 0.0
     for k, poly in enumerate(coeffs.tolist()):
@@ -370,9 +392,12 @@ def _continue_root(
             )
             break
         lams.append(lam)
-    collision = _first_collision(coeffs[: len(lams)], lams, collision_rtol)
+        if n > 1 and not _certified_separation(poly, deriv, lam, collision_rtol):
+            undecided.append(k)
+    collision = _first_collision(coeffs[undecided], [lams[k] for k in undecided], collision_rtol)
     if collision is not None:
-        k, gap, scale = collision
+        first, gap, scale = collision
+        k = undecided[first]
         raise ContinuationError(
             f"root collision at s = {grid[k]:.6g}: nearest other root within "
             f"{gap:.3g} (< {collision_rtol:.1g} of scale {scale:.3g})"
@@ -409,8 +434,9 @@ def cgf(
 
     The whole step grid is planned first, so the polynomials of every step
     come from one stacked pass (one long-double stack of L(s_k), one stacked
-    ``charpoly``, one stacked determinant for a_N) and the collision check
-    is one stacked companion ``eigvals``. Newton is the only sequential part.
+    ``charpoly``, one stacked determinant for a_N). Newton is the only
+    sequential part; p'(G) certifies each step's root separation, and only the
+    steps it cannot decide get one stacked companion ``eigvals``.
     """
     targets = np.asarray(s, dtype=float)
     flat = targets.ravel()

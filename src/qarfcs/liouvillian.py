@@ -24,11 +24,13 @@ def bath_generator(model: QarModel, bath: int) -> np.ndarray:
 
 
 def build_generator(model: QarModel) -> np.ndarray:
-    """Full generator L(0), bitwise the sum of ``bath_generator`` over the baths.
+    """Full generator L(0), bitwise the sum of ``bath_generator`` over the baths."""
+    return generator_from_tables([rate_table(model, b) for b in range(model.n_baths)])
 
-    One (B, N, N) stack of rate tables gives the same additions in the same order.
-    """
-    stack = np.array([rate_table(model, b) for b in range(model.n_baths)])
+
+def generator_from_tables(tables: list[np.ndarray]) -> np.ndarray:
+    """L(0) from all rate tables: one (B, N, N) stack, summed as ``bath_generator`` sums."""
+    stack = np.array(tables)
     return stack.sum(axis=0).T - np.diag(stack.sum(axis=2).sum(axis=0))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -69,6 +70,8 @@ class SystemSpec:
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
         if len(self.energies) < 2:
             raise ValidationError("a working medium needs at least 2 levels")
+        if not self.gap_tol > 0.0:
+            raise ValidationError(f"gap tolerance must be positive, got {self.gap_tol}")
         for i in range(len(self.energies) - 1):
             gap = self.energies[i + 1] - self.energies[i]
             if gap < self.gap_tol:
@@ -81,10 +84,6 @@ class SystemSpec:
     @property
     def n_levels(self) -> int:
         return len(self.energies)
-
-    def gap(self, i: int, j: int) -> float:
-        """E_i - E_j (0-based)."""
-        return self.energies[i] - self.energies[j]
 
 
 def _normalize_pair(pair: Pair) -> Pair:
@@ -120,7 +119,10 @@ class BathSpec:
                 raise ValidationError(
                     f"bath {self.label!r}: coupling for pair {pair} is negative"
                 )
-            norm[_normalize_pair(pair)] = g
+            key = _normalize_pair(pair)
+            if key in norm:
+                raise ValidationError(f"bath {self.label!r}: pair {pair} repeats a coupling")
+            norm[key] = g
         object.__setattr__(self, "couplings", norm)
 
     def coupling(self, i: int, j: int) -> float:
@@ -326,9 +328,11 @@ def model_from_dict(data: dict) -> QarModel:
         coup: dict[Pair, float] = {}
         for c, entry in enumerate(_field(raw, "couplings", list, where, []), start=1):
             at = f"{where} coupling {c}"
-            i, j = _field(entry, "i", int, at), _field(entry, "j", int, at)
+            i, j = _field(entry, "i", operator.index, at), _field(entry, "j", operator.index, at)
             if i < 1 or j < 1:
                 raise ValidationError(f"{where}: file couplings are 1-based, got ({i}, {j})")
+            if (i - 1, j - 1) in coup or (j - 1, i - 1) in coup:
+                raise ValidationError(f"{at}: fields 'i', 'j' repeat the pair ({i}, {j})")
             coup[(i - 1, j - 1)] = _field(entry, "gamma", float, at)
         beta = _field(raw, "beta", float, where)
         sd = OhmicSpectralDensity(omega_c=_field(raw, "omega_c", float, where, 10.0))

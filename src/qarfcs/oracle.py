@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import TopologyError, ValidationError
 from .fcs import cgf
-from .liouvillian import build_counting_family, build_generator
+from .liouvillian import build_counting_family, generator_from_tables
 from .model import BathSpec, OhmicSpectralDensity, QarModel, SystemSpec, _unreached, rate_table
 
 
@@ -41,22 +41,22 @@ def steady_state(l0: np.ndarray, *, replace_row: int = 0) -> SteadyState:
         raise ValidationError(f"replace_row {replace_row} out of range")
     a = l0.copy()
     a[replace_row, :] = 1.0
-    b = np.zeros(n)
+    b = [0.0] * n
     b[replace_row] = 1.0
     try:
         p = np.linalg.solve(a, b)
-        r = np.array(
-            [b[i] - math.fsum(a[i, j] * p[j] for j in range(n)) for i in range(n)]
-        )
+        p_list = p.tolist()
+        r = [bi - math.fsum(x * y for x, y in zip(row, p_list)) for bi, row in zip(b, a.tolist())]
         p = p + np.linalg.solve(a, r)
     except np.linalg.LinAlgError as exc:
         raise ValidationError(
             "steady state is degenerate (rank < N-1); the transition graph "
             "must be connected"
         ) from exc
-    residual = float(np.max(np.abs(l0 @ p)))
-    scale = float(np.max(np.abs(l0))) or 1.0
-    if not np.isfinite(p).all() or residual > 1e-8 * scale:
+    l0p = (l0 @ p).tolist()
+    residual = max(map(abs, l0p))
+    scale = max(map(abs, l0.ravel().tolist())) or 1.0
+    if not all(map(math.isfinite, p.tolist() + l0p)) or residual > 1e-8 * scale:
         raise ValidationError(
             f"steady-state solve residual {residual:.3g} is too large; the "
             "generator is numerically rank-deficient beyond the zero mode"
@@ -70,35 +70,31 @@ def direct_current(model: QarModel, bath: int) -> float:
     This is the textbook route (solve for p, then weigh each bath-induced jump
     by the energy it moves); it shares no code with the adjugate pipeline.
     """
-    ss = steady_state(build_generator(model))
-    return _direct_current_from_populations(model, bath, ss.populations)
+    tables = [rate_table(model, b) for b in range(model.n_baths)]
+    ss = steady_state(generator_from_tables(tables))
+    return _direct_current_from_populations(model, tables[bath], ss.populations)
 
 
-def _direct_current_from_populations(
-    model: QarModel, bath: int, p: np.ndarray
-) -> float:
-    k = rate_table(model, bath)
+def _direct_current_from_populations(model: QarModel, k: np.ndarray, p: np.ndarray) -> float:
+    k, p = k.tolist(), p.tolist()
     energies = model.system.energies
     n = model.n_levels
     terms = []
     for i in range(n):
         for j in range(i + 1, n):
             de = energies[j] - energies[i]
-            if k[i, j] != 0.0:
-                terms.append(de * k[i, j] * p[i])
-            if k[j, i] != 0.0:
-                terms.append(-de * k[j, i] * p[j])
+            if k[i][j] != 0.0:
+                terms.append(de * k[i][j] * p[i])
+            if k[j][i] != 0.0:
+                terms.append(-de * k[j][i] * p[j])
     return math.fsum(terms)
 
 
 def conservation_residual(model: QarModel) -> float:
     """|sum over baths of the direct currents| (steady-state first law)."""
-    ss = steady_state(build_generator(model))
-    currents = [
-        _direct_current_from_populations(model, b, ss.populations)
-        for b in range(model.n_baths)
-    ]
-    return abs(math.fsum(currents))
+    tables = [rate_table(model, b) for b in range(model.n_baths)]
+    p = steady_state(generator_from_tables(tables)).populations
+    return abs(math.fsum(_direct_current_from_populations(model, k, p) for k in tables))
 
 
 def fluctuation_symmetry_check(model: QarModel, s_samples) -> float:

@@ -145,8 +145,23 @@ class TestMalformedModelFile:
             ),
             ([_GOOD_FILE], "model file must be a JSON object, got list"),
             (_malformed(lambda d: d["baths"][2].update(label="H")), "bath labels must be unique"),
+            (
+                _malformed(lambda d: d.update(gap_tol=-5, energies=[1.0, 0.0, 0.5])),
+                "gap tolerance must be positive, got -5.0",
+            ),
+            (
+                _malformed(
+                    lambda d: d["baths"][0]["couplings"].append({"i": 2, "j": 1, "gamma": 0.5})
+                ),
+                "bath 'C' coupling 2: fields 'i', 'j' repeat the pair (2, 1)",
+            ),
+            (
+                _malformed(lambda d: d["baths"][2]["couplings"][0].update(j=2.5)),
+                "bath 'W' coupling 1: field 'j' has invalid value 2.5",
+            ),
         ],
-        ids=["beta", "label", "i", "j", "gamma", "gamma-abc", "top-level-list", "duplicate-label"],
+        ids=["beta", "label", "i", "j", "gamma", "gamma-abc", "top-level-list", "duplicate-label",
+             "gap-tol-negative", "pair-repeated", "j-fraction"],
     )
     def test_exit_2_with_bath_and_field(self, capsys, tmp_path, data, message, fmt):
         path = tmp_path / "model.json"

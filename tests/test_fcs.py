@@ -11,10 +11,14 @@ from qarfcs.errors import (
     NoiseNotApplicableError,
     ValidationError,
 )
+from qarfcs import fcs as fcs_module
 from qarfcs.fcs import (
     CharPoly,
+    _certified_separation,
     _constant_coefficient,
+    _continue_root,
     _plan_steps,
+    _step_polynomials,
     _trace_product,
     adjugate,
     adjugate_derivative,
@@ -36,7 +40,7 @@ from qarfcs.model import (
     rate,
     spectral_value,
 )
-from qarfcs.oracle import random_connected_model
+from qarfcs.oracle import fluctuation_symmetry_check, random_connected_model
 from tests.conftest import EIGHTY_BIT, make_spin_boson
 
 
@@ -643,6 +647,135 @@ class TestCgf:
         assert fam.dressed == ()
         assert cgf(fam, 0.3) == 0.0
         assert np.array_equal(cgf(fam, np.array([0.3, -0.2, 0.0])), np.zeros(3))
+
+
+def companion_roots(coeffs):
+    """Eigenvalues of the companion matrix of every monic row [1, a_1, ..., a_N]."""
+    k, n = coeffs.shape[0], coeffs.shape[1] - 1
+    comp = np.zeros((k, n, n))
+    comp[:, 0, :] = np.negative(coeffs[:, 1:])
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    return np.linalg.eigvals(comp)
+
+
+def certificate_families(rng):
+    """Counted cold baths of A-D and of N = 2..5 random tree and cyclic models."""
+    families = [
+        build_counting_family(preset(pid, e21, beta_h), 0)
+        for pid in "ABCD"
+        for e21, beta_h in ((0.3, 0.9), (0.5, 0.5))
+    ]
+    for n in range(2, 6):
+        for topology in ("tree", "any"):
+            for _ in range(3):
+                m = random_connected_model(rng, n_levels=n, topology=topology)
+                families.append(build_counting_family(m, m.cold_index))
+    return families
+
+
+def window_targets(fam):
+    return np.linspace(-0.95, 0.95, 9) * 4.0 * max(fam.betas)
+
+
+_COLLISION_RTOLS = (1e-8, 1e-3, 0.1, 0.5, 1.0)
+
+
+class TestRootSeparationCertificate:
+    def test_certified_steps_are_separated(self, rng):
+        decided = dict.fromkeys(_COLLISION_RTOLS, 0)
+        steps = 0
+        for fam in certificate_families(rng):
+            grid, side_starts, _ = _plan_steps(window_targets(fam), 0.05 / fam.energy_span)
+            # collision_rtol = 0 certifies every step, so no eigvals runs here
+            lams = _continue_root(fam, grid, side_starts, 1e-12, 100, 0.0)
+            coeffs = _step_polynomials(fam, grid)
+            n = coeffs.shape[1] - 1
+            for poly, lam, roots in zip(coeffs.tolist(), lams, companion_roots(coeffs)):
+                deriv = [c * (n - j) for j, c in enumerate(poly[:-1])]
+                gap = np.sort(np.abs(roots - lam))[1]
+                scale = np.max(np.abs(roots))
+                steps += 1
+                for rtol in _COLLISION_RTOLS:
+                    if _certified_separation(poly, deriv, lam, rtol):
+                        decided[rtol] += 1
+                        assert gap >= rtol * scale
+        # every step is decided at the default; from 0.5 on none can be,
+        # because |p'| <= (2F)^(N-1) <= 4 * rtol * F * (2F)^(N-2)
+        assert decided[1e-8] == steps > 1000
+        assert decided[0.5] == decided[1.0] == 0
+
+    def test_cgf_matches_eigvals_only_reference(self, rng, monkeypatch):
+        families = certificate_families(rng)
+
+        def outcomes():
+            out = []
+            for fam in families:
+                for rtol in _COLLISION_RTOLS:
+                    for iters in (100, 3):
+                        try:
+                            g = cgf(fam, window_targets(fam), collision_rtol=rtol,
+                                    max_newton_iter=iters)
+                            out.append([x.hex() for x in g.tolist()])
+                        except ContinuationError as exc:
+                            out.append(str(exc))
+            return out
+
+        got = outcomes()
+        monkeypatch.setattr(fcs_module, "_certified_separation", lambda *args: False)
+        reference = outcomes()
+        assert got == reference
+        messages = [x for x in reference if isinstance(x, str)]
+        assert any(x.startswith("root collision") for x in messages)
+        assert any(x.startswith("Newton did not converge") for x in messages)
+        assert len(messages) < len(reference)
+
+    def test_collision_step_indexes_the_full_grid(self, monkeypatch):
+        # certify the first three steps by fiat: the first step left to eigvals
+        # is the fourth, s = 0.2 on the 0.05 grid, and every step collides at 1.0
+        verdicts = iter([True, True, True])
+        monkeypatch.setattr(
+            fcs_module, "_certified_separation", lambda *args: next(verdicts, False)
+        )
+        fam = build_counting_family(preset("A", 0.5, 0.9), 0)
+        with pytest.raises(ContinuationError, match=r"root collision at s = 0\.2:"):
+            cgf(fam, np.array([0.3, -0.2]), collision_rtol=1.0)
+
+    def test_no_eigvals_on_the_common_path(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for pid in "ABCD":
+            fam = build_counting_family(preset(pid, 0.5, 0.9), 0)
+            numeric_cumulants(fam)
+            cgf(fam, window_targets(fam))
+        for n in range(2, 6):
+            for topology in ("tree", "any"):
+                m = random_connected_model(rng, n_levels=n, n_baths=2, topology=topology)
+                numeric_cumulants(build_counting_family(m, m.cold_index))
+                fluctuation_symmetry_check(m, np.linspace(-0.3, 0.9, 8))
+
+    def test_two_level_bound_is_the_gap(self):
+        # roots 1 and 2: |p'(1)| = 1 is the gap, F = 2 * max(3, (2 / 2)^(1/2)) = 6,
+        # so the step is certified while 1 >= 4 * rtol * 6
+        poly, deriv = [1.0, -3.0, 2.0], [2.0, -3.0]
+        assert _certified_separation(poly, deriv, 1.0, 0.04)
+        assert not _certified_separation(poly, deriv, 1.0, 0.05)
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            [1.0, 1e200, 1.0, 1.0, 1.0, 1.0],  # (2F)^(N-2) overflows in **
+            [1.0, 1e200, 1.0, 1.0],  # the product overflows to inf
+            [1.0, math.inf, 1.0, 1.0],
+            [1.0, math.nan, 1.0, 1.0],
+        ],
+        ids=["pow-overflow", "product-overflow", "inf", "nan"],
+    )
+    def test_nonfinite_bound_leaves_step_undecided(self, poly):
+        n = len(poly) - 1
+        deriv = [c * (n - j) for j, c in enumerate(poly[:-1])]
+        assert not _certified_separation(poly, deriv, 0.5, 1e-8)
 
 
 class TestConstantCoefficient:

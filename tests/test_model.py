@@ -113,6 +113,12 @@ class TestValidation:
         # configurable guard
         SystemSpec((0.0, 1e-9, 1.0), gap_tol=1e-10)
 
+    @pytest.mark.parametrize("gap_tol", [-5.0, 0.0, float("nan")])
+    def test_nonpositive_gap_tolerance(self, gap_tol):
+        # a negative tolerance would admit the unordered levels (1, 0, 0.5)
+        with pytest.raises(ValidationError, match="gap tolerance must be positive"):
+            SystemSpec((1.0, 0.0, 0.5), gap_tol=gap_tol)
+
     def test_single_level_rejected(self):
         with pytest.raises(ValidationError):
             SystemSpec((1.0,))
@@ -124,6 +130,10 @@ class TestValidation:
     def test_negative_coupling(self):
         with pytest.raises(ValidationError):
             BathSpec("C", 1.0, {(0, 1): -1e-3})
+
+    def test_pair_listed_in_both_orders(self):
+        with pytest.raises(ValidationError, match=r"bath 'C': pair \(1, 0\) repeats a coupling"):
+            BathSpec("C", 1.0, {(0, 1): 1e-3, (1, 0): 0.5})
 
     def test_disconnected_graph(self):
         sd = OhmicSpectralDensity()
@@ -289,9 +299,26 @@ class TestModelFiles:
             (lambda d: d["baths"].append(3), "bath 4 must be a JSON object, got int"),
             (lambda d: d.update(energies="abc"), "field 'energies' has invalid value 'abc'"),
             (lambda d: d.pop("cold"), "model file is missing field 'cold'"),
+            (
+                lambda d: d["baths"][0]["couplings"][0].update(i=1.7),
+                "bath 'C' coupling 1: field 'i' has invalid value 1.7",
+            ),
+            (
+                lambda d: d["baths"][1]["couplings"].append({"i": 3, "j": 1, "gamma": 0.5}),
+                "bath 'H' coupling 2: fields 'i', 'j' repeat the pair (3, 1)",
+            ),
+            (
+                lambda d: d["baths"][1]["couplings"].append({"i": 1, "j": 3, "gamma": 0.5}),
+                "bath 'H' coupling 2: fields 'i', 'j' repeat the pair (1, 3)",
+            ),
+            (
+                lambda d: d.update(gap_tol=-5, energies=[1.0, 0.0, 0.5]),
+                "gap tolerance must be positive, got -5.0",
+            ),
         ],
         ids=["beta", "label", "i", "j", "gamma", "gamma-abc", "beta-null", "bath-int",
-             "energies-abc", "cold"],
+             "energies-abc", "cold", "i-fraction", "pair-reversed", "pair-repeated",
+             "gap-tol-negative"],
     )
     def test_malformed_entries_name_bath_and_field(self, edit, message):
         data = model_to_dict(preset("A", 0.5, 0.9))

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from qarfcs import oracle as oracle_module
 from qarfcs.errors import TopologyError, ValidationError
-from qarfcs.fcs import heat_current
-from qarfcs.liouvillian import build_generator
+from qarfcs.fcs import cgf, heat_current
+from qarfcs.liouvillian import build_counting_family, build_generator
 from qarfcs.model import (
     BathSpec,
     OhmicSpectralDensity,
@@ -16,6 +17,7 @@ from qarfcs.model import (
     model_to_dict,
     preset,
     rate,
+    rate_table,
 )
 from qarfcs.oracle import (
     conservation_residual,
@@ -24,7 +26,7 @@ from qarfcs.oracle import (
     random_connected_model,
     steady_state,
 )
-from tests.conftest import make_spin_boson
+from tests.conftest import EIGHTY_BIT, make_spin_boson
 
 
 class TestSteadyState:
@@ -79,6 +81,14 @@ class TestSteadyState:
     def test_replace_row_validation(self):
         with pytest.raises(ValidationError):
             steady_state(np.zeros((2, 2)), replace_row=5)
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_nan_in_replaced_row_rejected(self, row):
+        # the solve never sees the replaced row, so only L(0) p shows the NaN
+        l0 = build_generator(preset("A", 0.5, 0.9))
+        l0[row, 1] = np.nan
+        with pytest.raises(ValidationError, match="residual"):
+            steady_state(l0, replace_row=row)
 
 
 class TestDirectCurrent:
@@ -157,6 +167,180 @@ class TestEquilibrium:
         gibbs = np.exp(-0.8 * np.array(m.system.energies))
         gibbs /= gibbs.sum()
         assert np.allclose(ss.populations, gibbs, rtol=1e-12)
+
+
+class TestRateTablesOncePerCall:
+    def test_each_bath_table_built_once(self, rng, monkeypatch):
+        calls = []
+
+        def counting(model, bath):
+            calls.append(bath)
+            return rate_table(model, bath)
+
+        monkeypatch.setattr(oracle_module, "rate_table", counting)
+        m = random_connected_model(rng, n_levels=4, n_baths=3)
+        direct_current(m, 1)
+        assert calls == [0, 1, 2]
+        calls.clear()
+        conservation_residual(m)
+        assert calls == [0, 1, 2]
+
+
+# float.hex of the validation path, recorded before the oracle built its rate
+# tables once per call and before cgf certified its root separation from p'(G)
+_ORACLE_GOLDEN = {
+    ("A", 0.3, 0.9): {
+        "direct": ["0x1.ab5e517500eccp-16", "-0x1.6423ee8c2b724p-14", "0x1.f298b45dd6680p-15"],
+        "conservation": ["0x1.8800000000000p-61"],
+        "populations": ["0x1.e659845b43f03p-2", "0x1.1ae4149b743a6p-2", "0x1.fd84ce128faadp-3"],
+        "residual": ["0x1.070b4c7f73ad1p-61"],
+        "cgf": [
+            "0x1.9332c95ab1282p-14", "0x1.c3e1fcad5dddap-18", "-0x1.0843397171d94p-17",
+            "0x1.a3dcf35ccfd6dp-17", "0x1.ccdf259bd3e3cp-14", "0x1.2ccf950a9bf6ap-12",
+        ],
+    },
+    ("A", 0.5, 0.5): {
+        "direct": ["-0x1.5154311e2b900p-18", "0x1.5154311e2ba00p-17", "-0x1.5154311e2ba00p-18"],
+        "conservation": ["0x1.0000000000000p-62"],
+        "populations": ["0x1.cce1c9c0e2862p-2", "0x1.200e364be6568p-2", "0x1.130ffff337236p-2"],
+        "residual": ["0x1.4ab1c59f8d0bfp-61"],
+        "cgf": [
+            "0x1.76b57d2184208p-11", "0x1.c46b7abf53903p-13", "0x1.51af76c367f3bp-17",
+            "0x1.950d2b178beacp-18", "0x1.988287f04254cp-13", "0x1.614846ed2888bp-11",
+        ],
+    },
+    ("B", 0.3, 0.9): {
+        "direct": ["0x1.89507e5907403p-17", "-0x1.dfb28a2c1db52p-14", "0x1.ae887a60fccb6p-14"],
+        "conservation": ["0x1.ba00000000000p-62"],
+        "populations": ["0x1.d0dd7c8562a21p-2", "0x1.266ae7d1cb657p-2", "0x1.08b79ba8d1f8ap-2"],
+        "residual": ["0x1.8d66ca34feedcp-62"],
+        "cgf": [
+            "0x1.a74199ee58f3dp-12", "0x1.6c8af54ee0770p-14", "-0x1.770b33e64735ap-21",
+            "0x1.215cd68eed32fp-17", "0x1.0823c08642d63p-13", "0x1.c065cbb52406fp-12",
+        ],
+    },
+    ("B", 0.5, 0.5): {
+        "direct": ["-0x1.32e9ad534900bp-16", "-0x1.456e33308cd13p-16", "0x1.3c2bf041eae98p-15"],
+        "conservation": ["0x1.2000000000000p-64"],
+        "populations": ["0x1.c02d485575591p-2", "0x1.27529ddb51616p-2", "0x1.188019cf39459p-2"],
+        "residual": ["0x1.36ff2a2cb4644p-62"],
+        "cgf": [
+            "0x1.07e4f287b6e71p-10", "0x1.357c6be7210fcp-12", "0x1.1ea4f64a3936fp-16",
+            "0x1.3ec77658904b7p-19", "0x1.bc6f5f919565cp-13", "0x1.a6b331ea95357p-11",
+        ],
+    },
+    ("C", 0.3, 0.9): {
+        "direct": ["0x1.ed1419f54d918p-17", "-0x1.8fb7f4e154f12p-14", "0x1.521571a2ab400p-14"],
+        "conservation": ["0x1.1000000000000p-62"],
+        "populations": ["0x1.cda3e2e2f0d1ep-2", "0x1.29567ab07ae4cp-2", "0x1.0905a26c94496p-2"],
+        "residual": ["0x1.2745d991aa898p-61"],
+        "cgf": [
+            "0x1.d70f367fc0526p-13", "0x1.ca6e76d827ec4p-15", "-0x1.544684091cb21p-19",
+            "0x1.35a81a2997b8fp-17", "0x1.dfcb3c586efa7p-14", "0x1.60286c0c0176dp-12",
+        ],
+    },
+    ("C", 0.5, 0.5): {
+        "direct": ["-0x1.681374784d4e8p-16", "0x1.e77d0291dd000p-20", "0x1.499ba44f2f8c0p-16"],
+        "conservation": ["0x1.b000000000000p-61"],
+        "populations": ["0x1.b65ed39b37583p-2", "0x1.2e3f84189fa26p-2", "0x1.1b61a84c29058p-2"],
+        "residual": ["0x1.f37ba64898bbcp-61"],
+        "cgf": [
+            "0x1.1680d8074f145p-10", "0x1.4ef742e05203bp-12", "0x1.401fdc87fd627p-16",
+            "0x1.ef8634dbf5630p-20", "0x1.d9007fbb2e110p-13", "0x1.c3d0cc0fcd133p-11",
+        ],
+    },
+    ("D", 0.3, 0.9): {
+        "direct": ["-0x1.4759fa42d6e5cp-16", "-0x1.bac1a5de0daa1p-13", "0x1.e3ace52668858p-13"],
+        "conservation": ["0x1.4800000000000p-61"],
+        "populations": ["0x1.7f38784b1f7b3p-2", "0x1.572ff2c3a03c7p-2", "0x1.299794f140486p-2"],
+        "residual": ["0x1.3331a323c9333p-59"],
+        "cgf": [
+            "0x1.fa4756e152713p-12", "0x1.4aaf78325b516p-13", "0x1.9eefd554b9f70p-17",
+            "-0x1.b7ef45e839d59p-19", "0x1.3bb5df5b53fabp-14", "0x1.4b903b0a8b673p-12",
+        ],
+    },
+    ("D", 0.5, 0.5): {
+        "direct": ["-0x1.febab465fee44p-15", "-0x1.4a9d75ebfca98p-13", "0x1.ca4c23057c630p-13"],
+        "conservation": ["0x1.c000000000000p-63"],
+        "populations": ["0x1.8060213097b7ap-2", "0x1.504a248dc11e7p-2", "0x1.2f55ba41a729fp-2"],
+        "residual": ["0x1.7c2ea46a36baap-61"],
+        "cgf": [
+            "0x1.9f0a4b91c54a3p-10", "0x1.efa342501e93ap-12", "0x1.35af004d2e3b7p-15",
+            "-0x1.954c2ebb643d2p-17", "0x1.92beca4203d3ap-13", "0x1.e0809783053f3p-11",
+        ],
+    },
+    ("random", 2): {
+        "direct": ["0x1.e704df866a7a0p-14", "-0x1.d224a211858f0p-14", "-0x1.4e03d74e4ea80p-18"],
+        "conservation": ["0x1.0000000000000p-63"],
+        "populations": ["0x1.2914aaf9802a3p-1", "0x1.add6aa0cffabap-2"],
+        "residual": ["0x1.cfbd866808bacp-62"],
+        "cgf": [
+            "0x1.6f9de438da3f4p-8", "0x1.cf83dc5c95a6cp-10", "0x1.f0b605924268cp-14",
+            "-0x1.b180e855a1189p-18", "0x1.22bc1987d304ap-10", "0x1.18bee258e4cf0p-8",
+        ],
+    },
+    ("random", 3): {
+        "direct": ["-0x1.2235115aec34cp-15", "0x1.306804c8f7078p-15", "-0x1.c65e6dc15a7c0p-20"],
+        "conservation": ["0x1.2000000000000p-63"],
+        "populations": ["0x1.6b75dca5e14a8p-2", "0x1.54a6816c5e246p-2", "0x1.3fe3a1edc0912p-2"],
+        "residual": ["0x1.0741b38f84738p-61"],
+        "cgf": [
+            "0x1.816eda5c1ac59p-10", "0x1.d84d6c6572fe9p-12", "0x1.2d5fa94ce34dcp-15",
+            "-0x1.98c4f605fd08bp-17", "0x1.7930eabfe1591p-13", "0x1.bfbb01818546dp-11",
+        ],
+    },
+    ("random", 4): {
+        "direct": [
+            "-0x1.178dbc02aae4fp-15", "-0x1.4ccebbf5a1940p-21", "0x1.3592fbcb1697cp-14",
+            "-0x1.4e6500a3abc7bp-15",
+        ],
+        "conservation": ["0x1.b800000000000p-62"],
+        "populations": [
+            "0x1.21ab3a82e54e1p-2", "0x1.0ac008349676bp-2", "0x1.e744b42245d28p-3",
+            "0x1.bfe4c66ec2a3fp-3",
+        ],
+        "residual": ["0x1.8000000000000p-60"],
+        "cgf": [
+            "0x1.092990336fc9ep-9", "0x1.4781b88c5110ep-11", "0x1.953ab9b013495p-15",
+            "-0x1.d706d20173beep-17", "0x1.24787b051cf39p-12", "0x1.4a0607c564b7cp-10",
+        ],
+    },
+    ("random", 5): {
+        "direct": ["-0x1.b37f90af2b35bp-16", "0x1.b37f90af2b36ep-16"],
+        "conservation": ["0x1.3000000000000p-64"],
+        "populations": [
+            "0x1.0ce1bba575d25p-2", "0x1.d0633d50f551bp-3", "0x1.8b79b36da2399p-3",
+            "0x1.5e8a7e83c1193p-3", "0x1.2bd51972bbb6dp-3",
+        ],
+        "residual": ["0x1.595ebf3c5b39ap-63"],
+        "cgf": [
+            "0x1.232f919e10ff7p-9", "0x1.5143632ecd3bdp-11", "0x1.45b2419e9eb51p-15",
+            "0x1.c7aba71a1c089p-20", "0x1.c73a89d937fc6p-12", "0x1.ca46322880c6dp-10",
+        ],
+    },
+}
+
+
+def _golden_model(key):
+    if key[0] == "random":
+        rng = np.random.default_rng(100 + key[1])
+        return random_connected_model(rng, n_levels=key[1], topology="any")
+    return preset(*key)
+
+
+@EIGHTY_BIT
+@pytest.mark.parametrize("key", list(_ORACLE_GOLDEN), ids=str)
+def test_golden_bits(key):
+    want = _ORACLE_GOLDEN[key]
+    m = _golden_model(key)
+    ss = steady_state(build_generator(m))
+    fam = build_counting_family(m, m.cold_index)
+    g = cgf(fam, np.array([-0.9, -0.5, -0.1, 0.1, 0.5, 0.9]) * 4.0 * max(fam.betas))
+    assert [direct_current(m, b).hex() for b in range(m.n_baths)] == want["direct"]
+    assert [conservation_residual(m).hex()] == want["conservation"]
+    assert [x.hex() for x in ss.populations.tolist()] == want["populations"]
+    assert [ss.residual.hex()] == want["residual"]
+    assert [x.hex() for x in g.tolist()] == want["cgf"]
 
 
 class TestFluctuationSymmetry:
