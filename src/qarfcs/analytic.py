@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, CopUndefinedError, TopologyError, ValidationError
-from .fcs import charpoly, heat_current, _trace_product
+from .fcs import charpoly, heat_current
 from .model import QarModel, bose_occupation, rate_table
 
 Pair = tuple[int, int]
@@ -194,13 +194,13 @@ class Decomposition:
         return math.fsum(list(self.cycles.values()) + list(self.leaks.values()))
 
 
-_EXTRACTION_POINTS = (
-    (1.0, 1.0, 1.0),
-    (2.0, 1.0, 1.0),
-    (1.0, 2.0, 1.0),
-    (1.0, 1.0, 2.0),
-    (2.0, 2.0, 1.0),
-    (1.0, 2.0, 2.0),
+# (cold, hot, work) rate scalings: six points fix the six monomial coefficients
+# of a homogeneous quadratic; the seventh, the unit point, is the plain sum
+_EXTRACTION_POINTS = np.array(
+    [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (1, 2, 2), (1, 1, 1)], dtype=float
+)
+_VANDERMONDE = np.array(
+    [(c * c, h * h, w * w, c * h, c * w, h * w) for c, h, w in _EXTRACTION_POINTS[:6]]
 )
 
 
@@ -225,77 +225,58 @@ def decompose(model: QarModel, *, current_units: bool = False) -> Decomposition:
     go through one stacked ``charpoly`` pass.
     """
     cold, hot, work = _ideal_roles(model)
-    tables = [rate_table(model, b) for b in range(3)]
+    tables = np.array([rate_table(model, b) for b in range(3)])
     energies = model.system.energies
     n = 3
     sign = (-1.0) ** (n + 1)
     labels = {hot: model.baths[hot].label, work: model.baths[work].label}
 
-    basis = lambda x: (
-        x[0] * x[0],
-        x[1] * x[1],
-        x[2] * x[2],
-        x[0] * x[1],
-        x[0] * x[2],
-        x[1] * x[2],
-    )
-    vand = np.array([basis(p) for p in _EXTRACTION_POINTS])
-    # the scaling points as per-bath factors, in bath order
-    points = np.array(_EXTRACTION_POINTS)[:, np.argsort((cold, hot, work))]
-    unit = np.ones((1, 3))
+    # per cold-coupled transition q: table set 2q without the hot and work
+    # rates on the transition, 2q + 1 without the work rate; the full set last
+    k_cold = tables[cold].tolist()
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if k_cold[i][j] or k_cold[j][i]]
+    stack = np.repeat(tables[None], 2 * len(pairs) + 1, axis=0)
+    for q, (i, j) in enumerate(pairs):
+        stack[[[2 * q], [2 * q], [2 * q + 1]], [[hot], [work], [work]], [i, j], [j, i]] = 0.0
+    gens = stack.transpose(0, 1, 3, 2) - stack.sum(axis=3)[..., None] * np.eye(n)
+    # every point of every set, summed over the baths in bath order; kept as
+    # (set, point) are each transition's 6 bare points and its no-work point,
+    # then L(0)
+    points = _EXTRACTION_POINTS[:, [(cold, hot, work).index(b) for b in range(3)]]
+    extracted = (points[:, :, None, None] * gens[:, None]).sum(axis=2)
+    keep = [(2 * q + (p == 6), p) for q in range(len(pairs)) for p in range(7)]
+    cp = charpoly(extracted[tuple(zip(*keep, (len(stack) - 1, 6)))])
+    adj = cp.adjugate.tolist()
 
-    def generators_of(tabs, scales: np.ndarray) -> np.ndarray:
-        """sum_b scales[:, b] * L_b in bath order, one matrix per row of scales."""
-        k = np.array(tabs)
-        gens = k.transpose(0, 2, 1) - k.sum(axis=2)[:, :, None] * np.eye(n)
-        return (scales[:, :, None, None] * gens).sum(axis=1)
-
-    def without_on_transition(bath: int, pair: Pair, tabs):
-        i, j = pair
-        out = list(tabs)
-        k = tabs[bath].copy()
-        k[i, j] = 0.0
-        k[j, i] = 0.0
-        out[bath] = k
-        return out
-
-    k_cold = tables[cold]
-    d1s: dict[Pair, np.ndarray] = {}
-    stack = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if k_cold[i, j] == 0.0 and k_cold[j, i] == 0.0:
-                continue
-            de = energies[j] - energies[i]
-            d1 = np.zeros((n, n))
-            d1[j, i] = de * k_cold[i, j]
-            d1[i, j] = -de * k_cold[j, i]
-            d1s[(i, j)] = d1
-            tabs_no_work = without_on_transition(work, (i, j), tables)
-            tabs_bare = without_on_transition(hot, (i, j), tabs_no_work)
-            stack += [generators_of(tabs_bare, points), generators_of(tabs_no_work, unit)]
-    stack.append(generators_of(tables, unit))
-    cp = charpoly(np.concatenate(stack))
-    per_pair = len(_EXTRACTION_POINTS) + 1
-    l0_adj = cp.adjugate[-1]
+    # each trace against d1 takes its signed fsum and its absolute fsum (the
+    # cancellation-free magnitude, finite where the signed numerator vanishes
+    # at the cooling boundary) from one list of products: |a x| = |a| |x|
+    vals, full_products = [], []
+    scale_ref = 0.0
+    for q, (i, j) in enumerate(pairs):
+        de = energies[j] - energies[i]
+        # d1 holds dE k[i, j] at (j, i) and -dE k[j, i] at (i, j)
+        d1 = [(de * k_cold[i][j], j, i), (-de * k_cold[j][i], i, j)]
+        d1 = [(x, r, c) for x, r, c in d1 if x]
+        products = [[a[c][r] * x for x, r, c in d1] for a in adj[7 * q : 7 * q + 7] + adj[-1:]]
+        scale_ref = max(scale_ref, *(math.fsum(map(abs, p)) for p in products))
+        vals.append([sign * math.fsum(p) for p in products])
+        full_products += products[-1]
+    # one LAPACK solve per transition (the 6 bare points), bitwise that of a
+    # lone 6-vector solve
+    coef = np.linalg.solve(_VANDERMONDE, np.array(vals).reshape(-1, 8)[:, :6, None])[..., 0]
 
     cycles: dict[Pair, float] = {}
     leaks: dict[tuple[str, Pair], float] = {}
-    scale_ref = 0.0
     pure_cold_worst = 0.0
-    for q, (pair, d1) in enumerate(d1s.items()):
-        adj = np.concatenate([cp.adjugate[q * per_pair : (q + 1) * per_pair], l0_adj[None]])
-        # cancellation-free magnitude: the roundoff floor of the extraction,
-        # which stays finite where the signed numerator vanishes (cooling
-        # boundary)
-        scale_ref = max(scale_ref, *_trace_product(np.abs(adj), np.abs(d1)).tolist())
-        *vals, t_no_work, t_full = (sign * _trace_product(adj, d1)).tolist()
-        c_cc, c_hh, c_ww, c_ch, c_cw, c_hw = np.linalg.solve(vand, np.array(vals))
+    for pair, (c_cc, c_hh, c_ww, c_ch, c_cw, c_hw), (*_, t_no_work, t_full) in zip(
+        pairs, coef.tolist(), vals
+    ):
         t_bare = math.fsum([c_cc, c_hh, c_ww, c_ch, c_cw, c_hw])
         pure_cold_worst = max(pure_cold_worst, abs(c_cc))
-        cycles[pair] = float(c_hw)
-        leaks[(labels[hot], pair)] = float(c_ch + c_hh) + (t_no_work - t_bare)
-        leaks[(labels[work], pair)] = float(c_cw + c_ww) + (t_full - t_no_work)
+        cycles[pair] = c_hw
+        leaks[(labels[hot], pair)] = (c_ch + c_hh) + (t_no_work - t_bare)
+        leaks[(labels[work], pair)] = (c_cw + c_ww) + (t_full - t_no_work)
 
     if pure_cold_worst > 1e-12 * max(scale_ref, 1e-300):
         raise ConsistencyError(
@@ -305,7 +286,9 @@ def decompose(model: QarModel, *, current_units: bool = False) -> Decomposition:
         )
 
     a_pen = float(cp.coeffs[-1, n - 2])
-    numerator = sign * _trace_product(l0_adj, sum(d1s.values(), np.zeros((n, n))))
+    # the d1 of distinct transitions have disjoint entries, and fsum is exactly
+    # rounded, so this is the trace of adj(L(0)) against their sum
+    numerator = sign * math.fsum(full_products)
     parts = math.fsum(list(cycles.values()) + list(leaks.values()))
     residual = abs(parts - numerator)
 

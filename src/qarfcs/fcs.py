@@ -74,6 +74,31 @@ def _identity(n: int) -> np.ndarray:
     return ident
 
 
+def _faddeev_leverrier(m: np.ndarray, dm: np.ndarray | None = None):
+    """([a_1, ..., a_N], adj(M)) of a long-double (..., N, N) ``m``, N >= 2; d adj(M) with ``dm``.
+
+    M_1 = M, M_(k+1) = M (M_k + a_k I), a_k = -tr(M_k) / k, and adj(M) is
+    (-1)^(N-1) (M_(N-1) + a_(N-1) I). A tangent ``dm`` is carried alongside,
+    dM_(k+1) = dM (M_k + a_k I) + M (dM_k + da_k I), up to step N-1.
+    """
+    n = m.shape[-1]
+    ident = _identity(n)
+    coeffs = []
+    mk, dmk = m, dm
+    for k in range(1, n):
+        ak = mk.trace(axis1=-2, axis2=-1) / -k
+        coeffs.append(ak)
+        adj = mk + ak[..., None, None] * ident
+        if dm is not None:
+            dadj = dmk + (dmk.trace(axis1=-2, axis2=-1) / -k)[..., None, None] * ident
+            if k == n - 1:
+                return dadj if n % 2 else -dadj
+            dmk = dm @ adj + m @ dadj
+        mk = m @ adj
+    coeffs.append(mk.trace(axis1=-2, axis2=-1) / -n)
+    return coeffs, adj if n % 2 else -adj
+
+
 def charpoly(m: np.ndarray) -> CharPoly:
     """Faddeev-LeVerrier coefficients and adjugate of a square matrix or a stack.
 
@@ -84,21 +109,11 @@ def charpoly(m: np.ndarray) -> CharPoly:
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"charpoly needs a square matrix, got shape {m.shape}")
-    n = m.shape[-1]
-    if n == 1:
+    if m.shape[-1] == 1:
         return CharPoly(coeffs=np.negative(m[..., 0]).astype(float), adjugate=np.ones(m.shape))
-    ml = m.astype(_LD)
-    a = np.zeros(m.shape[:-1], dtype=_LD)
-    # M_1 = M, M_(k+1) = M (M_k + a_k I); adj(M) is (-1)^(N-1) (M_(N-1) + a_(N-1) I)
-    mk = ml
-    for k in range(1, n + 1):
-        ak = mk.trace(axis1=-2, axis2=-1) / -k
-        a[..., k - 1] = ak
-        if k == n:
-            break
-        adj = mk + ak[..., None, None] * _identity(n)
-        mk = ml @ adj
-    return CharPoly(coeffs=a.astype(float), adjugate=(adj if n % 2 else -adj).astype(float))
+    coeffs, adj = _faddeev_leverrier(m.astype(_LD))
+    coeffs = np.array(coeffs, dtype=float)  # (N, ...): move the coefficient axis last
+    return CharPoly(coeffs.transpose((*range(1, coeffs.ndim), 0)), adj.astype(float))
 
 
 def adjugate(m: np.ndarray) -> np.ndarray:
@@ -113,24 +128,9 @@ def adjugate_derivative(family: CountingFamily) -> np.ndarray:
     tangent of each step is propagated alongside the primal, seeded with the
     family's exact d1 matrix, so no step size enters.
     """
-    m = family.base.astype(_LD)
-    dm = family.d1.astype(_LD)
-    n = m.shape[0]
-    if n == 1:
+    if family.n == 1:
         return np.zeros((1, 1))
-    ident = _identity(n)
-    mk = ident
-    dmk = np.zeros_like(m)
-    for k in range(1, n + 1):
-        dmk = dm @ mk + m @ dmk
-        mk = m @ mk
-        ak = mk.trace() / -k
-        dak = dmk.trace() / -k
-        if k == n - 1:
-            dadj = (-1.0) ** (n - 1) * (dmk + dak * ident)
-        mk = mk + ak * ident
-        dmk = dmk + dak * ident
-    return np.asarray(dadj, dtype=float)
+    return _faddeev_leverrier(family.base.astype(_LD), family.d1.astype(_LD)).astype(float)
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -148,19 +148,25 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return sums[0] if a.ndim == 2 else np.array(sums).reshape(a.shape[:-2])
 
 
-def _current_from_family(family: CountingFamily) -> tuple[float, float, CharPoly]:
-    """(current, its sign-certificate numerator, charpoly of L(0)) at the counted bath."""
+def _base_charpoly(family: CountingFamily) -> CharPoly:
+    """charpoly of L(0), refused unless a_(N-1)(0) > 0."""
     cp = charpoly(family.base)
-    n = cp.n
-    a_pen = cp.coefficient(n - 1)
+    a_pen = cp.coefficient(cp.n - 1)
     if a_pen <= 0.0:
         raise ConsistencyError(
             f"a_(N-1)(0) = {a_pen:.3g} is not positive; the generator does not "
             "describe a relaxing connected model"
         )
+    return cp
+
+
+def _current_from_family(family: CountingFamily, cp: CharPoly | None = None):
+    """(current, its sign-certificate numerator, ``cp`` or ``_base_charpoly(family)``)."""
+    cp = cp or _base_charpoly(family)
+    n = cp.n
     # + 0.0 turns the -0.0 of a model without current into +0.0
     value = (-1.0) ** (n + 1) * _trace_product(cp.adjugate, family.d1) + 0.0
-    return value / a_pen, value, cp
+    return value / cp.coefficient(n - 1), value, cp
 
 
 def heat_current(model: QarModel, bath: int) -> float:
@@ -214,8 +220,9 @@ def noise(model: QarModel, bath: int, *, precondition_rtol: float = 1e-10) -> fl
     transitions (the truncation is then uncontrolled).
     """
     family = build_counting_family(model, bath)
-    current, _, cp = _current_from_family(family)
+    cp = _base_charpoly(family)
     _check_noise_precondition(family, cp, precondition_rtol)
+    current, _, _ = _current_from_family(family, cp)
     n = cp.n
     a_pen = cp.coefficient(n - 1)
     dadj = adjugate_derivative(family)

@@ -43,8 +43,8 @@ class OhmicSpectralDensity:
     omega_c: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.omega_c <= 0.0:
-            raise ValidationError(f"cutoff must be positive, got {self.omega_c}")
+        if not self.omega_c > 0.0:  # +inf, the pure ohmic limit, passes
+            raise ValidationError(f"cutoff 'omega_c' must be positive, got {self.omega_c}")
 
     def value(self, gamma: float, omega: float) -> float:
         if gamma < 0.0:
@@ -68,6 +68,9 @@ class SystemSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
+        for i, e in enumerate(self.energies):
+            if not math.isfinite(e):
+                raise ValidationError(f"field 'energies': level {i + 1} is not finite, got {e}")
         if len(self.energies) < 2:
             raise ValidationError("a working medium needs at least 2 levels")
         if not self.gap_tol > 0.0:
@@ -107,17 +110,18 @@ class BathSpec:
     spectral: OhmicSpectralDensity = field(default_factory=OhmicSpectralDensity)
 
     def __post_init__(self) -> None:
-        if self.beta <= 0.0:
+        if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise ValidationError(
-                f"bath {self.label!r}: inverse temperature must be positive, "
-                f"got {self.beta}"
+                f"bath {self.label!r}: inverse temperature 'beta' must be positive "
+                f"and finite, got {self.beta}"
             )
         norm: dict[Pair, float] = {}
         for pair, g in dict(self.couplings).items():
             g = float(g)
-            if g < 0.0:
+            if not (math.isfinite(g) and g >= 0.0):
                 raise ValidationError(
-                    f"bath {self.label!r}: coupling for pair {pair} is negative"
+                    f"bath {self.label!r}: coupling 'gamma' for pair {pair} must be "
+                    f"nonnegative and finite, got {g}"
                 )
             key = _normalize_pair(pair)
             if key in norm:

@@ -70,6 +70,8 @@ def direct_current(model: QarModel, bath: int) -> float:
     This is the textbook route (solve for p, then weigh each bath-induced jump
     by the energy it moves); it shares no code with the adjugate pipeline.
     """
+    if not 0 <= bath < model.n_baths:
+        raise ValidationError(f"counted bath index {bath} out of range")
     tables = [rate_table(model, b) for b in range(model.n_baths)]
     ss = steady_state(generator_from_tables(tables))
     return _direct_current_from_populations(model, tables[bath], ss.populations)

@@ -406,6 +406,32 @@ class TestDecompose:
         n_pairs = sum(g > 0 for g in m.baths[m.cold_index].couplings.values())
         assert calls[0] == (7 * n_pairs + 1, 3, 3)
 
+    @pytest.mark.parametrize("pid", ["A", "B", "random"])
+    def test_one_batched_solve_per_call(self, pid, monkeypatch):
+        if pid == "random":
+            m = random_connected_model(np.random.default_rng(11), n_levels=3, n_baths=3)
+        else:
+            m = preset(pid, 0.3, 0.9)
+        solve = np.linalg.solve
+        shapes = []
+
+        def counting(a, b):
+            shapes.append((np.shape(a), np.shape(b)))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        decompose(m)
+        # one 6x6 system per cold-coupled transition, all in one call
+        n_pairs = sum(g > 0 for g in m.baths[m.cold_index].couplings.values())
+        assert shapes == [((6, 6), (n_pairs, 6, 1))]
+
+    def test_batched_solve_is_bitwise_per_transition(self, rng):
+        vand = analytic._VANDERMONDE
+        rhs = rng.normal(size=(2000, 6)) * 10.0 ** rng.uniform(-30, 0, size=(2000, 1))
+        batched = np.linalg.solve(vand, rhs[..., None])[..., 0]
+        for row, got in zip(rhs, batched):
+            assert np.array_equal(np.linalg.solve(vand, row), got)
+
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps != 2.0**-63,
         reason="golden bits were recorded with 80-bit long double",

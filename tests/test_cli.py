@@ -159,9 +159,42 @@ class TestMalformedModelFile:
                 _malformed(lambda d: d["baths"][2]["couplings"][0].update(j=2.5)),
                 "bath 'W' coupling 1: field 'j' has invalid value 2.5",
             ),
+            # json.dumps writes the non-finite floats as Infinity / NaN, which
+            # json.load reads back
+            (
+                _malformed(lambda d: d["baths"][1]["couplings"][0].update(gamma=math.inf)),
+                "bath 'H': coupling 'gamma' for pair (0, 2) must be nonnegative and finite, "
+                "got inf",
+            ),
+            (
+                _malformed(lambda d: d["baths"][0]["couplings"][0].update(gamma=math.nan)),
+                "bath 'C': coupling 'gamma' for pair (0, 1) must be nonnegative and finite, "
+                "got nan",
+            ),
+            (
+                _malformed(lambda d: d["baths"][2].update(beta=math.nan)),
+                "bath 'W': inverse temperature 'beta' must be positive and finite, got nan",
+            ),
+            (
+                _malformed(lambda d: d["baths"][1].update(beta=math.inf)),
+                "bath 'H': inverse temperature 'beta' must be positive and finite, got inf",
+            ),
+            (
+                _malformed(lambda d: d["baths"][0].update(omega_c=math.nan)),
+                "cutoff 'omega_c' must be positive, got nan",
+            ),
+            (
+                _malformed(lambda d: d.update(energies=[0.0, math.nan, 1.0])),
+                "field 'energies': level 2 is not finite, got nan",
+            ),
+            (
+                _malformed(lambda d: d.update(energies=[0.0, 0.5, math.inf])),
+                "field 'energies': level 3 is not finite, got inf",
+            ),
         ],
         ids=["beta", "label", "i", "j", "gamma", "gamma-abc", "top-level-list", "duplicate-label",
-             "gap-tol-negative", "pair-repeated", "j-fraction"],
+             "gap-tol-negative", "pair-repeated", "j-fraction", "gamma-inf", "gamma-nan",
+             "beta-nan", "beta-inf", "omega-c-nan", "energy-nan", "energy-inf"],
     )
     def test_exit_2_with_bath_and_field(self, capsys, tmp_path, data, message, fmt):
         path = tmp_path / "model.json"
@@ -172,6 +205,22 @@ class TestMalformedModelFile:
             error = json.loads(out)["error"]
             assert error["code"] == "validation" and error["exit"] == 2
             assert message in error["message"]
+        else:
+            assert err.startswith("error (validation): ") and message in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_gamma_literal(self, capsys, tmp_path, fmt):
+        # json reads the literal 1e999 as inf; a heat current of nan used to come back
+        path = tmp_path / "model.json"
+        save_model(preset("A", 0.5, 0.9), path)
+        path.write_text(path.read_text().replace('"gamma": 0.001', '"gamma": 1e999', 1))
+        code, out, err = run(capsys, "current", "--model", str(path), "--format", fmt)
+        assert code == 2
+        message = (
+            "bath 'C': coupling 'gamma' for pair (0, 1) must be nonnegative and finite, got inf"
+        )
+        if fmt == "json":
+            assert message in json.loads(out)["error"]["message"]
         else:
             assert err.startswith("error (validation): ") and message in err
 

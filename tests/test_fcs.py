@@ -366,6 +366,47 @@ class TestNoise:
         m = make_spin_boson(beta_c=1.7, beta_h=0.4, gamma_c=3e-3, gamma_h=8e-3)
         assert noise(m, 0) > 0.0
 
+    def test_nine_charpoly_calls_on_preset_a(self, monkeypatch):
+        # one for L(0) and 8 for the precondition; adjugate_derivative runs
+        # the shared recursion without going through charpoly
+        calls = []
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return charpoly(m)
+
+        monkeypatch.setattr(fcs_module, "charpoly", counting)
+        noise(preset("A", 0.5, 0.9), 0)
+        assert calls == [(3, 3)] * 9
+        calls.clear()
+        adjugate_derivative(build_counting_family(preset("A", 0.5, 0.9), 0))
+        assert calls == []
+
+    @pytest.mark.parametrize("pid", ["B", "C", "D"])
+    def test_refusal_takes_no_trace(self, pid, monkeypatch):
+        traces = []
+        monkeypatch.setattr(fcs_module, "_trace_product", lambda *args: traces.append(args))
+        with pytest.raises(NoiseNotApplicableError):
+            noise(preset(pid, 0.5, 0.9), 0)
+        assert traces == []
+
+    def test_nonpositive_a_pen_is_refused_before_the_precondition(self, monkeypatch):
+        # -L(0) of a 4-level model has a_3(0) < 0 and would also fail the
+        # precondition; the ConsistencyError comes first
+        m = random_connected_model(np.random.default_rng(304), n_levels=4, topology="any")
+        build = fcs_module.build_counting_family
+
+        def negated_base(model, bath):
+            fam = build(model, bath)
+            return dataclasses.replace(fam, base=-fam.base)
+
+        fam = negated_base(m, m.cold_index)
+        with pytest.raises(NoiseNotApplicableError):
+            fcs_module._check_noise_precondition(fam, charpoly(fam.base), 1e-10)
+        monkeypatch.setattr(fcs_module, "build_counting_family", negated_base)
+        with pytest.raises(ConsistencyError, match=r"a_\(N-1\)\(0\) = -\S+ is not positive"):
+            noise(m, m.cold_index)
+
     def test_noise_nonnegative_random_two_level(self, rng):
         for _ in range(50):
             m = make_spin_boson(
@@ -376,6 +417,205 @@ class TestNoise:
                 gamma_h=float(10 ** rng.uniform(-4, -2)),
             )
             assert noise(m, 0) >= 0.0
+
+
+def ring_model(n):
+    """N-level ring whose edges go to three baths in turn, so each bath owns its transitions."""
+    rng = np.random.default_rng(400 + n)
+    energies = tuple(np.cumsum([0.0] + rng.uniform(0.2, 0.4, size=n - 1).tolist()).tolist())
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    coup = [{}, {}, {}]
+    for q, e in enumerate(edges):
+        coup[q % 3][e] = float(10.0 ** rng.uniform(-3.5, -2.5))
+    baths = tuple(BathSpec(f"B{k}", beta, coup[k]) for k, beta in enumerate((1.0, 0.6, 0.1)))
+    return QarModel(system=SystemSpec(energies), baths=baths, cold_index=0)
+
+
+def _golden_model(key):
+    if key[0] == "random":
+        return random_connected_model(
+            np.random.default_rng(300 + key[1]), n_levels=key[1], topology="any"
+        )
+    if key[0] == "ring":
+        return ring_model(key[1])
+    return preset(*key)
+
+
+_REFUSAL = (
+    "coefficient {}(s) varies with the counting variable (relative deviation {} at s = {}); "
+    "the truncated noise formula needs the counted bath to own its transitions exclusively"
+)
+
+# noise at every bath (float.hex, or the refusal's coefficient, deviation and
+# s) and the row-major d/ds adj(L(s)) at the cold bath, recorded from the two
+# separate recursions that preceded the shared one
+_NOISE_GOLDEN = {
+    ('A', 0.3, 0.9): ['0x1.e621e367db596p-16', '0x1.5197889658535p-12', '0x1.4ad7101875475p-13'],
+    ('A', 0.5, 0.5): ['0x1.a5aef2fcd32f8p-14', '0x1.a5aef2fcd32fap-12', '0x1.a5aef2fcd3300p-14'],
+    ('B', 0.3, 0.9): [
+        ('a_2', '0.000248', '0.5'),
+        ('a_2', '0.000511', '0.5'),
+        ('a_2', '0.00383', '0.5'),
+    ],
+    ('B', 0.5, 0.5): [
+        ('a_2', '0.000197', '0.5'),
+        ('a_2', '0.000444', '0.5'),
+        ('a_2', '0.00276', '0.5'),
+    ],
+    ('C', 0.3, 0.9): [
+        ('a_2', '0.000211', '0.5'),
+        ('a_2', '0.000317', '0.5'),
+        '0x1.b4aa7f8cd9e0cp-13',
+    ],
+    ('C', 0.5, 0.5): [
+        ('a_2', '0.00157', '-0.5'),
+        ('a_2', '0.00157', '0.5'),
+        '0x1.601368379fee1p-13',
+    ],
+    ('D', 0.3, 0.9): [
+        ('a_2', '0.000464', '0.5'),
+        '0x1.263ac9505150fp-11',
+        ('a_2', '0.00164', '0.5'),
+    ],
+    ('D', 0.5, 0.5): [
+        ('a_2', '0.0011', '0.5'),
+        '0x1.ce57376ecf695p-11',
+        ('a_2', '0.00392', '0.5'),
+    ],
+    ('random', 2): [
+        '0x1.01f14393160c3p-15',
+        '0x1.a9a2332684d37p-15',
+        '0x1.96d3a42d393b4p-16',
+        '0x1.ffbb5471c2b72p-16',
+    ],
+    ('random', 3): [('a_2', '0.00202', '1.6'), ('a_2', '0.0266', '1.6'), ('a_2', '0.0102', '1.6')],
+    ('random', 4): [
+        ('a_3', '0.00159', '1.3'),
+        ('a_3', '0.0276', '1.3'),
+        ('a_3', '0.00375', '1.3'),
+        ('a_3', '0.00568', '1.3'),
+    ],
+    ('random', 5): [('a_4', '0.00617', '1.41'), ('a_4', '0.0221', '1.41')],
+    ('ring', 3): ['0x1.3c9154cfa32eep-16', '0x1.ac77815712df0p-15', '0x1.14e5ffe5d78fdp-13'],
+    ('ring', 4): ['0x1.03de22cc5b20dp-15', '0x1.208629c9889e7p-17', '0x1.d16b6ef41aad7p-18'],
+    ('ring', 5): ['0x1.9fdc96bc9c30fp-15', '0x1.b562adee8e3f9p-14', '0x1.515f2548a8b1bp-17'],
+}
+_ADJUGATE_DERIVATIVE_GOLDEN = {
+    ('A', 0.3, 0.9): [
+        '0x0.0p+0', '-0x1.f99c382b48c23p-19', '-0x1.b4a589f916491p-19',
+        '0x1.7690b5b288232p-19', '0x0.0p+0', '0x1.98b7458cf0967p-22',
+        '0x1.2d9b58b38246fp-19', '-0x1.c09db8030dc4fp-23', '0x1.6580000000000p-76',
+    ],
+    ('A', 0.5, 0.5): [
+        '0x0.0p+0', '-0x1.e8d04feb3a65cp-18', '-0x1.8b8a88f7cad2fp-18',
+        '0x1.287b028e34b29p-18', '0x0.0p+0', '0x1.c494d4d8768fdp-21',
+        '0x1.c86a2f675f728p-19', '-0x1.c494d4d8768fcp-21', '0x0.0p+0',
+    ],
+    ('B', 0.3, 0.9): [
+        '0x1.481295e3e94eap-24', '-0x1.134376f7d2da4p-18', '-0x1.e23893e003824p-19',
+        '0x1.8b77faa4ff408p-19', '0x1.3cf2cffe64e65p-28', '0x1.8f60ffcc0d3d1p-22',
+        '0x1.3e7637eda35f8p-19', '-0x1.01516007f6d71p-22', '0x1.091fbf5d58badp-26',
+    ],
+    ('B', 0.5, 0.5): [
+        '0x1.5dce5e9d97003p-25', '-0x1.028b51371db62p-17', '-0x1.a4224eccc20e4p-18',
+        '0x1.352d196cd4082p-18', '0x1.4025c6205c534p-26', '0x1.d0973d4201ce5p-21',
+        '0x1.daf277e568466p-19', '-0x1.edb1b1185fe63p-21', '0x1.837f5c8937d9cp-25',
+    ],
+    ('C', 0.3, 0.9): [
+        '0x0.0p+0', '-0x1.f99c382b48c23p-19', '-0x1.b4a589f916491p-19',
+        '0x1.7690b5b288232p-19', '0x0.0p+0', '0x1.98b7458cf0967p-22',
+        '0x1.2d9b58b38246fp-19', '-0x1.c09db8030dc4fp-23', '0x1.4169971de282cp-27',
+    ],
+    ('C', 0.5, 0.5): [
+        '0x0.0p+0', '-0x1.e8d04feb3a65cp-18', '-0x1.8b8a88f7cad2fp-18',
+        '0x1.287b028e34b29p-18', '0x0.0p+0', '0x1.c494d4d8768fdp-21',
+        '0x1.c86a2f675f728p-19', '-0x1.c494d4d8768fcp-21', '0x1.e0c1e040135d9p-23',
+    ],
+    ('D', 0.3, 0.9): [
+        '0x0.0p+0', '-0x1.f99c382b48c23p-19', '-0x1.b4a589f916491p-19',
+        '0x1.7690b5b288232p-19', '0x0.0p+0', '0x1.98b7458cf0967p-22',
+        '0x1.2d9b58b38246fp-19', '-0x1.c09db8030dc4fp-23', '0x1.993bf4a5631a3p-21',
+    ],
+    ('D', 0.5, 0.5): [
+        '0x0.0p+0', '-0x1.e8d04feb3a65cp-18', '-0x1.8b8a88f7cad2fp-18',
+        '0x1.287b028e34b29p-18', '0x0.0p+0', '0x1.c494d4d8768fdp-21',
+        '0x1.c86a2f675f728p-19', '-0x1.c494d4d8768fcp-21', '0x1.10af6247326cbp-19',
+    ],
+    ('random', 2): [
+        '-0x0.0p+0', '0x1.c221db202826ep-14', '-0x1.e7437a82c6814p-15',
+        '-0x0.0p+0',
+    ],
+    ('random', 3): [
+        '0x0.0p+0', '-0x1.df5c83cde0cf1p-19', '-0x1.79fa4ef531453p-17',
+        '0x1.4686822809bcap-19', '0x1.93839a47cd15fp-19', '-0x1.ea1d4803114c0p-18',
+        '0x1.c36312517f3cap-18', '0x1.344592be9e9e8p-18', '0x0.0p+0',
+    ],
+    ('random', 4): [
+        '-0x1.6b4f9cd947984p-34', '0x1.96202f5f391a1p-33', '0x1.7a1877ce0502ap-31',
+        '0x1.e8a41f7bfed64p-31', '0x1.8dcbedccce156p-38', '-0x1.a27837025cc09p-34',
+        '0x1.37ad118ce0a80p-31', '0x1.821b685f84e17p-31', '-0x1.02b2025dc25fbp-31',
+        '-0x1.b0c34960ff893p-32', '-0x1.1173c71ea3e1bp-33', '0x1.a9bdde78b4504p-33',
+        '-0x1.12c687e73f0bap-31', '-0x1.023d23c3ce3c7p-31', '-0x1.1e2873990edbap-35',
+        '-0x1.74f68eb9a3e56p-35',
+    ],
+    ('random', 5): [
+        '0x1.0259c44422ff4p-51', '-0x1.da2f2000e51b7p-47', '-0x1.daebb762fbed9p-47',
+        '-0x1.820d00ffe3b24p-46', '-0x1.ae14217974318p-46', '0x1.636f006471b57p-47',
+        '0x1.41ad925b428fbp-55', '-0x1.31c1c5cd5b1aap-51', '-0x1.04d82de89a225p-47',
+        '-0x1.4d59f659523edp-47', '0x1.4ae9b09ecfffbp-47', '-0x1.85f67b20157cap-53',
+        '0x1.2e28b9d2ecb3fp-50', '-0x1.c68e23b7a608ap-48', '-0x1.22afe5ada56e7p-47',
+        '0x1.d4f8f1186383ep-47', '0x1.6875b50c122a7p-48', '0x1.6351908566a03p-48',
+        '0x1.660352f009636p-52', '-0x1.fee9e916acdaap-50', '0x1.cc53f4c77d18fp-47',
+        '0x1.997cdc95c0b53p-48', '0x1.9725300792ba7p-48', '0x1.314a2630d6f22p-50',
+        '0x1.3e6d975f79be3p-52',
+    ],
+    ('ring', 3): [
+        '0x0.0p+0', '-0x1.624052cda3d30p-19', '-0x1.71c667722b258p-21',
+        '0x1.17ea2b2aeaca3p-19', '0x0.0p+0', '0x1.9dbd2cfc21dccp-20',
+        '0x1.cf22d802af307p-22', '-0x1.ebfcf832dd344p-20', '0x1.d600000000000p-80',
+    ],
+    ('ring', 4): [
+        '0x1.a937d46c26fdep-92', '0x1.146198938b173p-27', '0x1.63c5db336717dp-27',
+        '0x1.7354e24418b00p-27', '-0x1.77425a979d19fp-28', '-0x1.bcad905727b20p-85',
+        '0x1.e96f9f616828fp-30', '0x1.24ad28172b430p-29', '-0x1.7538f4995e7afp-28',
+        '-0x1.2173f0792ead1p-30', '0x1.b5d6c82b93d90p-83', '0x1.424d54432dda3p-32',
+        '-0x1.76aec628cbee3p-28', '-0x1.51439c532c923p-30', '-0x1.ba1de0035a674p-33',
+        '0x1.01aa4df51b09cp-82',
+    ],
+    ('ring', 5): [
+        '-0x1.079fba891cb53p-90', '-0x1.68a86b67964e3p-37', '-0x1.c60e1dd3d0ad9p-38',
+        '-0x1.62e3e1086a787p-38', '-0x1.97a4d9f55b3a8p-37', '0x1.e1a9ed79f0eadp-38',
+        '-0x1.213f7512396a6p-91', '0x1.6e7154cddd1e9p-39', '0x1.f6688ebda9f55p-39',
+        '-0x1.350992786d2b4p-40', '0x1.ee43ab4c0a7efp-39', '-0x1.69cb34c9ebdb4p-39',
+        '0x1.67cbe6d587e45p-96', '0x1.d6abd99e85673p-41', '-0x1.d92528a611adcp-39',
+        '0x1.64083de8bb827p-39', '-0x1.df7ad45832f36p-39', '-0x1.03856db0e8dd9p-40',
+        '0x1.e1022bb71a568p-93', '-0x1.218b9ebadd84fp-38', '0x1.40f79878cc272p-38',
+        '0x1.3a492fbfc34aep-42', '0x1.175b8f059ba3bp-39', '0x1.706f39e6d84d2p-39',
+        '0x1.f7022bb71a568p-93',
+    ],
+}
+
+
+class TestRecursionGoldens:
+    @EIGHTY_BIT
+    @pytest.mark.parametrize("key", list(_NOISE_GOLDEN), ids=str)
+    def test_noise_bits_and_refusals(self, key):
+        m = _golden_model(key)
+        got = []
+        for b in range(m.n_baths):
+            try:
+                got.append(noise(m, b).hex())
+            except NoiseNotApplicableError as exc:
+                got.append(str(exc))
+        want = [x if isinstance(x, str) else _REFUSAL.format(*x) for x in _NOISE_GOLDEN[key]]
+        assert got == want
+
+    @EIGHTY_BIT
+    @pytest.mark.parametrize("key", list(_ADJUGATE_DERIVATIVE_GOLDEN), ids=str)
+    def test_adjugate_derivative_bits(self, key):
+        m = _golden_model(key)
+        dadj = adjugate_derivative(build_counting_family(m, m.cold_index))
+        assert [x.hex() for x in dadj.ravel().tolist()] == _ADJUGATE_DERIVATIVE_GOLDEN[key]
 
 
 class TestAdjugateDerivative:
@@ -395,7 +635,8 @@ class TestAdjugateDerivative:
             m = random_connected_model(rng)
             fam = build_counting_family(m, int(rng.integers(m.n_baths)))
             dadj = adjugate_derivative(fam)
-            fd = (adjugate(fam.evaluator(h)) - adjugate(fam.evaluator(-h))) / (2 * h)
+            plus, minus = fam.evaluate_extended(np.array([h, -h])).astype(float)
+            fd = (adjugate(plus) - adjugate(minus)) / (2 * h)
             scale = max(np.max(np.abs(dadj)), np.max(np.abs(fd)), 1e-300)
             assert np.max(np.abs(dadj - fd)) <= 1e-7 * scale
 
@@ -592,7 +833,8 @@ class TestCgf:
                 m = random_connected_model(rng, topology=topology)
                 fam = build_counting_family(m, m.cold_index)
                 s = np.linspace(-0.9, 0.9, 9) * 4.0 * max(fam.betas)
-                perron = [np.max(np.linalg.eigvals(fam.evaluator(x)).real) for x in s]
+                stack = fam.evaluate_extended(s).astype(float)
+                perron = [np.max(np.linalg.eigvals(l_s).real) for l_s in stack]
                 scale = np.max(np.abs(fam.base))
                 assert np.max(np.abs(cgf(fam, s) - perron)) <= 1e-12 * scale
 
@@ -801,7 +1043,7 @@ class TestConstantCoefficient:
             for topology in ("tree", "any"):
                 m = random_connected_model(rng, n_levels=n, topology=topology)
                 fam = build_counting_family(m, m.cold_index)
-                expected = (-1.0) ** n * np.linalg.det(fam.evaluator(0.5))
+                expected = (-1.0) ** n * np.linalg.det(fam.evaluate_extended(0.5).astype(float))
                 got = _constant_coefficient(fam, 0.5)
                 assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
 

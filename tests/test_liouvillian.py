@@ -68,7 +68,7 @@ class TestCountingFamily:
     def test_evaluator_at_zero_is_base(self):
         m = preset("B", 0.4, 0.8)
         fam = build_counting_family(m, 0)
-        assert np.array_equal(fam.evaluator(0.0), fam.base)
+        assert np.array_equal(fam.evaluate_extended(0.0).astype(float), fam.base)
         assert np.array_equal(fam.base, build_generator(m))
 
     def test_spin_boson_dressed_entry(self, spin_boson):
@@ -77,19 +77,21 @@ class TestCountingFamily:
         kh_d = rate(spin_boson, 1, 0, 1)
         s = 0.3
         expected_01 = kc_d * np.exp(-s * 1.0) + kh_d
-        assert fam.evaluator(s)[0, 1] == pytest.approx(expected_01, rel=1e-14)
+        l_s = fam.evaluate_extended(s).astype(float)
+        assert l_s[0, 1] == pytest.approx(expected_01, rel=1e-14)
 
     def test_trace_invariance(self):
         m = preset("B", 0.4, 0.8)
         fam = build_counting_family(m, 0)
         tr0 = np.trace(fam.base)
         for s in np.linspace(-2.0, 2.0, 9):
-            assert abs(np.trace(fam.evaluator(s)) - tr0) <= 1e-14 * abs(tr0)
+            l_s = fam.evaluate_extended(s).astype(float)
+            assert abs(np.trace(l_s) - tr0) <= 1e-14 * abs(tr0)
 
     def test_column_sums_break_for_nonzero_s(self):
         m = preset("A", 0.5, 0.9)
         fam = build_counting_family(m, 0)
-        ls = fam.evaluator(0.5)
+        ls = fam.evaluate_extended(0.5).astype(float)
         # column 0 carries the dressed cold transition
         assert abs(ls[:, 0].sum()) > 1e-8 * np.max(np.abs(ls))
 
@@ -161,6 +163,14 @@ class TestCountingFamily:
             for sk, mat in zip(grid.tolist(), stack):
                 assert np.array_equal(mat, f.evaluate_extended(sk))
         assert np.array_equal(fam.evaluate_extended(0.0), fam.base)
+
+    def test_extended_evaluator_skips_column_sums(self):
+        fam = build_counting_family(preset("B", 0.3, 0.7), 1)
+        grid = np.array([-0.7, 0.0, 0.2, 1.1])
+        stack, col_sums = fam._dressed_stack(grid)
+        bare, none = fam._dressed_stack(grid, col_sums=False)
+        assert none is None and col_sums.shape == (4, 3)
+        assert np.array_equal(bare, stack) and np.array_equal(fam.evaluate_extended(grid), stack)
 
     def test_uncoupled_counted_bath_gives_zero_d1(self):
         m = make_spin_boson()

@@ -131,6 +131,29 @@ class TestValidation:
         with pytest.raises(ValidationError):
             BathSpec("C", 1.0, {(0, 1): -1e-3})
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_nonfinite_temperature(self, beta):
+        with pytest.raises(ValidationError, match="bath 'C': inverse temperature 'beta'"):
+            BathSpec("C", beta, {(0, 1): 1e-3})
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_nonfinite_coupling(self, gamma):
+        with pytest.raises(ValidationError, match=r"bath 'C': coupling 'gamma' for pair \(0, 1\)"):
+            BathSpec("C", 1.0, {(0, 1): gamma})
+
+    @pytest.mark.parametrize("omega_c", [math.nan, 0.0, -1.0])
+    def test_nonpositive_or_nan_cutoff(self, omega_c):
+        with pytest.raises(ValidationError, match="cutoff 'omega_c' must be positive"):
+            OhmicSpectralDensity(omega_c=omega_c)
+
+    def test_infinite_cutoff_is_the_ohmic_limit(self):
+        assert OhmicSpectralDensity(omega_c=math.inf).value(1e-3, 0.5) == 1e-3 * 0.5
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_energy(self, energy):
+        with pytest.raises(ValidationError, match="field 'energies': level 2 is not finite"):
+            SystemSpec((0.0, energy, 1.0))
+
     def test_pair_listed_in_both_orders(self):
         with pytest.raises(ValidationError, match=r"bath 'C': pair \(1, 0\) repeats a coupling"):
             BathSpec("C", 1.0, {(0, 1): 1e-3, (1, 0): 0.5})

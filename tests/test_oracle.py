@@ -126,6 +126,16 @@ class TestDirectCurrent:
                 jf, jd = heat_current(m, b), direct_current(m, b)
                 assert jf == pytest.approx(jd, rel=1e-10)
 
+    @pytest.mark.parametrize("bath", [-1, 3])
+    def test_bath_index_out_of_range(self, bath):
+        # -1 used to read the last bath's table, 3 to raise a bare IndexError
+        m = preset("A", 0.5, 0.9)
+        message = f"counted bath index {bath} out of range"
+        with pytest.raises(ValidationError, match=message):
+            heat_current(m, bath)
+        with pytest.raises(ValidationError, match=message):
+            direct_current(m, bath)
+
 
 class TestConservation:
     def test_preset_points(self):
