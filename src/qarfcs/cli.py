@@ -57,7 +57,13 @@ def _parse_tols(pairs: list[str] | None) -> dict[str, float]:
             raise ValidationError(
                 f"unknown tolerance {name!r}; known: {sorted(tols)}"
             )
-        tols[name] = float(value)
+        try:
+            tol = float(value)
+        except ValueError:
+            tol = math.nan
+        if not 0.0 <= tol < math.inf:
+            raise ValidationError(f"tolerance {name!r} must be a finite number >= 0, got {value!r}")
+        tols[name] = tol
     return tols
 
 
@@ -85,13 +91,21 @@ def _bath_index(model, label: str | None) -> int:
     raise ValidationError(f"no bath labelled {label!r}; model has {labels}")
 
 
+def _write_file(path: str, write) -> None:
+    """Run ``write(path)``; a path that cannot be opened for writing is refused."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {path!r}: {exc.strerror or exc}") from exc
+
+
 def _emit(payload: dict, args, text_lines: list[str]) -> None:
     if args.format == "json":
         out = json.dumps(payload, indent=1) + "\n"
     else:
         out = "\n".join(text_lines) + "\n"
     if getattr(args, "out", None):
-        Path(args.out).write_text(out, encoding="utf-8")
+        _write_file(args.out, lambda p: Path(p).write_text(out, encoding="utf-8"))
     else:
         sys.stdout.write(out)
 
@@ -236,10 +250,8 @@ def _cmd_scan(args) -> int:
         raise ValidationError(f"--resolution must be NxM, got {args.resolution!r}") from exc
     grid = scan_mod.grid_scan(args.preset, n_e21, n_bh, _preset_params(args))
     out = args.out or f"scan_{args.preset}.{args.format}"
-    if args.format == "json":
-        scan_mod.write_grid_json(grid, out)
-    else:
-        scan_mod.write_grid_csv(grid, out)
+    write = scan_mod.write_grid_json if args.format == "json" else scan_mod.write_grid_csv
+    _write_file(out, lambda p: write(grid, p))
     jmax, e21_at, bh_at = grid.max_current()
     sys.stdout.write(
         f"preset {args.preset}: cooling fraction {grid.cooling_fraction():.4f}, "
@@ -253,10 +265,8 @@ def _cmd_line(args) -> int:
     ids = [x.strip() for x in args.presets.split(",") if x.strip()]
     result = scan_mod.line_scan(ids, args.betaH, args.resolution, _preset_params(args))
     out = args.out or f"line_betaH{args.betaH:g}.{args.format}"
-    if args.format == "json":
-        scan_mod.write_line_json(result, out)
-    else:
-        scan_mod.write_line_csv(result, out)
+    write = scan_mod.write_line_json if args.format == "json" else scan_mod.write_line_csv
+    _write_file(out, lambda p: write(result, p))
     summary = ", ".join(
         f"{pid}: max {result.currents[pid].max():.6e}" for pid in ids
     )

@@ -233,29 +233,15 @@ def noise(model: QarModel, bath: int, *, precondition_rtol: float = 1e-10) -> fl
     ) * current**2 + 0.0
 
 
-def _constant_coefficient(family: CountingFamily, s: float | np.ndarray) -> float | np.ndarray:
-    """a_N(s) = (-1)^N det(L(s)) with det(L(0)) dropped analytically.
-
-    L(s) differs from L(0) only by the k * expm1(s * dE) corrections of the
-    counted transitions. Adding every row of L(s) to its last row leaves the
-    determinant unchanged and turns that row into 1^T L(s) = 1^T L(0) plus the
-    column sums of the corrections, where 1^T L(0) = 0 exactly (columns of a
-    generator sum to zero). So the last row is replaced by the correction
-    column sums alone and one determinant remains. This removes the O(1)
-    cancellation that otherwise buries the small-s behaviour of the constant
-    coefficient in roundoff. A family with nothing counted gives a zero row,
-    so a_N = 0.
-
-    ``s`` is a scalar (a float comes back) or a 1-D array, whose determinants
-    are taken as one stack.
-    """
-    grid = np.atleast_1d(np.asarray(s, dtype=float))
-    a_n = _row_replaced_det(*family._dressed_stack(grid))
-    return float(a_n[0]) if np.ndim(s) == 0 else a_n
-
-
 def _row_replaced_det(stack: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
-    """(-1)^N det of every matrix of ``stack`` with its last row set to ``col_sums``."""
+    """(-1)^N det of every matrix of ``stack`` with its last row set to ``col_sums``.
+
+    This is a_N(s) = (-1)^N det(L(s)) with det(L(0)) dropped analytically:
+    adding every row to the last turns it into 1^T L(s) = 1^T L(0) plus the
+    column sums of the k * expm1(s * dE) corrections, and 1^T L(0) = 0 exactly.
+    So no O(1) cancellation buries the small-s behaviour, and a family with
+    nothing counted gives a zero row, so a_N = 0.
+    """
     m = stack.astype(float)
     m[:, -1] = col_sums
     return (-1.0) ** m.shape[-1] * np.linalg.det(m)

@@ -193,12 +193,6 @@ class QarModel:
     def n_baths(self) -> int:
         return len(self.baths)
 
-    def bath_index(self, label: str) -> int:
-        for k, bath in enumerate(self.baths):
-            if bath.label == label:
-                return k
-        raise ValidationError(f"no bath labelled {label!r}")
-
 
 def rate(model: QarModel, frm: int, to: int, bath: int) -> float:
     """Rate constant k_{frm->to} induced by one bath.

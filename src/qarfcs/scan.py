@@ -157,20 +157,21 @@ def _header_lines(kind: str, params: dict, extra: dict) -> list[str]:
 
 
 def write_grid_csv(grid: ScanGrid, path: str | Path) -> None:
-    """Long-format CSV: e21, betaH, current, cooling (full precision)."""
+    """Long-format CSV: e21, betaH, current, cooling (full precision).
+
+    Streamed one E21 row at a time, so memory does not grow with the grid.
+    """
     lines = _header_lines(
         "qarfcs grid scan",
         grid.params,
         {"preset": grid.preset_id, "tolerance_policy": "scale-relative, see module docs"},
     )
-    lines.append("e21,betaH,current,cooling")
-    for i, e21 in enumerate(grid.e21_axis):
-        for j, bh in enumerate(grid.betaH_axis):
-            lines.append(
-                f"{_fmt(e21)},{_fmt(bh)},{_fmt(grid.current[i, j])},"
-                f"{int(grid.cooling_mask[i, j])}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bh_cols = [_fmt(bh) for bh in grid.betaH_axis.tolist()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\ne21,betaH,current,cooling\n")
+        for i, e21 in enumerate(map(_fmt, grid.e21_axis.tolist())):
+            cells = zip(bh_cols, grid.current[i].tolist(), grid.cooling_mask[i].tolist())
+            fh.write("".join([f"{e21},{bh},{_fmt(j)},{int(c)}\n" for bh, j, c in cells]))
 
 
 def write_grid_json(grid: ScanGrid, path: str | Path) -> None:
@@ -178,12 +179,14 @@ def write_grid_json(grid: ScanGrid, path: str | Path) -> None:
         "kind": "qarfcs grid scan",
         "preset": grid.preset_id,
         "params": grid.params,
-        "e21_axis": [float(x) for x in grid.e21_axis],
-        "betaH_axis": [float(x) for x in grid.betaH_axis],
-        "current": [[float(v) for v in row] for row in grid.current],
-        "cooling_mask": [[bool(v) for v in row] for row in grid.cooling_mask],
+        "e21_axis": np.asarray(grid.e21_axis, dtype=float).tolist(),
+        "betaH_axis": np.asarray(grid.betaH_axis, dtype=float).tolist(),
+        "current": np.asarray(grid.current, dtype=float).tolist(),
+        "cooling_mask": np.asarray(grid.cooling_mask, dtype=bool).tolist(),
     }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
 
 
 def read_grid_json(path: str | Path) -> ScanGrid:
@@ -201,11 +204,12 @@ def read_grid_json(path: str | Path) -> ScanGrid:
 def write_line_csv(scan: LineScan, path: str | Path) -> None:
     """Long-format CSV: preset, e21, current."""
     lines = _header_lines("qarfcs line scan", scan.params, {"betaH": scan.betaH})
-    lines.append("preset,e21,current")
-    for pid in sorted(scan.currents):
-        for e21, j in zip(scan.e21_axis, scan.currents[pid]):
-            lines.append(f"{pid},{_fmt(e21)},{_fmt(j)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    e21_cols = [_fmt(e21) for e21 in scan.e21_axis.tolist()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\npreset,e21,current\n")
+        for pid in sorted(scan.currents):
+            row = zip(e21_cols, scan.currents[pid].tolist())
+            fh.write("".join([f"{pid},{e21},{_fmt(j)}\n" for e21, j in row]))
 
 
 def write_line_json(scan: LineScan, path: str | Path) -> None:
@@ -213,7 +217,11 @@ def write_line_json(scan: LineScan, path: str | Path) -> None:
         "kind": "qarfcs line scan",
         "betaH": scan.betaH,
         "params": scan.params,
-        "e21_axis": [float(x) for x in scan.e21_axis],
-        "currents": {pid: [float(v) for v in row] for pid, row in scan.currents.items()},
+        "e21_axis": np.asarray(scan.e21_axis, dtype=float).tolist(),
+        "currents": {
+            pid: np.asarray(row, dtype=float).tolist() for pid, row in scan.currents.items()
+        },
     }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")

@@ -266,6 +266,27 @@ class TestNoise:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bad_tolerance_refused(self, capsys, value, fmt):
+        code, out, err = run(
+            capsys, "noise", "--preset", "A", "--e21", "0.5", "--betaH", "0.9",
+            "--tol", f"noise_precondition={value}", "--format", fmt,
+        )
+        assert code == 2
+        text = json.loads(out)["error"]["message"] if fmt == "json" else err
+        assert "tolerance 'noise_precondition' must be a finite number >= 0" in text
+        assert repr(value) in text
+
+    def test_zero_tolerance_accepted(self, capsys):
+        # preset A meets the precondition exactly, so a zero tolerance passes
+        code, out, _ = run(
+            capsys, "noise", "--preset", "A", "--e21", "0.5", "--betaH", "0.9",
+            "--tol", "noise_precondition=0", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["noise"] > 0
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_verify_with_zero_current(self, capsys, tmp_path, fmt):
         # one bath drives no current: J = 0 exactly, so deviations are absolute
@@ -409,6 +430,17 @@ class TestCheckCommand:
         text = json.loads(out)["error"]["message"] if fmt == "json" else err
         assert f"--trials must be at least 1, got {trials}" in text
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf", "1e999", ""])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bad_tolerance_refused(self, capsys, value, fmt):
+        code, out, err = run(
+            capsys, "check", "--trials", "1", "--tol", f"symmetry={value}", "--format", fmt
+        )
+        assert code == 2
+        assert "checks passed" not in out
+        text = json.loads(out)["error"]["message"] if fmt == "json" else err
+        assert f"tolerance 'symmetry' must be a finite number >= 0, got {value!r}" in text
+
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "check", "--trials", "10", "--format", "json")
         assert code == 0
@@ -434,6 +466,44 @@ class TestOutputFiles:
         )
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["cooling"] is True
+
+
+_UNWRITABLE_COMMANDS = {
+    "current": ["current", "--preset", "A", "--e21", "0.5", "--betaH", "0.9"],
+    "scan": ["scan", "--preset", "A", "--resolution", "3x3"],
+    "line": ["line", "--betaH", "0.9", "--presets", "A", "--resolution", "3"],
+}
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", sorted(_UNWRITABLE_COMMANDS))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_missing_directory_refused(self, capsys, tmp_path, command, fmt):
+        path = str(tmp_path / "missing" / "x.out")
+        code, out, err = run(
+            capsys, *_UNWRITABLE_COMMANDS[command], "--format", fmt, "--out", path
+        )
+        assert code == 2
+        if fmt == "json":
+            error = json.loads(out)["error"]
+            assert error["code"] == "validation" and error["exit"] == 2
+            text = error["message"]
+        else:
+            assert out == ""
+            text = err
+        assert f"cannot write output file {path!r}" in text
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize(
+        "command, default", [("scan", "scan_A.csv"), ("line", "line_betaH0.9.csv")]
+    )
+    def test_default_name_refused(self, capsys, tmp_path, monkeypatch, command, default):
+        # a directory sitting on the default output name cannot be opened as a file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / default).mkdir()
+        code, out, err = run(capsys, *_UNWRITABLE_COMMANDS[command])
+        assert code == 2 and out == ""
+        assert f"cannot write output file {default!r}" in err
 
 
 class TestParserReuse:

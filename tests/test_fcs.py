@@ -15,7 +15,6 @@ from qarfcs import fcs as fcs_module
 from qarfcs.fcs import (
     CharPoly,
     _certified_separation,
-    _constant_coefficient,
     _continue_root,
     _plan_steps,
     _step_polynomials,
@@ -1035,7 +1034,7 @@ class TestConstantCoefficient:
                 j = heat_current(m, m.cold_index)
                 for h_rel, rtol in ((1e-7, 1e-5), (1e-12, 1e-9)):
                     h = h_rel / fam.energy_span
-                    slope = _constant_coefficient(fam, h) / h
+                    slope = _step_polynomials(fam, [h])[0, -1] / h
                     assert slope == pytest.approx(-a_pen * j, rel=rtol, abs=0.0)
 
     def test_matches_determinant_at_finite_s(self, rng):
@@ -1044,14 +1043,14 @@ class TestConstantCoefficient:
                 m = random_connected_model(rng, n_levels=n, topology=topology)
                 fam = build_counting_family(m, m.cold_index)
                 expected = (-1.0) ** n * np.linalg.det(fam.evaluate_extended(0.5).astype(float))
-                got = _constant_coefficient(fam, 0.5)
+                got = _step_polynomials(fam, [0.5])[0, -1]
                 assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_nothing_counted_is_exactly_zero(self):
         # a family with only its base generator: the replaced row is all zeros
         fam = dataclasses.replace(build_counting_family(preset("B", 0.4, 0.8), 0), dressed=())
-        assert _constant_coefficient(fam, 0.5) == 0.0
-        assert np.array_equal(_constant_coefficient(fam, np.array([0.5, -0.3])), np.zeros(2))
+        assert _step_polynomials(fam, [0.5])[0, -1] == 0.0
+        assert np.array_equal(_step_polynomials(fam, [0.5, -0.3])[:, -1], np.zeros(2))
 
 
 class TestNumericCumulants:

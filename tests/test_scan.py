@@ -1,4 +1,7 @@
 import hashlib
+import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,8 +147,6 @@ class TestWriters:
         text = csv_path.read_text()
         assert "preset,e21,current" in text
         assert "# betaH = 0.9" in text
-        import json
-
         data = json.loads(json_path.read_text())
         assert set(data["currents"]) == {"A", "D"}
         assert len(data["e21_axis"]) == 21
@@ -174,3 +175,180 @@ class TestPinnedOutput:
         write_line_csv(line_scan(["A", "B", "C", "D"], 0.9), path)
         digest = "f0d26310cb9f79643321cb45d44eb98ee6f49c25b44074b0e577edaaa78ed2b0"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    # sha256 of the JSON writers' output, recorded before the writers streamed
+    @pytest.mark.parametrize(
+        "pid, digest",
+        [
+            ("A", "e26c75f5234bbffe748c606f63423cbbfbd60dcc93e4fe16e9e17bbae243eafb"),
+            ("B", "2846f722874ccbe5bfe09bd125809c329e64832461f3e40195cfeef3c311b805"),
+            ("C", "7f631d9f819c321a808873755b90ccc349e52f8cea70231a68712e9eebcaae70"),
+            ("D", "7aa1c8b47ce32a06042f87239847b50883138fc9fb1d7a1edb19105701a1b638"),
+        ],
+    )
+    def test_grid_json_digest(self, tmp_path, pid, digest):
+        path = tmp_path / "grid.json"
+        write_grid_json(grid_scan(pid, 21, 21), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_default_line_json_digest(self, tmp_path):
+        path = tmp_path / "line.json"
+        write_line_json(line_scan(["A", "B", "C", "D"], 0.9), path)
+        digest = "21302a654a0fd82c549553df6c32d6a2eda1986aab488d622d4f7c37b15d8541"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# Reference writers: the whole-file writers that the streaming ones replaced,
+# kept verbatim so every output can be checked byte for byte against them.
+def _ref_fmt(x):
+    return f"{x:.17e}"
+
+
+def _ref_header_lines(kind, params, extra):
+    items = {**params, **extra}
+    lines = [f"# {kind}"]
+    for key in sorted(items):
+        lines.append(f"# {key} = {items[key]}")
+    return lines
+
+
+def _ref_grid_csv(grid, path):
+    lines = _ref_header_lines(
+        "qarfcs grid scan",
+        grid.params,
+        {"preset": grid.preset_id, "tolerance_policy": "scale-relative, see module docs"},
+    )
+    lines.append("e21,betaH,current,cooling")
+    for i, e21 in enumerate(grid.e21_axis):
+        for j, bh in enumerate(grid.betaH_axis):
+            lines.append(
+                f"{_ref_fmt(e21)},{_ref_fmt(bh)},{_ref_fmt(grid.current[i, j])},"
+                f"{int(grid.cooling_mask[i, j])}"
+            )
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _ref_grid_json(grid, path):
+    payload = {
+        "kind": "qarfcs grid scan",
+        "preset": grid.preset_id,
+        "params": grid.params,
+        "e21_axis": [float(x) for x in grid.e21_axis],
+        "betaH_axis": [float(x) for x in grid.betaH_axis],
+        "current": [[float(v) for v in row] for row in grid.current],
+        "cooling_mask": [[bool(v) for v in row] for row in grid.cooling_mask],
+    }
+    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+
+
+def _ref_line_csv(scan, path):
+    lines = _ref_header_lines("qarfcs line scan", scan.params, {"betaH": scan.betaH})
+    lines.append("preset,e21,current")
+    for pid in sorted(scan.currents):
+        for e21, j in zip(scan.e21_axis, scan.currents[pid]):
+            lines.append(f"{pid},{_ref_fmt(e21)},{_ref_fmt(j)}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _ref_line_json(scan, path):
+    payload = {
+        "kind": "qarfcs line scan",
+        "betaH": scan.betaH,
+        "params": scan.params,
+        "e21_axis": [float(x) for x in scan.e21_axis],
+        "currents": {pid: [float(v) for v in row] for pid, row in scan.currents.items()},
+    }
+    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+
+
+_EDGE_CURRENTS = (-0.0, 5e-324, 1e308, -1e-300)
+
+
+def _synthetic_grid(n_e21, n_bh, mask=None, seed=7):
+    current = np.random.default_rng(seed).standard_normal((n_e21, n_bh)) * 1e-3
+    current.flat[: len(_EDGE_CURRENTS)] = _EDGE_CURRENTS
+    return ScanGrid(
+        preset_id="X",
+        e21_axis=np.linspace(0.01, 0.99, n_e21),
+        betaH_axis=np.linspace(0.11, 0.99, n_bh),
+        current=current,
+        cooling_mask=current > 0 if mask is None else mask,
+        params={"e31": 1.0, "gamma": 1e-3, "label": "synthetic"},
+    )
+
+
+class TestWritersMatchReference:
+    @pytest.mark.parametrize("mask", ["sign", "all_true", "all_false"])
+    @pytest.mark.parametrize(
+        "write, reference",
+        [(write_grid_csv, _ref_grid_csv), (write_grid_json, _ref_grid_json)],
+    )
+    def test_grid(self, tmp_path, write, reference, mask):
+        masks = {"all_true": np.ones((7, 3), dtype=bool), "all_false": np.zeros((7, 3), dtype=bool)}
+        grid = _synthetic_grid(7, 3, masks.get(mask))
+        write(grid, tmp_path / "new")
+        reference(grid, tmp_path / "ref")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
+
+    @pytest.mark.parametrize(
+        "write, reference",
+        [(write_line_csv, _ref_line_csv), (write_line_json, _ref_line_json)],
+    )
+    def test_line(self, tmp_path, write, reference):
+        row = np.random.default_rng(3).standard_normal(9)
+        row[: len(_EDGE_CURRENTS)] = _EDGE_CURRENTS
+        scan = LineScan(
+            betaH=0.5,
+            e21_axis=np.linspace(0.1, 0.9, 9),
+            currents={"D": row, "A": row[::-1].copy()},
+            params={"e31": 1.0},
+        )
+        write(scan, tmp_path / "new")
+        reference(scan, tmp_path / "ref")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
+
+    @pytest.mark.parametrize(
+        "write, reference",
+        [(write_grid_csv, _ref_grid_csv), (write_grid_json, _ref_grid_json)],
+    )
+    def test_integer_arrays(self, tmp_path, write, reference):
+        # read_grid_json gives integer arrays for a file holding only integers
+        grid = ScanGrid(
+            preset_id="X",
+            e21_axis=np.arange(1, 8),
+            betaH_axis=np.arange(1, 4),
+            current=np.arange(-10, 11).reshape(7, 3),
+            cooling_mask=np.arange(21).reshape(7, 3) % 2,
+        )
+        write(grid, tmp_path / "new")
+        reference(grid, tmp_path / "ref")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
+
+    def test_edge_values_round_trip(self, tmp_path):
+        grid = _synthetic_grid(7, 3)
+        write_grid_json(grid, tmp_path / "g.json")
+        back = read_grid_json(tmp_path / "g.json")
+        assert np.array_equal(back.current, grid.current)
+        assert np.signbit(back.current[0, 0]) and back.current[0, 1] == 5e-324
+
+
+class TestWriterMemory:
+    """Writer memory at 301x301, the size where the whole-file writers held ~25 MB."""
+
+    @staticmethod
+    def _traced_peak(write, grid, path):
+        tracemalloc.start()
+        try:
+            write(grid, path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_grid_csv_is_row_bounded(self, tmp_path):
+        grid = _synthetic_grid(301, 301)
+        assert self._traced_peak(write_grid_csv, grid, tmp_path / "g.csv") < 1_000_000
+
+    def test_grid_json_per_cell(self, tmp_path):
+        grid = _synthetic_grid(301, 301)
+        peak = self._traced_peak(write_grid_json, grid, tmp_path / "g.json")
+        assert peak < 48 * 301 * 301
