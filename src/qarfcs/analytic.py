@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConsistencyError, CopUndefinedError, TopologyError, ValidationError
 from .fcs import charpoly, heat_current
+from .liouvillian import generator_from_tables
 from .model import QarModel, bose_occupation, rate_table
 
 Pair = tuple[int, int]
@@ -238,12 +239,11 @@ def decompose(model: QarModel, *, current_units: bool = False) -> Decomposition:
     stack = np.repeat(tables[None], 2 * len(pairs) + 1, axis=0)
     for q, (i, j) in enumerate(pairs):
         stack[[[2 * q], [2 * q], [2 * q + 1]], [[hot], [work], [work]], [i, j], [j, i]] = 0.0
-    gens = stack.transpose(0, 1, 3, 2) - stack.sum(axis=3)[..., None] * np.eye(n)
-    # every point of every set, summed over the baths in bath order; kept as
-    # (set, point) are each transition's 6 bare points and its no-work point,
-    # then L(0)
+    # every point of every set; the scalings are 1 or 2, so scaling the tables
+    # scales each bath's generator exactly. Kept as (set, point) are each
+    # transition's 6 bare points and its no-work point, then L(0)
     points = _EXTRACTION_POINTS[:, [(cold, hot, work).index(b) for b in range(3)]]
-    extracted = (points[:, :, None, None] * gens[:, None]).sum(axis=2)
+    extracted = generator_from_tables(points[:, :, None, None] * stack[:, None])
     keep = [(2 * q + (p == 6), p) for q in range(len(pairs)) for p in range(7)]
     cp = charpoly(extracted[tuple(zip(*keep, (len(stack) - 1, 6)))])
     adj = cp.adjugate.tolist()

@@ -9,8 +9,10 @@ an ``error`` field so scripts can parse failures.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -99,6 +101,23 @@ def _write_file(path: str, write) -> None:
         raise ValidationError(f"cannot write output file {path!r}: {exc.strerror or exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """Refuse, before any work, a path ``open(path, "w")`` would refuse; touches no file.
+
+    ``_write_file`` stays the backstop for what this cannot foresee.
+    """
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        err = errno.EISDIR
+    elif not os.path.isdir(folder):
+        err = errno.ENOENT if not os.path.exists(folder) else errno.ENOTDIR
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        err = errno.EACCES
+    else:
+        return
+    raise ValidationError(f"cannot write output file {path!r}: {os.strerror(err)}")
+
+
 def _emit(payload: dict, args, text_lines: list[str]) -> None:
     if args.format == "json":
         out = json.dumps(payload, indent=1) + "\n"
@@ -136,6 +155,10 @@ def _preset_params(args) -> dict[str, float]:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_tol(p: argparse.ArgumentParser) -> None:
+    """``--tol``, only on the commands that read a tolerance."""
     p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                    help="override a named tolerance (repeatable)")
 
@@ -158,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noise", help="zero-frequency noise at one contact")
     _add_model_args(p)
     _add_common(p)
+    _add_tol(p)
     p.add_argument("--bath", help="bath label to count at (default: cold bath)")
     p.add_argument("--verify", action="store_true",
                    help="cross-check against finite differences of the CGF")
@@ -187,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the seeded invariant suite")
     _add_common(p)
+    _add_tol(p)
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--trials", type=int, default=200)
 
@@ -248,8 +273,9 @@ def _cmd_scan(args) -> int:
         n_e21, n_bh = (int(x) for x in args.resolution.lower().split("x"))
     except ValueError as exc:
         raise ValidationError(f"--resolution must be NxM, got {args.resolution!r}") from exc
-    grid = scan_mod.grid_scan(args.preset, n_e21, n_bh, _preset_params(args))
     out = args.out or f"scan_{args.preset}.{args.format}"
+    _check_writable(out)
+    grid = scan_mod.grid_scan(args.preset, n_e21, n_bh, _preset_params(args))
     write = scan_mod.write_grid_json if args.format == "json" else scan_mod.write_grid_csv
     _write_file(out, lambda p: write(grid, p))
     jmax, e21_at, bh_at = grid.max_current()
@@ -263,8 +289,9 @@ def _cmd_scan(args) -> int:
 
 def _cmd_line(args) -> int:
     ids = [x.strip() for x in args.presets.split(",") if x.strip()]
-    result = scan_mod.line_scan(ids, args.betaH, args.resolution, _preset_params(args))
     out = args.out or f"line_betaH{args.betaH:g}.{args.format}"
+    _check_writable(out)
+    result = scan_mod.line_scan(ids, args.betaH, args.resolution, _preset_params(args))
     write = scan_mod.write_line_json if args.format == "json" else scan_mod.write_line_csv
     _write_file(out, lambda p: write(result, p))
     summary = ", ".join(

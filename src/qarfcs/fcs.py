@@ -20,7 +20,6 @@ the continued root sequential.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ from .errors import (
     NoiseNotApplicableError,
     ValidationError,
 )
-from .liouvillian import CountingFamily, build_counting_family
+from .liouvillian import CountingFamily, _identity, build_counting_family
 from .model import QarModel
 
 _LD = np.longdouble
@@ -66,14 +65,6 @@ class CharPoly:
         return np.concatenate([np.ones_like(self.coeffs[..., :1]), self.coeffs], axis=-1)
 
 
-@functools.cache
-def _identity(n: int) -> np.ndarray:
-    """Read-only long-double identity of size n, shared by every recursion."""
-    ident = np.eye(n, dtype=_LD)
-    ident.flags.writeable = False
-    return ident
-
-
 def _faddeev_leverrier(m: np.ndarray, dm: np.ndarray | None = None):
     """([a_1, ..., a_N], adj(M)) of a long-double (..., N, N) ``m``, N >= 2; d adj(M) with ``dm``.
 
@@ -82,7 +73,7 @@ def _faddeev_leverrier(m: np.ndarray, dm: np.ndarray | None = None):
     dM_(k+1) = dM (M_k + a_k I) + M (dM_k + da_k I), up to step N-1.
     """
     n = m.shape[-1]
-    ident = _identity(n)
+    ident = _identity(n, _LD)
     coeffs = []
     mk, dmk = m, dm
     for k in range(1, n):

@@ -9,6 +9,7 @@ into the system counts positive.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,10 +18,17 @@ from .errors import ValidationError
 from .model import QarModel, rate_table
 
 
+@functools.cache
+def _identity(n: int, dtype: type = float) -> np.ndarray:
+    """Read-only identity of size n and ``dtype``, shared by every caller."""
+    ident = np.eye(n, dtype=dtype)
+    ident.flags.writeable = False
+    return ident
+
+
 def bath_generator(model: QarModel, bath: int) -> np.ndarray:
     """Single-bath generator L_mu (off-diagonal rates, zero column sums)."""
-    k = rate_table(model, bath)
-    return k.T - np.diag(k.sum(axis=1))
+    return generator_from_tables(rate_table(model, bath)[None])
 
 
 def build_generator(model: QarModel) -> np.ndarray:
@@ -28,10 +36,14 @@ def build_generator(model: QarModel) -> np.ndarray:
     return generator_from_tables([rate_table(model, b) for b in range(model.n_baths)])
 
 
-def generator_from_tables(tables: list[np.ndarray]) -> np.ndarray:
-    """L(0) from all rate tables: one (B, N, N) stack, summed as ``bath_generator`` sums."""
-    stack = np.array(tables)
-    return stack.sum(axis=0).T - np.diag(stack.sum(axis=2).sum(axis=0))
+def generator_from_tables(tables: np.ndarray | list[np.ndarray]) -> np.ndarray:
+    """L(0) = sum_mu (K_mu^T - diag(K_mu 1)) from rate tables stacked on axis -3.
+
+    A (..., B, N, N) stack gives (..., N, N), each matrix bitwise its own call's.
+    """
+    stack = np.asarray(tables)
+    diag = stack.sum(axis=-1).sum(axis=-2)
+    return stack.sum(axis=-3).swapaxes(-1, -2) - diag[..., None] * _identity(stack.shape[-1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .fcs import _current_from_family, heat_current
+from .fcs import _current_from_family
 from .liouvillian import build_counting_family
 from .model import PRESET_DEFAULTS, PRESET_IDS, preset
 
@@ -134,13 +134,10 @@ def line_scan(
         raise ValidationError("line scan needs at least 2 points")
     params = _merged_params(overrides)
     ax_e21, _ = _default_axes(params, n_e21, 2)
-    currents: dict[str, np.ndarray] = {}
-    for pid in ids:
-        row = np.empty(len(ax_e21))
-        for i, e21 in enumerate(ax_e21):
-            model = preset(pid, float(e21), float(betaH), **params)
-            row[i] = heat_current(model, model.cold_index)
-        currents[pid] = row
+    # each curve is column 0 of a one-column grid at this beta_H
+    currents = {
+        pid: grid_scan(pid, n_e21, 2, params, betaH_axis=[betaH]).current[:, 0] for pid in ids
+    }
     return LineScan(betaH=float(betaH), e21_axis=ax_e21, currents=currents, params=params)
 
 

@@ -505,6 +505,63 @@ class TestUnwritableOutput:
         assert code == 2 and out == ""
         assert f"cannot write output file {default!r}" in err
 
+    @pytest.mark.parametrize("command", ["scan", "line"])
+    @pytest.mark.parametrize("default", [False, True])
+    def test_refused_before_computing(self, capsys, tmp_path, monkeypatch, command, default):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{command} computed points for an unwritable output")
+
+        monkeypatch.setattr(cli.scan_mod, "grid_scan" if command == "scan" else "line_scan", never)
+        monkeypatch.chdir(tmp_path)
+        argv = list(_UNWRITABLE_COMMANDS[command])
+        if default:
+            name = "scan_A.csv" if command == "scan" else "line_betaH0.9.csv"
+            (tmp_path / name).mkdir()
+        else:
+            name = str(tmp_path / "missing" / "x.csv")
+            argv += ["--out", name]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"cannot write output file {name!r}" in err
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", ["scan", "line"])
+    def test_early_check_creates_and_truncates_nothing(self, capsys, tmp_path, command):
+        # the output is writable, so the check passes; the scan then refuses a
+        # one-point axis, and neither file may have been touched
+        bad = {"scan": ["--resolution", "1x1"], "line": ["--resolution", "1"]}[command]
+        kept = tmp_path / "kept.csv"
+        kept.write_text("old contents\n")
+        for path in (kept, tmp_path / "new.csv"):
+            code, _, err = run(capsys, *_UNWRITABLE_COMMANDS[command], *bad, "--out", str(path))
+            assert code == 2 and "at least 2 points" in err
+        assert kept.read_text() == "old contents\n"
+        assert not (tmp_path / "new.csv").exists()
+
+
+class TestTolScope:
+    """``--tol`` exists only where a tolerance is read: noise and check."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            _UNWRITABLE_COMMANDS["current"],
+            ["decompose", "--preset", "A", "--e21", "0.5", "--betaH", "0.9"],
+            ["cop", "--preset", "A", "--e21", "0.5", "--betaH", "0.9"],
+            _UNWRITABLE_COMMANDS["scan"],
+            _UNWRITABLE_COMMANDS["line"],
+            ["presets"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_refused_where_unread(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "bogus=abc"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol bogus=abc" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestParserReuse:
     def test_build_parser_returns_fresh_parsers(self):

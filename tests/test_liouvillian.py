@@ -4,8 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from qarfcs.liouvillian import bath_generator, build_counting_family, build_generator
-from qarfcs.model import preset, rate
+from qarfcs.liouvillian import (
+    bath_generator,
+    build_counting_family,
+    build_generator,
+    generator_from_tables,
+)
+from qarfcs.model import preset, rate, rate_table
 from qarfcs.oracle import random_connected_model
 from tests.conftest import make_spin_boson
 
@@ -62,6 +67,46 @@ class TestBareGenerator:
             total = sum(bath_generator(m, b) for b in range(m.n_baths))
             # bitwise, signed zeros included
             assert build_generator(m).tobytes() == total.tobytes()
+
+
+class TestGeneratorFromTables:
+    @staticmethod
+    def _tables(rng, shape):
+        # positive rates with an empty diagonal and some absent couplings
+        k = rng.lognormal(sigma=3.0, size=shape)
+        k[rng.random(shape) < 0.3] = 0.0
+        n = shape[-1]
+        k[..., range(n), range(n)] = 0.0
+        return k
+
+    def test_stack_is_bitwise_per_set(self, rng):
+        for n in (2, 3, 4, 5):
+            for n_baths in (1, 2, 4):
+                stack = self._tables(rng, (2, 3, n_baths, n, n))
+                got = generator_from_tables(stack)
+                assert got.shape == (2, 3, n, n)
+                for idx in np.ndindex(2, 3):
+                    assert got[idx].tobytes() == generator_from_tables(stack[idx]).tobytes()
+
+    def test_list_and_array_agree(self, rng):
+        models = [random_connected_model(rng) for _ in range(20)]
+        models += [preset(pid, 0.3, 0.9) for pid in "ABCD"]
+        for m in models:
+            tables = [rate_table(m, b) for b in range(m.n_baths)]
+            listed = generator_from_tables(tables)
+            assert listed.tobytes() == generator_from_tables(np.array(tables)).tobytes()
+            assert listed.tobytes() == build_generator(m).tobytes()
+
+    def test_one_bath_is_bath_generator(self, rng):
+        models = [random_connected_model(rng) for _ in range(20)]
+        models += [preset(pid, e21, bh) for pid in "ABCD" for e21, bh in ((0.3, 0.9), (0.5, 0.5))]
+        for m in models:
+            for b in range(m.n_baths):
+                k = rate_table(m, b)
+                reference = k.T - np.diag(k.sum(axis=1))
+                got = generator_from_tables([k])
+                assert got.tobytes() == reference.tobytes()
+                assert got.tobytes() == bath_generator(m, b).tobytes()
 
 
 class TestCountingFamily:

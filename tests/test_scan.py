@@ -8,6 +8,8 @@ import pytest
 
 from qarfcs.analytic import ideal_cooling
 from qarfcs.errors import ValidationError
+from qarfcs.fcs import heat_current
+from qarfcs.model import preset
 from qarfcs.scan import (
     LineScan,
     ScanGrid,
@@ -108,6 +110,20 @@ class TestLineScan:
             line_scan(["Z"], 0.9)
         with pytest.raises(ValidationError):
             line_scan(["A"], 0.9, 1)
+
+    @pytest.mark.parametrize("betaH", [0.3, 0.55, 0.9])
+    def test_matches_per_point_currents(self, betaH):
+        # the per-point loop line_scan once ran, kept as the reference
+        line = line_scan(["A", "B", "C", "D"], betaH, 17)
+        for pid, row in line.currents.items():
+            ref = [heat_current(m, m.cold_index) for m in
+                   (preset(pid, e21, betaH) for e21 in line.e21_axis.tolist())]
+            assert row.tolist() == ref
+
+    def test_bad_point_is_named(self):
+        # beta_H above beta_C is refused at the first grid point
+        with pytest.raises(ValidationError, match=r"^grid point \(e21=0\.01, betaH=1\.5\): "):
+            line_scan(["A"], 1.5, 5)
 
 
 class TestWriters:
