@@ -288,7 +288,9 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_line(args) -> int:
-    ids = [x.strip() for x in args.presets.split(",") if x.strip()]
+    ids = list(dict.fromkeys(x.strip().upper() for x in args.presets.split(",") if x.strip()))
+    if not ids:
+        raise ValidationError(f"--presets names no preset, got {args.presets!r}")
     out = args.out or f"line_betaH{args.betaH:g}.{args.format}"
     _check_writable(out)
     result = scan_mod.line_scan(ids, args.betaH, args.resolution, _preset_params(args))
@@ -434,20 +436,22 @@ def _run_checks(seed: int, trials: int, tols: dict[str, float]):
     worst_dec = 0.0
     worst_cop = 0.0
     cop_bound_ok = True
+    e31, beta_c, beta_w = (PRESET_DEFAULTS[key] for key in ("e31", "beta_c", "beta_w"))
     for _ in range(max(10, trials // 10)):
         beta_h = float(rng.uniform(0.2, 0.8))
-        thr = (beta_h - 0.1) / 0.9
+        thr = (beta_h - beta_w) / (beta_c - beta_w)
         e21 = float(rng.uniform(0.1, 0.9)) * thr
         m = preset("A", e21, beta_h)
         dec = decompose(m)
         kc = rate_table(m, 0)
         kh = rate_table(m, 1)
         kw = rate_table(m, 2)
-        bracket = math.exp(-0.1 * (1.0 - e21) - 1.0 * e21) - math.exp(-beta_h)
+        bracket = math.exp(-beta_w * (e31 - e21) - beta_c * e21) - math.exp(-beta_h * e31)
         closed = e21 * kh[2, 0] * kw[2, 1] * kc[1, 0] * bracket
         worst_dec = max(worst_dec, abs(dec.cycles[(0, 1)] - closed) / abs(closed))
         eta, eta_c = cop(m)
-        worst_cop = max(worst_cop, abs(eta - e21 / (1.0 - e21)) / (e21 / (1.0 - e21)))
+        ideal = e21 / (e31 - e21)
+        worst_cop = max(worst_cop, abs(eta - ideal) / ideal)
         cop_bound_ok = cop_bound_ok and eta <= eta_c + tols["cop"]
     yield "ideal-cycle-term", bool(worst_dec <= tols["decomposition"]), f"worst rel {worst_dec:.3e}"
     yield "cop-bound", bool(worst_cop <= tols["cop"] and cop_bound_ok), f"worst rel {worst_cop:.3e}"

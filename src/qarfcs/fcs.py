@@ -242,10 +242,15 @@ def _step_polynomials(family: CountingFamily, grid: list[float]) -> np.ndarray:
     """Monic coefficients [1, a_1(s_k), ..., a_N(s_k)] of every step, shape (K, N + 1).
 
     One long-double stack of L(s_k) and one stacked recursion give a_1..a_(N-1);
-    a_N comes from one stacked row-replaced determinant of the same stack.
+    a_N comes from one stacked row-replaced determinant of the same stack, whose
+    column sums are formed from the corrections alone, so they carry no roundoff
+    of the base generator.
     """
-    stack, col_sums = family._dressed_stack(np.asarray(grid, dtype=float))
+    stack, corrections = family._dressed_stack(np.asarray(grid, dtype=float))
     coeffs = charpoly(stack).monic()
+    cols = np.array([col for _, col, _, _ in family.dressed], dtype=int)
+    col_sums = np.zeros(stack.shape[:-1], dtype=stack.dtype)
+    np.add.at(col_sums, (slice(None), cols), corrections)
     coeffs[:, -1] = _row_replaced_det(stack, col_sums)
     return coeffs
 
@@ -391,30 +396,31 @@ def _continue_root(
     return lams
 
 
-def cgf(
-    family: CountingFamily,
-    s: float | np.ndarray,
-    *,
-    window_factor: float = 4.0,
-    step_factor: float = 0.05,
-    newton_rtol: float = 1e-12,
-    max_newton_iter: int = 100,
-    collision_rtol: float = 1e-8,
-) -> float | np.ndarray:
+# the fixed settings of the G(s) continuation; ``cgf`` says where each enters
+_WINDOW_FACTOR = 4.0
+_STEP_FACTOR = 0.05
+_NEWTON_RTOL = 1e-12
+_MAX_NEWTON_ITER = 100
+_COLLISION_RTOL = 1e-8
+
+
+def cgf(family: CountingFamily, s: float | np.ndarray) -> float | np.ndarray:
     """Scaled cumulant generating function G(s) of the counted heat.
 
     G is the root of the characteristic polynomial of L(s) continued from
     G(0) = 0 by stepping s and Newton-polishing at each step, which pins the
-    physical branch without ranking eigenvalues. Root collisions along the
-    path (closer than ``collision_rtol`` of the spectral scale) abort.
+    physical branch without ranking eigenvalues, to a relative ``_NEWTON_RTOL``
+    within ``_MAX_NEWTON_ITER`` iterations per step. Root collisions along the
+    path (closer than ``_COLLISION_RTOL`` of the spectral scale) abort.
 
     ``s`` is a scalar (a float comes back) or an array (an array of the same
     shape comes back, in input order; targets equal to 0 give 0.0). Every
     target is checked against the window before any step. On each side of
     s = 0 the targets share one continuation, visited in order of |s|:
     between consecutive targets the path takes n = ceil(|s_to - s_prev| /
-    ds_max) equal steps, so a lone target is reached on the grid s * k / n
-    from the origin.
+    ds_max) equal steps, with ds_max = ``_STEP_FACTOR`` / energy span, so a
+    lone target is reached on the grid s * k / n from the origin. The window
+    is |s| <= ``_WINDOW_FACTOR`` * max beta.
 
     The whole step grid is planned first, so the polynomials of every step
     come from one stacked pass (one long-double stack of L(s_k), one stacked
@@ -424,17 +430,17 @@ def cgf(
     """
     targets = np.asarray(s, dtype=float)
     flat = targets.ravel()
-    window = window_factor * max(family.betas)
+    window = _WINDOW_FACTOR * max(family.betas)
     if not np.all(np.abs(flat) <= window):
         raise ValidationError(
             f"|s| = {np.max(np.abs(flat)):.3g} outside the continuation window "
-            f"{window:.3g} (= {window_factor} * max beta)"
+            f"{window:.3g} (= {_WINDOW_FACTOR} * max beta)"
         )
-    grid, side_starts, reached = _plan_steps(flat, step_factor / family.energy_span)
+    grid, side_starts, reached = _plan_steps(flat, _STEP_FACTOR / family.energy_span)
     out = np.zeros(flat.shape)
     if grid:
         lams = _continue_root(
-            family, grid, side_starts, newton_rtol, max_newton_iter, collision_rtol
+            family, grid, side_starts, _NEWTON_RTOL, _MAX_NEWTON_ITER, _COLLISION_RTOL
         )
         for i, k in reached:
             out[i] = lams[k]
@@ -443,47 +449,35 @@ def cgf(
     return out.reshape(targets.shape)
 
 
-def numeric_cumulants(family: CountingFamily, h: float = 1e-4) -> tuple[float, float]:
-    """Finite-difference first and second cumulants of G at s = 0."""
-    if not 0.0 < h <= 1e-3:
-        raise ValidationError(f"step must satisfy 0 < h <= 1e-3, got {h}")
+def numeric_cumulants(family: CountingFamily) -> tuple[float, float]:
+    """Central-difference first and second cumulants of G at s = 0, step 1e-4."""
+    h = 1e-4
     g_plus, g_minus = cgf(family, np.array([h, -h])).tolist()
     return (g_plus - g_minus) / (2.0 * h), (g_plus + g_minus) / (h * h)
 
 
 @dataclass(frozen=True, eq=False)
 class FcsReport:
-    """Single-contact summary: current, optional noise, cooling certificate."""
+    """Single-contact summary: current, cooling certificate, charpoly of L(0)."""
 
     bath_label: str
     current: float
     cooling_value: float
     cooling: bool
     charpoly_coeffs: tuple[float, ...]
-    noise: float | None = None
-    cop: float | None = None
-    cop_carnot: float | None = None
 
     def to_dict(self) -> dict:
         return {
             "bath": self.bath_label,
             "current": self.current,
-            "noise": self.noise,
             "cooling_value": self.cooling_value,
             "cooling": self.cooling,
             "charpoly": list(self.charpoly_coeffs),
-            "cop": self.cop,
-            "cop_carnot": self.cop_carnot,
         }
 
 
-def fcs_report(
-    model: QarModel,
-    bath: int | None = None,
-    *,
-    with_noise: bool = False,
-) -> FcsReport:
-    """Assemble the per-contact report; noise only on request (it may refuse)."""
+def fcs_report(model: QarModel, bath: int | None = None) -> FcsReport:
+    """Assemble the per-contact report, counted at ``bath`` (default: the cold bath)."""
     if bath is None:
         bath = model.cold_index
     family = build_counting_family(model, bath)
@@ -498,5 +492,4 @@ def fcs_report(
         cooling_value=value,
         cooling=cooling,
         charpoly_coeffs=tuple(float(c) for c in cp.coeffs),
-        noise=noise(model, bath) if with_noise else None,
     )

@@ -60,7 +60,6 @@ class CountingFamily:
     """
 
     base: np.ndarray
-    counted_bath: int
     energies: tuple[float, ...]
     betas: tuple[float, ...]
     dressed: tuple[tuple[int, int, float, float], ...] = ()
@@ -84,15 +83,11 @@ class CountingFamily:
     def energy_span(self) -> float:
         return max(self.energies) - min(self.energies)
 
-    def _dressed_stack(
-        self, s: np.ndarray, col_sums: bool = True
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """L(s_k) and the column sums of L(s_k) - L(0) for a 1-D array of s.
+    def _dressed_stack(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """L(s_k) and its k * expm1(s_k * dE) corrections for a 1-D array of s.
 
-        Both are long double, (K, N, N) and (K, N), and come from one set of
-        k * expm1(s * dE) corrections. The column sums are formed from the
-        corrections alone, so they carry no roundoff of the base generator;
-        with ``col_sums=False`` they are not formed and None comes back.
+        Both are long double: the stack is (K, N, N) and the corrections are
+        (K, M), one column per entry of ``dressed`` in its order.
         """
         rows, cols, k, de = np.array(self.dressed, dtype=float).reshape(-1, 4).T
         rows, cols = rows.astype(int), cols.astype(int)
@@ -100,11 +95,7 @@ class CountingFamily:
         corrections = k.astype(ld) * np.expm1(np.multiply.outer(s.astype(ld), de.astype(ld)))
         out = np.repeat(self.base.astype(ld)[None], s.size, axis=0)
         np.add.at(out, (slice(None), rows, cols), corrections)
-        if not col_sums:
-            return out, None
-        sums = np.zeros(out.shape[:-1], dtype=ld)
-        np.add.at(sums, (slice(None), cols), corrections)
-        return out, sums
+        return out, corrections
 
     def evaluate_extended(self, s: float | np.ndarray) -> np.ndarray:
         """L(s) in extended precision, for one s or a stack over a 1-D array of s.
@@ -115,7 +106,7 @@ class CountingFamily:
         the scalar call is the size-1 case, so every matrix of a stack is
         bitwise its own call's.
         """
-        out, _ = self._dressed_stack(np.atleast_1d(np.asarray(s, dtype=float)), col_sums=False)
+        out, _ = self._dressed_stack(np.atleast_1d(np.asarray(s, dtype=float)))
         return out[0] if np.ndim(s) == 0 else out
 
 
@@ -141,7 +132,6 @@ def build_counting_family(model: QarModel, counted_bath: int) -> CountingFamily:
     ]
     return CountingFamily(
         base=base,
-        counted_bath=counted_bath,
         energies=tuple(energies),
         betas=tuple(b.beta for b in model.baths),
         dressed=tuple(dressed),

@@ -252,12 +252,11 @@ def preset(
     beta_w: float = PRESET_DEFAULTS["beta_w"],
     omega_c: float = PRESET_DEFAULTS["omega_c"],
     gamma: float = PRESET_DEFAULTS["gamma"],
-    gamma_weak: float | None = None,
 ) -> QarModel:
     """Three-level refrigerator presets A-D.
 
     A is the ideal machine (each bath drives exactly one transition). B adds
-    weak couplings of every bath to every other transition. C and D add a
+    gamma/50 couplings of every bath to every other transition. C and D add a
     full-strength leak of the hot (C) or work (D) bath on the cold transition.
     """
     model_id = model_id.upper()
@@ -269,7 +268,7 @@ def preset(
         raise ValidationError(
             f"need beta_w < beta_h < beta_c, got {beta_w}, {beta_h}, {beta_c}"
         )
-    gt = gamma / 50.0 if gamma_weak is None else gamma_weak
+    gt = gamma / 50.0
     c: dict[Pair, float] = {(0, 1): gamma}
     h: dict[Pair, float] = {(0, 2): gamma}
     w: dict[Pair, float] = {(1, 2): gamma}

@@ -110,7 +110,7 @@ def test_criterion_02_truncation_exactness():
         family = build_counting_family(model, bath)
         j_ref = heat_current(model, bath)
         s_ref = noise(model, bath)
-        j_num, s_num = numeric_cumulants(family, 1e-4)
+        j_num, s_num = numeric_cumulants(family)
         worst_j = max(worst_j, abs(j_num - j_ref) / abs(j_ref))
         worst_s = max(worst_s, abs(s_num - s_ref) / abs(s_ref))
     elapsed = time.perf_counter() - t0

@@ -59,6 +59,7 @@ class TestCurrent:
         assert code == 0
         data = json.loads(out)
         assert data["cooling"] is True and data["current"] > 0
+        assert list(data) == ["bath", "current", "cooling_value", "cooling"]
 
     def test_validation_error_exit_code(self, capsys):
         code, _, err = run(
@@ -344,6 +345,27 @@ class TestScanCommands:
         assert code == 0
         data = json.loads(out_path.read_text())
         assert set(data["currents"]) == {"A", "D"}
+
+    def test_line_presets_are_upper_cased_once_each(self, capsys, tmp_path):
+        paths = [tmp_path / "mixed.csv", tmp_path / "plain.csv"]
+        outs = []
+        for presets, path in zip(("b, a,B", "B,A"), paths):
+            code, out, _ = run(
+                capsys, "line", "--betaH", "0.9", "--presets", presets,
+                "--resolution", "5", "--out", str(path),
+            )
+            assert code == 0
+            outs.append(out.replace(str(path), "<out>"))
+        assert outs[0] == outs[1] and outs[0].count("B: max") == 1
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_line_empty_presets_refused_before_writing(self, capsys, tmp_path):
+        path = tmp_path / "line.csv"
+        code, out, err = run(
+            capsys, "line", "--betaH", "0.9", "--presets", ",", "--out", str(path),
+        )
+        assert code == 2 and out == "" and "--presets" in err
+        assert not path.exists()
 
 
 class TestDecomposeCommand:

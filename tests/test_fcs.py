@@ -312,7 +312,6 @@ class TestHeatCurrent:
         # a growing "generator" has a_{N-1} < 0
         fam = CountingFamily(
             base=np.diag([1.0, 2.0]),
-            counted_bath=0,
             energies=(0.0, 1.0),
             betas=(1.0,),
         )
@@ -856,27 +855,32 @@ class TestCgf:
         model = preset("A", 0.5, 0.9)
         return build_counting_family(model, model.cold_index)
 
-    def test_newton_failure(self):
+    def test_newton_failure(self, monkeypatch):
         fam = self._preset_a_family()
+        monkeypatch.setattr(fcs_module, "_MAX_NEWTON_ITER", 1)
         with pytest.raises(ContinuationError, match=r"Newton did not converge at s = 0\.05 "):
-            cgf(fam, np.array([0.3, -0.2]), max_newton_iter=1)
+            cgf(fam, np.array([0.3, -0.2]))
 
-    def test_root_collision(self):
+    def test_root_collision(self, monkeypatch):
         fam = self._preset_a_family()
+        monkeypatch.setattr(fcs_module, "_COLLISION_RTOL", 1.0)
         with pytest.raises(ContinuationError, match=r"root collision at s = 0\.05:"):
-            cgf(fam, np.array([0.3, -0.2]), collision_rtol=1.0)
+            cgf(fam, np.array([0.3, -0.2]))
 
-    def test_newton_failure_reported_before_collision(self):
+    def test_newton_failure_reported_before_collision(self, monkeypatch):
         fam = self._preset_a_family()
+        monkeypatch.setattr(fcs_module, "_MAX_NEWTON_ITER", 1)
+        monkeypatch.setattr(fcs_module, "_COLLISION_RTOL", 1.0)
         with pytest.raises(ContinuationError, match=r"Newton did not converge at s = 0\.05 "):
-            cgf(fam, np.array([0.3, -0.2]), max_newton_iter=1, collision_rtol=1.0)
+            cgf(fam, np.array([0.3, -0.2]))
 
-    def test_each_side_starts_from_the_origin(self):
+    def test_each_side_starts_from_the_origin(self, monkeypatch):
         # four Newton iterations reach the first step on either side from
         # G(0) = 0, but not from the far root G(0.9) of the positive side
         fam = self._preset_a_family()
-        got = cgf(fam, np.array([0.9, -0.2]), max_newton_iter=4)
-        assert got.tolist() == [cgf(fam, 0.9), cgf(fam, -0.2)]
+        expected = [cgf(fam, 0.9), cgf(fam, -0.2)]
+        monkeypatch.setattr(fcs_module, "_MAX_NEWTON_ITER", 4)
+        assert cgf(fam, np.array([0.9, -0.2])).tolist() == expected
 
     def test_uncoupled_counted_bath_is_zero(self):
         # no counted transitions: a_N(s) = 0 on every step and the zero root
@@ -953,9 +957,10 @@ class TestRootSeparationCertificate:
             for fam in families:
                 for rtol in _COLLISION_RTOLS:
                     for iters in (100, 3):
+                        monkeypatch.setattr(fcs_module, "_COLLISION_RTOL", rtol)
+                        monkeypatch.setattr(fcs_module, "_MAX_NEWTON_ITER", iters)
                         try:
-                            g = cgf(fam, window_targets(fam), collision_rtol=rtol,
-                                    max_newton_iter=iters)
+                            g = cgf(fam, window_targets(fam))
                             out.append([x.hex() for x in g.tolist()])
                         except ContinuationError as exc:
                             out.append(str(exc))
@@ -977,9 +982,10 @@ class TestRootSeparationCertificate:
         monkeypatch.setattr(
             fcs_module, "_certified_separation", lambda *args: next(verdicts, False)
         )
+        monkeypatch.setattr(fcs_module, "_COLLISION_RTOL", 1.0)
         fam = build_counting_family(preset("A", 0.5, 0.9), 0)
         with pytest.raises(ContinuationError, match=r"root collision at s = 0\.2:"):
-            cgf(fam, np.array([0.3, -0.2]), collision_rtol=1.0)
+            cgf(fam, np.array([0.3, -0.2]))
 
     def test_no_eigvals_on_the_common_path(self, rng, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1057,7 +1063,7 @@ class TestNumericCumulants:
     def test_spin_boson_against_closed_forms(self, spin_boson):
         fam = build_counting_family(spin_boson, 0)
         gam = spectral_value(OhmicSpectralDensity(), 0.01, 1.0)
-        j_num, s_num = numeric_cumulants(fam, 1e-4)
+        j_num, s_num = numeric_cumulants(fam)
         assert j_num == pytest.approx(sb_current(1.0, gam, gam, 1.0, 0.5), rel=1e-6)
         assert s_num == pytest.approx(sb_noise(1.0, gam, gam, 1.0, 0.5), rel=1e-6)
 
@@ -1073,13 +1079,6 @@ class TestNumericCumulants:
         j_num, _ = numeric_cumulants(fam)
         scale = np.max(np.abs(fam.base)) * m.system.energies[-1]
         assert abs(j_num) <= 1e-10 * scale
-
-    def test_step_validation(self, spin_boson):
-        fam = build_counting_family(spin_boson, 0)
-        with pytest.raises(ValidationError):
-            numeric_cumulants(fam, 1e-2)
-        with pytest.raises(ValidationError):
-            numeric_cumulants(fam, 0.0)
 
 
 class TestSpectrumInvariants:
@@ -1123,14 +1122,14 @@ class TestEnergyConservation:
 class TestReport:
     def test_report_fields(self):
         m = preset("A", 0.5, 0.9)
-        rep = fcs_report(m, with_noise=True)
+        rep = fcs_report(m)
         assert rep.bath_label == "C"
         assert rep.cooling is True
         assert rep.current > 0
-        assert rep.noise is not None and rep.noise > 0
         assert len(rep.charpoly_coeffs) == 3
         payload = rep.to_dict()
         assert payload["cooling"] is True
+        assert list(payload) == ["bath", "current", "cooling_value", "cooling", "charpoly"]
 
     def test_cooling_certificate_matches_cooling_condition(self):
         for pid in "ABCD":

@@ -210,12 +210,14 @@ class TestCountingFamily:
         assert np.array_equal(fam.evaluate_extended(0.0), fam.base)
 
     def test_extended_evaluator_skips_column_sums(self):
+        # the stack comes with its corrections, one per dressed entry; only
+        # the cgf continuation sums them by column
         fam = build_counting_family(preset("B", 0.3, 0.7), 1)
         grid = np.array([-0.7, 0.0, 0.2, 1.1])
-        stack, col_sums = fam._dressed_stack(grid)
-        bare, none = fam._dressed_stack(grid, col_sums=False)
-        assert none is None and col_sums.shape == (4, 3)
-        assert np.array_equal(bare, stack) and np.array_equal(fam.evaluate_extended(grid), stack)
+        stack, corrections = fam._dressed_stack(grid)
+        assert corrections.shape == (4, len(fam.dressed)) == (4, 6)
+        assert corrections.dtype == np.longdouble
+        assert np.array_equal(fam.evaluate_extended(grid), stack)
 
     def test_uncoupled_counted_bath_gives_zero_d1(self):
         m = make_spin_boson()

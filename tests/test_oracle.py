@@ -425,3 +425,13 @@ class TestRandomModelGenerator:
     def test_unknown_topology(self, rng):
         with pytest.raises(ValidationError):
             random_connected_model(rng, topology="ring")
+
+    @pytest.mark.parametrize("n_baths", [0, 5])
+    def test_bath_count_outside_one_to_four_refused(self, n_baths):
+        # a fifth inverse temperature may find no room 0.3 away from four
+        # others, so the draw could spin forever; the refusal draws nothing
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match="1 to 4 baths"):
+            random_connected_model(rng, n_baths=n_baths)
+        assert rng.bit_generator.state == state

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import json
@@ -33,3 +34,35 @@ def test_benchmark_layer_names_are_module_level_functions():
         func = getattr(module, name, None)
         assert inspect.isfunction(func), layer
         assert (func.__module__, func.__qualname__) == (module.__name__, name), layer
+
+
+_NO_DEFAULT = inspect.Parameter.empty
+
+
+def _parameters(func) -> list[tuple[str, object]]:
+    return [(p.name, p.default) for p in inspect.signature(func).parameters.values()]
+
+
+def test_public_parameter_lists_are_pinned():
+    # each setting below is one that the library, the CLI or the benchmark
+    # passes; fixed numbers live as constants in the code that uses them
+    assert _parameters(qarfcs.cgf) == [("family", _NO_DEFAULT), ("s", _NO_DEFAULT)]
+    assert _parameters(qarfcs.numeric_cumulants) == [("family", _NO_DEFAULT)]
+    assert _parameters(qarfcs.preset) == [
+        ("model_id", _NO_DEFAULT), ("e21", _NO_DEFAULT), ("beta_h", _NO_DEFAULT),
+        ("e31", 1.0), ("beta_c", 1.0), ("beta_w", 0.1), ("omega_c", 10.0), ("gamma", 1e-3),
+    ]
+    assert _parameters(qarfcs.random_connected_model) == [
+        ("rng", _NO_DEFAULT), ("n_levels", None), ("n_baths", None), ("topology", "tree"),
+    ]
+    assert _parameters(qarfcs.fcs_report) == [("model", _NO_DEFAULT), ("bath", None)]
+
+
+def test_report_and_family_fields_are_pinned():
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(qarfcs.CountingFamily) == ["base", "energies", "betas", "dressed", "d1", "d2"]
+    assert names(qarfcs.FcsReport) == [
+        "bath_label", "current", "cooling_value", "cooling", "charpoly_coeffs",
+    ]
