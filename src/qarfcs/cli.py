@@ -288,7 +288,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_line(args) -> int:
-    ids = list(dict.fromkeys(x.strip().upper() for x in args.presets.split(",") if x.strip()))
+    ids = [x.strip() for x in args.presets.split(",") if x.strip()]
     if not ids:
         raise ValidationError(f"--presets names no preset, got {args.presets!r}")
     out = args.out or f"line_betaH{args.betaH:g}.{args.format}"
@@ -296,9 +296,7 @@ def _cmd_line(args) -> int:
     result = scan_mod.line_scan(ids, args.betaH, args.resolution, _preset_params(args))
     write = scan_mod.write_line_json if args.format == "json" else scan_mod.write_line_csv
     _write_file(out, lambda p: write(result, p))
-    summary = ", ".join(
-        f"{pid}: max {result.currents[pid].max():.6e}" for pid in ids
-    )
+    summary = ", ".join(f"{pid}: max {row.max():.6e}" for pid, row in result.currents.items())
     sys.stdout.write(f"betaH = {args.betaH:g}; {summary}; wrote {out}\n")
     return 0
 

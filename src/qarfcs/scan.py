@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ValidationError
 from .fcs import _current_from_family
 from .liouvillian import build_counting_family
-from .model import PRESET_DEFAULTS, PRESET_IDS, preset
+from .model import PRESET_DEFAULTS, PRESET_IDS, QarModel, preset
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +71,16 @@ def _default_axes(params: dict, n_e21: int, n_betaH: int) -> tuple[np.ndarray, n
     return e21_axis, betaH_axis
 
 
+def _axis(values, default: np.ndarray) -> np.ndarray:
+    """An explicit axis as 1-D floats with at least one point, else the default."""
+    if values is None:
+        return default
+    axis = np.asarray(values, dtype=float)
+    if axis.ndim != 1 or axis.size == 0:
+        raise ValidationError(f"a scan axis must be 1-D with at least 1 point, got {axis.shape}")
+    return axis
+
+
 def grid_scan(
     preset_id: str,
     n_e21: int = 101,
@@ -88,24 +98,29 @@ def grid_scan(
         raise ValidationError("grid needs at least 2 points per axis")
     params = _merged_params(overrides)
     ax_e21, ax_bh = _default_axes(params, n_e21, n_betaH)
-    if e21_axis is not None:
-        ax_e21 = np.asarray(e21_axis, dtype=float)
-    if betaH_axis is not None:
-        ax_bh = np.asarray(betaH_axis, dtype=float)
+    ax_e21, ax_bh = _axis(e21_axis, ax_e21), _axis(betaH_axis, ax_bh)
     if np.any(np.diff(ax_e21) <= 0) or np.any(np.diff(ax_bh) <= 0):
         raise ValidationError("scan axes must be strictly increasing")
+
+    def point(e21: float, bh: float) -> QarModel:
+        try:
+            return preset(preset_id, e21, bh, **params)
+        except ValidationError as exc:
+            raise ValidationError(f"grid point (e21={e21:.6g}, betaH={bh:.6g}): {exc}") from exc
+
+    # No preset check involves both E21 and beta_H, and a bad other parameter fails
+    # everywhere: row 0 holds the first bad point in row-major order unless every
+    # beta_H is good, and then column 0 does. Validating row 0, then column 0, raises
+    # the per-point loop's error; point (i, j) is row i's levels with column j's baths.
+    e21s, bhs = ax_e21.tolist(), ax_bh.tolist()
+    baths = [point(e21s[0], bh).baths for bh in bhs]
+    levels = [point(e21, bhs[0]).system for e21 in e21s]
     current = np.empty((len(ax_e21), len(ax_bh)))
     mask = np.empty((len(ax_e21), len(ax_bh)), dtype=bool)
-    for i, e21 in enumerate(ax_e21):
-        for j, bh in enumerate(ax_bh):
-            try:
-                model = preset(preset_id, float(e21), float(bh), **params)
-            except ValidationError as exc:
-                raise ValidationError(
-                    f"grid point (e21={e21:.6g}, betaH={bh:.6g}): {exc}"
-                ) from exc
+    for i, system in enumerate(levels):
+        for j, bath_set in enumerate(baths):
             # cold current and cooling certificate share one counting family
-            family = build_counting_family(model, model.cold_index)
+            family = build_counting_family(QarModel(system, bath_set, 0), 0)
             j_cold, value, _ = _current_from_family(family)
             current[i, j] = j_cold
             mask[i, j] = value > 0.0
@@ -126,7 +141,9 @@ def line_scan(
     overrides: dict | None = None,
 ) -> LineScan:
     """J_C(E21) curves at fixed beta_H for a list of presets."""
-    ids = [p.upper() for p in preset_ids]
+    ids = list(dict.fromkeys(p.upper() for p in preset_ids))
+    if not ids:
+        raise ValidationError("line scan needs at least one preset")
     for p in ids:
         if p not in PRESET_IDS:
             raise ValidationError(f"unknown preset {p!r}")

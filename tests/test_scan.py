@@ -1,15 +1,20 @@
 import hashlib
 import json
+import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qarfcs import fcs, model
+from qarfcs import scan as scan_mod
 from qarfcs.analytic import ideal_cooling
 from qarfcs.errors import ValidationError
-from qarfcs.fcs import heat_current
-from qarfcs.model import preset
+from qarfcs.fcs import _current_from_family, heat_current
+from qarfcs.liouvillian import build_counting_family
+from qarfcs.model import PRESET_DEFAULTS, preset
 from qarfcs.scan import (
     LineScan,
     ScanGrid,
@@ -84,6 +89,27 @@ class TestGridScan:
         assert jmax > 0
         assert 0.01 <= e21_at <= 0.99 and 0.11 <= bh_at <= 0.99
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            {"e21_axis": []},
+            {"betaH_axis": np.empty(0)},
+            {"e21_axis": 0.5},
+            {"e21_axis": [[0.2, 0.4], [0.6, 0.8]]},
+            {"betaH_axis": [[0.3], [0.6]]},
+        ],
+    )
+    def test_explicit_axis_shape_refused_before_any_work(self, monkeypatch, axes):
+        monkeypatch.setattr(scan_mod, "preset", None)  # any model build would raise TypeError
+        with pytest.raises(ValidationError, match=r"^a scan axis must be 1-D with at least 1 point"):
+            grid_scan("A", 5, 5, **axes)
+
+    def test_one_point_axes(self):
+        grid = grid_scan("A", e21_axis=[0.5], betaH_axis=[0.9])
+        assert grid.current.shape == grid.cooling_mask.shape == (1, 1)
+        m = preset("A", 0.5, 0.9)
+        assert grid.current[0, 0] == heat_current(m, m.cold_index)
+
 
 @pytest.fixture(scope="module")
 def lines():
@@ -119,6 +145,17 @@ class TestLineScan:
             ref = [heat_current(m, m.cold_index) for m in
                    (preset(pid, e21, betaH) for e21 in line.e21_axis.tolist())]
             assert row.tolist() == ref
+
+    def test_empty_id_list_refused(self):
+        with pytest.raises(ValidationError, match="at least one preset"):
+            line_scan([], 0.9, 5)
+
+    def test_ids_upper_cased_once_in_first_seen_order(self):
+        line = line_scan(["d", "a", "A", "D"], 0.9, 5)
+        assert list(line.currents) == ["D", "A"]
+        ref = line_scan(["D", "A"], 0.9, 5)
+        for pid in ("A", "D"):
+            assert line.currents[pid].tobytes() == ref.currents[pid].tobytes()
 
     def test_bad_point_is_named(self):
         # beta_H above beta_C is refused at the first grid point
@@ -368,3 +405,133 @@ class TestWriterMemory:
         grid = _synthetic_grid(301, 301)
         peak = self._traced_peak(write_grid_json, grid, tmp_path / "g.json")
         assert peak < 48 * 301 * 301
+
+
+def _per_point_grid(pid, e21_axis, betaH_axis, params):
+    """The per-point loop grid_scan once ran, kept as the reference: one preset per point."""
+    current = np.empty((len(e21_axis), len(betaH_axis)))
+    mask = np.empty((len(e21_axis), len(betaH_axis)), dtype=bool)
+    for i, e21 in enumerate(np.asarray(e21_axis, dtype=float)):
+        for j, bh in enumerate(np.asarray(betaH_axis, dtype=float)):
+            try:
+                m = preset(pid, float(e21), float(bh), **params)
+            except ValidationError as exc:
+                raise ValidationError(
+                    f"grid point (e21={e21:.6g}, betaH={bh:.6g}): {exc}"
+                ) from exc
+            family = build_counting_family(m, m.cold_index)
+            j_cold, value, _ = _current_from_family(family)
+            current[i, j] = j_cold
+            mask[i, j] = value > 0.0
+    return current, mask
+
+
+def _outcome(fn):
+    """(exception type, message) of a call that raises, else its result."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestMatchesPerPointLoop:
+    """grid_scan validates each axis once; errors and bits stay those of the per-point loop."""
+
+    GOOD_E21 = [0.2, 0.5, 0.8]
+    GOOD_BH = [0.3, 0.6, 0.9]
+
+    @pytest.mark.parametrize(
+        "e21_axis, betaH_axis, overrides",
+        [
+            pytest.param([0.2, 0.5, 1.2, 1.5], GOOD_BH, {}, id="bad-e21-later-row"),
+            pytest.param(GOOD_E21, [0.3, 0.6, 1.2], {}, id="bad-betaH-later-column"),
+            pytest.param([0.2, 0.5, 1.2], [0.3, 1.0, 1.2], {}, id="both"),
+            pytest.param([-0.1, 0.2], [0.05, 0.3], {}, id="both-at-first-point"),
+            pytest.param([1e-7, 0.5], [0.3, 1.2], {}, id="gap-row0-bad-later-column"),
+            pytest.param([1e-7, 0.5], [1.2, 1.5], {}, id="gap-row0-bad-first-column"),
+            pytest.param([0.5, 1.0 - 1e-7], [0.3, 1.2], {}, id="upper-gap-later-row"),
+            pytest.param([1.0 - 1e-7], [1.0, 1.1], {}, id="upper-gap-bad-columns"),
+            pytest.param([0.2, float("nan")], GOOD_BH, {}, id="nan-e21"),
+            pytest.param(GOOD_E21, [0.3, float("nan")], {}, id="nan-betaH"),
+            pytest.param([float("nan")], [float("nan")], {}, id="nan-both"),
+            pytest.param(GOOD_E21, GOOD_BH, {"gamma": -1.0}, id="gamma-negative"),
+            pytest.param(GOOD_E21, GOOD_BH, {"gamma": 0.0}, id="gamma-zero-disconnected"),
+            pytest.param(GOOD_E21, GOOD_BH, {"gamma": float("nan")}, id="gamma-nan"),
+            pytest.param(GOOD_E21, GOOD_BH, {"omega_c": 0.0}, id="omega_c-zero"),
+            pytest.param([0.2, 1.2], [0.3, 1.2], {"gamma": 0.0}, id="override-and-axes"),
+        ],
+    )
+    @pytest.mark.parametrize("pid", ["A", "B", "C", "D"])
+    def test_same_error(self, pid, e21_axis, betaH_axis, overrides):
+        params = {**PRESET_DEFAULTS, **overrides}
+        expected = _outcome(lambda: _per_point_grid(pid, e21_axis, betaH_axis, params))
+        got = _outcome(
+            lambda: grid_scan(pid, overrides=overrides, e21_axis=e21_axis, betaH_axis=betaH_axis)
+        )
+        assert isinstance(expected, tuple) and expected[0] is ValidationError
+        assert got == expected
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_outcome_on_random_axes(self, seed):
+        # axes straddling both E21 bounds and both beta_H bounds, in any mix
+        rng = np.random.default_rng(seed)
+        pid = "ABCD"[seed % 4]
+        e21_axis = np.sort(rng.uniform(-0.1, 1.1, rng.integers(1, 5)))
+        bh_axis = np.sort(rng.uniform(0.05, 1.05, rng.integers(1, 4)))
+        expected = _outcome(lambda: _per_point_grid(pid, e21_axis, bh_axis, PRESET_DEFAULTS))
+        got = _outcome(lambda: grid_scan(pid, e21_axis=e21_axis, betaH_axis=bh_axis))
+        if isinstance(expected, tuple) and isinstance(expected[0], type):
+            assert got == expected
+        else:
+            assert got.current.tobytes() == expected[0].tobytes()
+            assert np.array_equal(got.cooling_mask, expected[1])
+
+    @pytest.mark.parametrize("pid", ["A", "B", "C", "D"])
+    def test_same_bits_with_overrides(self, pid):
+        overrides = {"e31": 1.3, "gamma": 2e-3, "omega_c": 5.0}
+        grid = grid_scan(pid, 13, 11, overrides)
+        current, mask = _per_point_grid(
+            pid, grid.e21_axis, grid.betaH_axis, {**PRESET_DEFAULTS, **overrides}
+        )
+        assert grid.current.tobytes() == current.tobytes()
+        assert np.array_equal(grid.cooling_mask, mask)
+
+
+def _count_calls(monkeypatch, fns):
+    """Count calls of ``fns`` through every binding of them in every qarfcs module."""
+    counts = Counter()
+    for fn in fns:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name != "qarfcs" and not name.startswith("qarfcs."):
+                continue
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+class TestCallContract:
+    """The per-point calls the benchmark pins, and one preset per axis point."""
+
+    @pytest.mark.parametrize("pid, rates", [("A", 8), ("B", 24), ("C", 10), ("D", 10)])
+    def test_calls_per_grid_point(self, monkeypatch, pid, rates):
+        counts = _count_calls(
+            monkeypatch, [model.rate, model.rate_table, fcs.charpoly, model.preset]
+        )
+        grid_scan(pid, 5, 4)
+        points = 5 * 4
+        assert counts == {
+            "rate": rates * points,
+            "rate_table": 4 * points,
+            "charpoly": points,
+            "preset": 5 + 4,
+        }
+
+    def test_line_builds_one_preset_per_point(self, monkeypatch):
+        counts = _count_calls(monkeypatch, [model.preset])
+        line_scan(["A", "B"], 0.9, 7)
+        assert counts["preset"] == 2 * (7 + 1)
