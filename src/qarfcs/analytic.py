@@ -179,15 +179,14 @@ class Decomposition:
     """Cold-current numerator split into cycle and leak parts.
 
     Keys are 0-based level pairs; leak keys also carry the leaking bath's
-    label. Parts sum to a_{N-1}(0) * J_C unless ``current_units`` divided
-    them through by a_{N-1}(0).
+    label. Parts sum to a_{N-1}(0) * J_C; dividing them by ``normalization``
+    expresses them as currents.
     """
 
     cycles: dict[Pair, float]
     leaks: dict[tuple[str, Pair], float]
     total: float
     normalization: float
-    current_units: bool
     reconstruction_residual: float
     magnitude: float
 
@@ -196,16 +195,16 @@ class Decomposition:
 
 
 # (cold, hot, work) rate scalings: six points fix the six monomial coefficients
-# of a homogeneous quadratic; the seventh, the unit point, is the plain sum
+# of a homogeneous quadratic
 _EXTRACTION_POINTS = np.array(
-    [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (1, 2, 2), (1, 1, 1)], dtype=float
+    [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (1, 2, 2)], dtype=float
 )
 _VANDERMONDE = np.array(
-    [(c * c, h * h, w * w, c * h, c * w, h * w) for c, h, w in _EXTRACTION_POINTS[:6]]
+    [(c * c, h * h, w * w, c * h, c * w, h * w) for c, h, w in _EXTRACTION_POINTS]
 )
 
 
-def decompose(model: QarModel, *, current_units: bool = False) -> Decomposition:
+def decompose(model: QarModel) -> Decomposition:
     """Exact cycle/leak decomposition of the cold current (three baths).
 
     For each cold-coupled transition, the counted-numerator contribution is a
@@ -220,32 +219,29 @@ def decompose(model: QarModel, *, current_units: bool = False) -> Decomposition:
     current). Because the on-transition rates enter the numerator linearly,
     the on/off split is exact.
 
-    All extraction generators (the six scaling points with both other baths
-    off the transition and the unit point with only the work bath off, per
-    transition) and L(0), which is also every transition's full-rate point,
-    go through one stacked ``charpoly`` pass.
+    Per transition, the six scaling points with both other baths off the
+    transition and the unscaled set with only the work bath off are the
+    extraction generators; L(0), also every transition's full-rate point, goes
+    last, and all of them go through one stacked ``charpoly`` pass. Parts and
+    total are in numerator units.
     """
     cold, hot, work = _ideal_roles(model)
     tables = np.array([rate_table(model, b) for b in range(3)])
     energies = model.system.energies
-    n = 3
-    sign = (-1.0) ** (n + 1)
     labels = {hot: model.baths[hot].label, work: model.baths[work].label}
 
-    # per cold-coupled transition q: table set 2q without the hot and work
-    # rates on the transition, 2q + 1 without the work rate; the full set last
     k_cold = tables[cold].tolist()
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if k_cold[i][j] or k_cold[j][i]]
-    stack = np.repeat(tables[None], 2 * len(pairs) + 1, axis=0)
-    for q, (i, j) in enumerate(pairs):
-        stack[[[2 * q], [2 * q], [2 * q + 1]], [[hot], [work], [work]], [i, j], [j, i]] = 0.0
-    # every point of every set; the scalings are 1 or 2, so scaling the tables
-    # scales each bath's generator exactly. Kept as (set, point) are each
-    # transition's 6 bare points and its no-work point, then L(0)
-    points = _EXTRACTION_POINTS[:, [(cold, hot, work).index(b) for b in range(3)]]
-    extracted = generator_from_tables(points[:, :, None, None] * stack[:, None])
-    keep = [(2 * q + (p == 6), p) for q in range(len(pairs)) for p in range(7)]
-    cp = charpoly(extracted[tuple(zip(*keep, (len(stack) - 1, 6)))])
+    pairs = [(i, j) for i in range(3) for j in range(i + 1, 3) if k_cold[i][j] or k_cold[j][i]]
+    # the scalings are 1 or 2, so scaling the tables scales each bath's generator exactly
+    scales = _EXTRACTION_POINTS[:, [(cold, hot, work).index(b) for b in range(3)], None, None]
+    sets = []
+    for i, j in pairs:
+        no_work = tables.copy()
+        no_work[work, [i, j], [j, i]] = 0.0
+        bare = no_work.copy()
+        bare[hot, [i, j], [j, i]] = 0.0
+        sets += [*(scales * bare), no_work]
+    cp = charpoly(generator_from_tables(np.array([*sets, tables])))
     adj = cp.adjugate.tolist()
 
     # each trace against d1 takes its signed fsum and its absolute fsum (the
@@ -260,7 +256,7 @@ def decompose(model: QarModel, *, current_units: bool = False) -> Decomposition:
         d1 = [(x, r, c) for x, r, c in d1 if x]
         products = [[a[c][r] * x for x, r, c in d1] for a in adj[7 * q : 7 * q + 7] + adj[-1:]]
         scale_ref = max(scale_ref, *(math.fsum(map(abs, p)) for p in products))
-        vals.append([sign * math.fsum(p) for p in products])
+        vals.append([math.fsum(p) for p in products])
         full_products += products[-1]
     # one LAPACK solve per transition (the 6 bare points), bitwise that of a
     # lone 6-vector solve
@@ -285,28 +281,16 @@ def decompose(model: QarModel, *, current_units: bool = False) -> Decomposition:
             "steady current"
         )
 
-    a_pen = float(cp.coeffs[-1, n - 2])
+    a_pen = float(cp.coeffs[-1, 1])  # a_(N-1)(0) of L(0), N = 3
     # the d1 of distinct transitions have disjoint entries, and fsum is exactly
     # rounded, so this is the trace of adj(L(0)) against their sum
-    numerator = sign * math.fsum(full_products)
+    numerator = math.fsum(full_products)
     parts = math.fsum(list(cycles.values()) + list(leaks.values()))
-    residual = abs(parts - numerator)
-
-    magnitude = scale_ref
-    if current_units:
-        cycles = {k: v / a_pen for k, v in cycles.items()}
-        leaks = {k: v / a_pen for k, v in leaks.items()}
-        total = numerator / a_pen
-        residual /= a_pen
-        magnitude /= a_pen
-    else:
-        total = numerator
     return Decomposition(
         cycles=cycles,
         leaks=leaks,
-        total=total,
+        total=numerator,
         normalization=a_pen,
-        current_units=current_units,
-        reconstruction_residual=residual,
-        magnitude=magnitude,
+        reconstruction_residual=abs(parts - numerator),
+        magnitude=scale_ref,
     )

@@ -307,26 +307,29 @@ def _pair_label(pair) -> str:
 
 def _cmd_decompose(args) -> int:
     model = _model_from_args(args)
-    dec = decompose(model, current_units=args.current_units)
-    unit = "current units" if dec.current_units else "numerator units"
-    lines = [f"decomposition ({unit}); parts sum to a_(N-1)(0) * J_C" if not dec.current_units
-             else f"decomposition ({unit})"]
+    dec = decompose(model)
+    # dividing by 1.0 is exact, so numerator units keep every bit
+    unit = dec.normalization if args.current_units else 1.0
+    lines = ["decomposition (current units)" if args.current_units
+             else "decomposition (numerator units); parts sum to a_(N-1)(0) * J_C"]
     payload = {
-        "current_units": dec.current_units,
-        "total": dec.total,
+        "current_units": args.current_units,
+        "total": dec.total / unit,
         "normalization": dec.normalization,
-        "reconstruction_residual": dec.reconstruction_residual,
+        "reconstruction_residual": dec.reconstruction_residual / unit,
         "cycles": {},
         "leaks": {},
     }
     for pair, v in sorted(dec.cycles.items()):
+        v /= unit
         lines.append(f"cycle[{_pair_label(pair)}] = {v:.17e}")
         payload["cycles"][_pair_label(pair)] = v
     for (lab, pair), v in sorted(dec.leaks.items()):
+        v /= unit
         lines.append(f"leak[{lab};{_pair_label(pair)}] = {v:.17e}")
         payload["leaks"][f"{lab};{_pair_label(pair)}"] = v
-    lines.append(f"total = {dec.total:.17e}")
-    lines.append(f"reconstruction residual = {dec.reconstruction_residual:.3e}")
+    lines.append(f"total = {payload['total']:.17e}")
+    lines.append(f"reconstruction residual = {payload['reconstruction_residual']:.3e}")
     _emit(payload, args, lines)
     return 0
 
@@ -411,9 +414,8 @@ def _run_checks(seed: int, trials: int, tols: dict[str, float]):
             worst_eq = max(worst_eq, max(abs(x - y) for x, y in pairs) / j_scale)
             worst_cons = max(worst_cons, conservation_residual(m) / j_scale)
         value, _ = cooling_condition(m)
-        if value != 0.0 and math.copysign(1.0, value) != math.copysign(
-            1.0, heat_current(m, m.cold_index)
-        ):
+        j_cold = pairs[m.cold_index][0]  # heat_current(m, m.cold_index), computed above
+        if value != 0.0 and math.copysign(1.0, value) != math.copysign(1.0, j_cold):
             sign_bad += 1
     yield "oracle-equivalence", bool(worst_eq <= tols["oracle_equivalence"]), f"worst {worst_eq:.3e}"
     yield "conservation", bool(worst_cons <= tols["conservation"]), f"worst {worst_cons:.3e}"

@@ -63,18 +63,12 @@ def _merged_params(overrides: dict | None) -> dict:
     return params
 
 
-def _default_axes(params: dict, n_e21: int, n_betaH: int) -> tuple[np.ndarray, np.ndarray]:
-    e31 = params["e31"]
-    beta_c, beta_w = params["beta_c"], params["beta_w"]
-    e21_axis = np.linspace(0.01 * e31, 0.99 * e31, n_e21)
-    betaH_axis = np.linspace(beta_w + 0.01, beta_c - 0.01, n_betaH)
-    return e21_axis, betaH_axis
-
-
-def _axis(values, default: np.ndarray) -> np.ndarray:
-    """An explicit axis as 1-D floats with at least one point, else the default."""
+def _axis(values, n: int, lo: float, hi: float) -> np.ndarray:
+    """An explicit axis as 1-D floats with at least one point, else n >= 2 points on [lo, hi]."""
     if values is None:
-        return default
+        if n < 2:
+            raise ValidationError("grid needs at least 2 points per axis")
+        return np.linspace(lo, hi, n)
     axis = np.asarray(values, dtype=float)
     if axis.ndim != 1 or axis.size == 0:
         raise ValidationError(f"a scan axis must be 1-D with at least 1 point, got {axis.shape}")
@@ -94,11 +88,10 @@ def grid_scan(
     preset_id = preset_id.upper()
     if preset_id not in PRESET_IDS:
         raise ValidationError(f"unknown preset {preset_id!r}")
-    if n_e21 < 2 or n_betaH < 2:
-        raise ValidationError("grid needs at least 2 points per axis")
     params = _merged_params(overrides)
-    ax_e21, ax_bh = _default_axes(params, n_e21, n_betaH)
-    ax_e21, ax_bh = _axis(e21_axis, ax_e21), _axis(betaH_axis, ax_bh)
+    e31, beta_c, beta_w = params["e31"], params["beta_c"], params["beta_w"]
+    ax_e21 = _axis(e21_axis, n_e21, 0.01 * e31, 0.99 * e31)
+    ax_bh = _axis(betaH_axis, n_betaH, beta_w + 0.01, beta_c - 0.01)
     if np.any(np.diff(ax_e21) <= 0) or np.any(np.diff(ax_bh) <= 0):
         raise ValidationError("scan axes must be strictly increasing")
 
@@ -149,13 +142,14 @@ def line_scan(
             raise ValidationError(f"unknown preset {p!r}")
     if n_e21 < 2:
         raise ValidationError("line scan needs at least 2 points")
-    params = _merged_params(overrides)
-    ax_e21, _ = _default_axes(params, n_e21, 2)
     # each curve is column 0 of a one-column grid at this beta_H
-    currents = {
-        pid: grid_scan(pid, n_e21, 2, params, betaH_axis=[betaH]).current[:, 0] for pid in ids
-    }
-    return LineScan(betaH=float(betaH), e21_axis=ax_e21, currents=currents, params=params)
+    grids = [grid_scan(pid, n_e21, overrides=overrides, betaH_axis=[betaH]) for pid in ids]
+    return LineScan(
+        betaH=float(betaH),
+        e21_axis=grids[0].e21_axis,
+        currents={pid: grid.current[:, 0] for pid, grid in zip(ids, grids)},
+        params=grids[0].params,
+    )
 
 
 def _fmt(x: float) -> str:

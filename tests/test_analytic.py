@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from qarfcs import analytic
+from qarfcs import analytic, cli
 from qarfcs.analytic import (
     cop,
     cycle_conditions,
@@ -376,11 +377,16 @@ class TestDecompose:
         j = heat_current(m, 0)
         assert dec.total == pytest.approx(dec.normalization * j, rel=1e-12)
 
-    def test_current_units_option(self):
+    def test_current_units_option(self, capsys):
+        # numerator units live in the library; the CLI divides by a_(N-1)(0)
         m = preset("B", 0.5, 0.9)
-        dec = decompose(m, current_units=True)
-        assert dec.total == pytest.approx(heat_current(m, 0), rel=1e-12)
-        assert dec.part_sum() == pytest.approx(dec.total, rel=1e-9)
+        argv = ["decompose", "--preset", "B", "--e21", "0.5", "--betaH", "0.9"]
+        assert cli.main([*argv, "--current-units", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["current_units"] is True
+        assert data["total"] == pytest.approx(heat_current(m, 0), rel=1e-12)
+        parts = math.fsum([*data["cycles"].values(), *data["leaks"].values()])
+        assert parts == pytest.approx(data["total"], rel=1e-9)
 
     def test_requires_three_baths(self, spin_boson):
         with pytest.raises(TopologyError):
@@ -405,6 +411,25 @@ class TestDecompose:
         # 7 extraction generators per cold-coupled transition, then L(0)
         n_pairs = sum(g > 0 for g in m.baths[m.cold_index].couplings.values())
         assert calls[0] == (7 * n_pairs + 1, 3, 3)
+
+    @pytest.mark.parametrize("pid", ["A", "B", "C", "D", "random"])
+    def test_builds_only_the_traced_generators(self, pid, monkeypatch):
+        if pid == "random":
+            m = random_connected_model(np.random.default_rng(11), n_levels=3, n_baths=3)
+        else:
+            m = preset(pid, 0.3, 0.9)
+        build = analytic.generator_from_tables
+        shapes = []
+
+        def counting(tables):
+            shapes.append(np.shape(tables))
+            return build(tables)
+
+        monkeypatch.setattr(analytic, "generator_from_tables", counting)
+        decompose(m)
+        # one table set per traced generator: 7 per cold-coupled transition, then L(0)
+        n_pairs = sum(g > 0 for g in m.baths[m.cold_index].couplings.values())
+        assert shapes == [(7 * n_pairs + 1, 3, 3, 3)]
 
     @pytest.mark.parametrize("pid", ["A", "B", "random"])
     def test_one_batched_solve_per_call(self, pid, monkeypatch):

@@ -61,6 +61,12 @@ class TestCurrent:
         assert data["cooling"] is True and data["current"] > 0
         assert list(data) == ["bath", "current", "cooling_value", "cooling"]
 
+    def test_bath_label_matches_case_insensitively(self, capsys):
+        argv = ["current", "--preset", "A", "--e21", "0.5", "--betaH", "0.9", "--format", "json"]
+        code, out, _ = run(capsys, *argv, "--bath", "c")
+        assert code == 0 and json.loads(out)["bath"] == "C"
+        assert out == run(capsys, *argv, "--bath", "C")[1]
+
     def test_validation_error_exit_code(self, capsys):
         code, _, err = run(
             capsys, "current", "--preset", "A", "--e21", "2.0", "--betaH", "0.9"
@@ -469,6 +475,36 @@ class TestCheckCommand:
         data = json.loads(out)
         assert data["failed"] == []
         assert len(data["results"]) == 8
+
+
+class TestArgumentRefusals:
+    @pytest.mark.parametrize(
+        "tol, message",
+        [("bogus", "--tol expects name=value, got 'bogus'"), ("nope=1", "unknown tolerance 'nope'")],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bad_tol_refused(self, capsys, tol, message, fmt):
+        code, out, err = run(capsys, "check", "--trials", "1", "--tol", tol, "--format", fmt)
+        assert code == 2
+        assert "checks passed" not in out
+        text = json.loads(out)["error"]["message"] if fmt == "json" else err
+        assert message in text
+
+    def test_model_and_preset_refused_together(self, capsys, tmp_path):
+        path = tmp_path / "sb.json"
+        save_model(make_spin_boson(), path)
+        code, out, err = run(
+            capsys, "current", "--model", str(path), "--preset", "A",
+            "--e21", "0.5", "--betaH", "0.9",
+        )
+        assert code == 2 and out == ""
+        assert "give either --model or --preset, not both" in err
+
+    @pytest.mark.parametrize("given", [["--e21", "0.5"], ["--betaH", "0.9"]])
+    def test_preset_needs_e21_and_beta_h(self, capsys, given):
+        code, out, err = run(capsys, "current", "--preset", "A", *given)
+        assert code == 2 and out == ""
+        assert "--preset needs --e21 and --betaH" in err
 
 
 class TestPresetsCommand:

@@ -119,6 +119,10 @@ class TestValidation:
         with pytest.raises(ValidationError, match="gap tolerance must be positive"):
             SystemSpec((1.0, 0.0, 0.5), gap_tol=gap_tol)
 
+    def test_no_bath_rejected(self):
+        with pytest.raises(ValidationError, match="^at least one bath is required$"):
+            QarModel(SystemSpec((0.0, 1.0)), (), 0)
+
     def test_single_level_rejected(self):
         with pytest.raises(ValidationError):
             SystemSpec((1.0,))

@@ -56,6 +56,8 @@ def test_public_parameter_lists_are_pinned():
         ("rng", _NO_DEFAULT), ("n_levels", None), ("n_baths", None), ("topology", "tree"),
     ]
     assert _parameters(qarfcs.fcs_report) == [("model", _NO_DEFAULT), ("bath", None)]
+    # numerator units only; the CLI's --current-units divides by the normalization
+    assert _parameters(qarfcs.decompose) == [("model", _NO_DEFAULT)]
 
 
 def test_report_and_family_fields_are_pinned():
@@ -65,4 +67,7 @@ def test_report_and_family_fields_are_pinned():
     assert names(qarfcs.CountingFamily) == ["base", "energies", "betas", "dressed", "d1", "d2"]
     assert names(qarfcs.FcsReport) == [
         "bath_label", "current", "cooling_value", "cooling", "charpoly_coeffs",
+    ]
+    assert names(qarfcs.Decomposition) == [
+        "cycles", "leaks", "total", "normalization", "reconstruction_residual", "magnitude",
     ]

@@ -110,6 +110,26 @@ class TestGridScan:
         m = preset("A", 0.5, 0.9)
         assert grid.current[0, 0] == heat_current(m, m.cold_index)
 
+    def test_counts_checked_only_where_the_default_axis_is_built(self):
+        # an explicit axis ignores its count; a default axis needs at least 2 points
+        grid = grid_scan("A", 1, 1, e21_axis=[0.5], betaH_axis=[0.9])
+        ref = grid_scan("A", e21_axis=[0.5], betaH_axis=[0.9])
+        assert grid.current.tobytes() == ref.current.tobytes()
+        assert grid_scan("A", 0, 3, e21_axis=[0.2, 0.5]).current.shape == (2, 3)
+        assert grid_scan("A", 3, -1, betaH_axis=[0.9]).current.shape == (3, 1)
+        with pytest.raises(ValidationError, match="^grid needs at least 2 points per axis$"):
+            grid_scan("A", 1, 5, betaH_axis=[0.9])
+        with pytest.raises(ValidationError, match="^grid needs at least 2 points per axis$"):
+            grid_scan("A", 5, 1, e21_axis=[0.5])
+
+    @pytest.mark.parametrize(
+        "axes", [{"e21_axis": [0.5, 0.4]}, {"betaH_axis": [0.3, 0.6, 0.6]}]
+    )
+    def test_non_increasing_axis_refused(self, monkeypatch, axes):
+        monkeypatch.setattr(scan_mod, "preset", None)  # any model build would raise TypeError
+        with pytest.raises(ValidationError, match="^scan axes must be strictly increasing$"):
+            grid_scan("A", 5, 5, **axes)
+
 
 @pytest.fixture(scope="module")
 def lines():
@@ -161,6 +181,22 @@ class TestLineScan:
         # beta_H above beta_C is refused at the first grid point
         with pytest.raises(ValidationError, match=r"^grid point \(e21=0\.01, betaH=1\.5\): "):
             line_scan(["A"], 1.5, 5)
+
+    def test_bad_ids_and_counts_refused_before_any_grid(self, monkeypatch):
+        monkeypatch.setattr(scan_mod, "grid_scan", None)  # any grid would raise TypeError
+        with pytest.raises(ValidationError, match="unknown preset 'Z'"):
+            line_scan(["A", "Z"], 0.9, 5)
+        with pytest.raises(ValidationError, match="line scan needs at least 2 points"):
+            line_scan(["A"], 0.9, 1)
+
+    def test_axis_and_params_are_those_of_its_grids(self):
+        overrides = {"e31": 1.3, "gamma": 2e-3}
+        line = line_scan(["A", "B"], 0.9, 5, overrides)
+        grid = grid_scan("B", 5, 2, overrides)
+        assert line.e21_axis.tobytes() == grid.e21_axis.tobytes()
+        assert line.params == grid.params == {**PRESET_DEFAULTS, **overrides}
+        with pytest.raises(ValidationError, match="unknown scan overrides"):
+            line_scan(["A"], 0.9, 5, {"bogus": 1})
 
 
 class TestWriters:
