@@ -37,21 +37,17 @@ from .model import (
 from .liouvillian import (
     CountingFamily,
     build_generator,
-    bath_generator,
     build_counting_family,
 )
 from .fcs import (
     CharPoly,
-    FcsReport,
     charpoly,
-    adjugate,
     adjugate_derivative,
     heat_current,
     cooling_condition,
     noise,
     cgf,
     numeric_cumulants,
-    fcs_report,
 )
 from .oracle import (
     SteadyState,

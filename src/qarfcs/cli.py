@@ -22,9 +22,9 @@ from . import scan as scan_mod
 from .analytic import cop, decompose
 from .errors import QarError, ValidationError
 from .fcs import (
+    _current_from_family,
     charpoly,
     cooling_condition,
-    fcs_report,
     heat_current,
     noise,
     numeric_cumulants,
@@ -223,18 +223,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_current(args) -> int:
     model = _model_from_args(args)
     bath = _bath_index(model, args.bath)
-    report = fcs_report(model, bath)
-    payload = report.to_dict()
+    current, value, cp = _current_from_family(build_counting_family(model, bath))
+    if bath != model.cold_index:
+        value, _ = cooling_condition(model)
+    label = model.baths[bath].label
+    payload = {"bath": label, "current": current, "cooling_value": value, "cooling": value > 0.0}
     lines = [
-        f"bath = {report.bath_label}",
-        f"current = {report.current:.17e}",
-        f"cooling = {report.cooling} (condition value {report.cooling_value:.17e})",
+        f"bath = {label}",
+        f"current = {current:.17e}",
+        f"cooling = {value > 0.0} (condition value {value:.17e})",
     ]
     if args.verbose:
-        coeffs = ", ".join(f"a_{k + 1} = {c:.17e}" for k, c in enumerate(report.charpoly_coeffs))
+        payload["charpoly"] = cp.coeffs.tolist()
+        coeffs = ", ".join(f"a_{k + 1} = {c:.17e}" for k, c in enumerate(payload["charpoly"]))
         lines.append(f"charpoly: {coeffs}")
-    else:
-        payload.pop("charpoly")
     _emit(payload, args, lines)
     return 0
 

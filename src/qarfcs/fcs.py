@@ -21,6 +21,7 @@ the continued root sequential.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,8 @@ from .errors import (
     NoiseNotApplicableError,
     ValidationError,
 )
-from .liouvillian import CountingFamily, _identity, build_counting_family
+from .liouvillian import WORKING_DTYPE, CountingFamily, _identity, build_counting_family
 from .model import QarModel
-
-_LD = np.longdouble
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +72,7 @@ def _faddeev_leverrier(m: np.ndarray, dm: np.ndarray | None = None):
     dM_(k+1) = dM (M_k + a_k I) + M (dM_k + da_k I), up to step N-1.
     """
     n = m.shape[-1]
-    ident = _identity(n, _LD)
+    ident = _identity(n, WORKING_DTYPE)
     coeffs = []
     mk, dmk = m, dm
     for k in range(1, n):
@@ -102,14 +101,9 @@ def charpoly(m: np.ndarray) -> CharPoly:
         raise ValidationError(f"charpoly needs a square matrix, got shape {m.shape}")
     if m.shape[-1] == 1:
         return CharPoly(coeffs=np.negative(m[..., 0]).astype(float), adjugate=np.ones(m.shape))
-    coeffs, adj = _faddeev_leverrier(m.astype(_LD))
+    coeffs, adj = _faddeev_leverrier(m.astype(WORKING_DTYPE))
     coeffs = np.array(coeffs, dtype=float)  # (N, ...): move the coefficient axis last
     return CharPoly(coeffs.transpose((*range(1, coeffs.ndim), 0)), adj.astype(float))
-
-
-def adjugate(m: np.ndarray) -> np.ndarray:
-    """adj(M), satisfying M @ adj(M) = det(M) I (defined for singular M too)."""
-    return charpoly(m).adjugate
 
 
 def adjugate_derivative(family: CountingFamily) -> np.ndarray:
@@ -121,7 +115,8 @@ def adjugate_derivative(family: CountingFamily) -> np.ndarray:
     """
     if family.n == 1:
         return np.zeros((1, 1))
-    return _faddeev_leverrier(family.base.astype(_LD), family.d1.astype(_LD)).astype(float)
+    ld = WORKING_DTYPE
+    return _faddeev_leverrier(family.base.astype(ld), family.d1.astype(ld)).astype(float)
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -162,9 +157,7 @@ def _current_from_family(family: CountingFamily, cp: CharPoly | None = None):
 
 def heat_current(model: QarModel, bath: int) -> float:
     """Mean heat current from one bath into the system (positive = absorbed)."""
-    family = build_counting_family(model, bath)
-    current, _, _ = _current_from_family(family)
-    return current
+    return _current_from_family(build_counting_family(model, bath))[0]
 
 
 def cooling_condition(model: QarModel) -> tuple[float, bool]:
@@ -173,8 +166,7 @@ def cooling_condition(model: QarModel) -> tuple[float, bool]:
     Returns the trace expression (-1)^(N+1) tr(adj(L(0)) dL/ds) counted at the
     cold bath; it shares its sign with the cold current because a_{N-1}(0) > 0.
     """
-    family = build_counting_family(model, model.cold_index)
-    _, value, _ = _current_from_family(family)
+    _, value, _ = _current_from_family(build_counting_family(model, model.cold_index))
     return value, value > 0.0
 
 
@@ -188,7 +180,7 @@ def _check_noise_precondition(family: CountingFamily, cp0: CharPoly, rtol: float
     """
     n = cp0.n
     samples = np.array(_NOISE_PRECOND_SAMPLES) / family.energy_span
-    stack = family.evaluate_extended(samples)
+    stack, _ = family.dressed_stack(samples)
     for j in (n - 1, n - 2):
         ref = cp0.coefficient(j)
         if j == 0:
@@ -208,8 +200,13 @@ def noise(model: QarModel, bath: int, *, precondition_rtol: float = 1e-10) -> fl
     """Zero-frequency noise of the heat current at one bath.
 
     Raises NoiseNotApplicableError when other baths share the counted bath's
-    transitions (the truncation is then uncontrolled).
+    transitions (the truncation is then uncontrolled). ``precondition_rtol``
+    must be a finite number >= 0.
     """
+    if not (isinstance(precondition_rtol, numbers.Real) and 0.0 <= precondition_rtol < math.inf):
+        raise ValidationError(
+            f"precondition_rtol must be a finite number >= 0, got {precondition_rtol!r}"
+        )
     family = build_counting_family(model, bath)
     cp = _base_charpoly(family)
     _check_noise_precondition(family, cp, precondition_rtol)
@@ -246,7 +243,7 @@ def _step_polynomials(family: CountingFamily, grid: list[float]) -> np.ndarray:
     column sums are formed from the corrections alone, so they carry no roundoff
     of the base generator.
     """
-    stack, corrections = family._dressed_stack(np.asarray(grid, dtype=float))
+    stack, corrections = family.dressed_stack(np.asarray(grid, dtype=float))
     coeffs = charpoly(stack).monic()
     cols = np.array([col for _, col, _, _ in family.dressed], dtype=int)
     col_sums = np.zeros(stack.shape[:-1], dtype=stack.dtype)
@@ -454,42 +451,3 @@ def numeric_cumulants(family: CountingFamily) -> tuple[float, float]:
     h = 1e-4
     g_plus, g_minus = cgf(family, np.array([h, -h])).tolist()
     return (g_plus - g_minus) / (2.0 * h), (g_plus + g_minus) / (h * h)
-
-
-@dataclass(frozen=True, eq=False)
-class FcsReport:
-    """Single-contact summary: current, cooling certificate, charpoly of L(0)."""
-
-    bath_label: str
-    current: float
-    cooling_value: float
-    cooling: bool
-    charpoly_coeffs: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "bath": self.bath_label,
-            "current": self.current,
-            "cooling_value": self.cooling_value,
-            "cooling": self.cooling,
-            "charpoly": list(self.charpoly_coeffs),
-        }
-
-
-def fcs_report(model: QarModel, bath: int | None = None) -> FcsReport:
-    """Assemble the per-contact report, counted at ``bath`` (default: the cold bath)."""
-    if bath is None:
-        bath = model.cold_index
-    family = build_counting_family(model, bath)
-    current, value, cp = _current_from_family(family)
-    if bath == model.cold_index:
-        cooling = value > 0.0
-    else:
-        value, cooling = cooling_condition(model)
-    return FcsReport(
-        bath_label=model.baths[bath].label,
-        current=current,
-        cooling_value=value,
-        cooling=cooling,
-        charpoly_coeffs=tuple(float(c) for c in cp.coeffs),
-    )

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ValidationError
 from .model import QarModel, rate_table
 
+# the extended precision of the Faddeev-LeVerrier recursion and of L(s)
+WORKING_DTYPE = np.longdouble
+
 
 @functools.cache
 def _identity(n: int, dtype: type = float) -> np.ndarray:
@@ -26,20 +29,16 @@ def _identity(n: int, dtype: type = float) -> np.ndarray:
     return ident
 
 
-def bath_generator(model: QarModel, bath: int) -> np.ndarray:
-    """Single-bath generator L_mu (off-diagonal rates, zero column sums)."""
-    return generator_from_tables(rate_table(model, bath)[None])
-
-
 def build_generator(model: QarModel) -> np.ndarray:
-    """Full generator L(0), bitwise the sum of ``bath_generator`` over the baths."""
+    """Full generator L(0) from the rate tables of every bath."""
     return generator_from_tables([rate_table(model, b) for b in range(model.n_baths)])
 
 
 def generator_from_tables(tables: np.ndarray | list[np.ndarray]) -> np.ndarray:
     """L(0) = sum_mu (K_mu^T - diag(K_mu 1)) from rate tables stacked on axis -3.
 
-    A (..., B, N, N) stack gives (..., N, N), each matrix bitwise its own call's.
+    A (..., B, N, N) stack gives (..., N, N), each matrix bitwise its own call's;
+    a (1, N, N) stack gives one bath's generator L_mu.
     """
     stack = np.asarray(tables)
     diag = stack.sum(axis=-1).sum(axis=-2)
@@ -83,31 +82,21 @@ class CountingFamily:
     def energy_span(self) -> float:
         return max(self.energies) - min(self.energies)
 
-    def _dressed_stack(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def dressed_stack(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """L(s_k) and its k * expm1(s_k * dE) corrections for a 1-D array of s.
 
-        Both are long double: the stack is (K, N, N) and the corrections are
-        (K, M), one column per entry of ``dressed`` in its order.
+        Both are ``WORKING_DTYPE``, since the continuation resolves root shifts far
+        below the double rounding of the dressed entries: the stack is (K, N, N)
+        and the corrections (K, M), one column per entry of ``dressed``. Each
+        matrix is bitwise that of a size-1 call at its s.
         """
         rows, cols, k, de = np.array(self.dressed, dtype=float).reshape(-1, 4).T
         rows, cols = rows.astype(int), cols.astype(int)
-        ld = np.longdouble
+        ld = WORKING_DTYPE
         corrections = k.astype(ld) * np.expm1(np.multiply.outer(s.astype(ld), de.astype(ld)))
         out = np.repeat(self.base.astype(ld)[None], s.size, axis=0)
         np.add.at(out, (slice(None), rows, cols), corrections)
         return out, corrections
-
-    def evaluate_extended(self, s: float | np.ndarray) -> np.ndarray:
-        """L(s) in extended precision, for one s or a stack over a 1-D array of s.
-
-        The cumulant continuation resolves root shifts far below the double
-        rounding of the dressed entries, so the base + k*expm1(s*dE) sums are
-        formed in long double. A scalar gives (N, N) and an array (K, N, N);
-        the scalar call is the size-1 case, so every matrix of a stack is
-        bitwise its own call's.
-        """
-        out, _ = self._dressed_stack(np.atleast_1d(np.asarray(s, dtype=float)))
-        return out[0] if np.ndim(s) == 0 else out
 
 
 def build_counting_family(model: QarModel, counted_bath: int) -> CountingFamily:

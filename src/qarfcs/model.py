@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -307,32 +306,48 @@ def _field(raw, key: str, convert, where: str, default=None):
         raise ValidationError(f"{where} is missing field {key!r}")
     try:
         return convert(raw.get(key, default))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: field {key!r} has invalid value {raw[key]!r}") from exc
+
+
+def _json(kind, convert=None):
+    """Converter taking only a value of the JSON ``kind``, never a bool, into ``convert``."""
+
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise TypeError(f"expected {kind}, got {type(value).__name__}")
+        return value if convert is None else convert(value)
+
+    return check
+
+
+_number = _json((int, float), float)
 
 
 def model_from_dict(data: dict) -> QarModel:
     """Build a model from the JSON schema (1-based level indices)."""
     system = SystemSpec(
-        energies=_field(data, "energies", lambda v: tuple(map(float, v)), "model file"),
-        gap_tol=_field(data, "gap_tol", float, "model file", DEFAULT_GAP_TOL),
+        energies=_field(
+            data, "energies", _json(list, lambda v: tuple(map(_number, v))), "model file"
+        ),
+        gap_tol=_field(data, "gap_tol", _number, "model file", DEFAULT_GAP_TOL),
     )
     cold = _field(data, "cold", lambda v: v, "model file")
     baths = []
-    for n, raw in enumerate(_field(data, "baths", list, "model file"), start=1):
-        label = _field(raw, "label", str, f"bath {n}")
+    for n, raw in enumerate(_field(data, "baths", _json(list), "model file"), start=1):
+        label = _field(raw, "label", _json(str), f"bath {n}")
         where = f"bath {label!r}"
         coup: dict[Pair, float] = {}
-        for c, entry in enumerate(_field(raw, "couplings", list, where, []), start=1):
+        for c, entry in enumerate(_field(raw, "couplings", _json(list), where, []), start=1):
             at = f"{where} coupling {c}"
-            i, j = _field(entry, "i", operator.index, at), _field(entry, "j", operator.index, at)
+            i, j = _field(entry, "i", _json(int), at), _field(entry, "j", _json(int), at)
             if i < 1 or j < 1:
                 raise ValidationError(f"{where}: file couplings are 1-based, got ({i}, {j})")
             if (i - 1, j - 1) in coup or (j - 1, i - 1) in coup:
                 raise ValidationError(f"{at}: fields 'i', 'j' repeat the pair ({i}, {j})")
-            coup[(i - 1, j - 1)] = _field(entry, "gamma", float, at)
-        beta = _field(raw, "beta", float, where)
-        sd = OhmicSpectralDensity(omega_c=_field(raw, "omega_c", float, where, 10.0))
+            coup[(i - 1, j - 1)] = _field(entry, "gamma", _number, at)
+        beta = _field(raw, "beta", _number, where)
+        sd = OhmicSpectralDensity(omega_c=_field(raw, "omega_c", _number, where, 10.0))
         baths.append(BathSpec(label=label, beta=beta, couplings=coup, spectral=sd))
     labels = [b.label for b in baths]
     if cold not in labels:

@@ -6,6 +6,8 @@ import pytest
 from qarfcs.analytic import sb_current
 from qarfcs import cli
 from qarfcs.cli import build_parser, main
+from qarfcs.fcs import charpoly, cooling_condition, heat_current
+from qarfcs.liouvillian import build_generator
 from qarfcs.model import OhmicSpectralDensity, preset, save_model, spectral_value
 from tests.conftest import make_spin_boson
 
@@ -108,6 +110,38 @@ class TestCurrent:
         code, _, err = run(capsys, "current", "--model", str(path))
         assert code == 2
         assert "disconnected" in err
+
+
+class TestReport:
+    # the current command's payload: the counted current, the cold bath's
+    # cooling certificate and, with --verbose, the charpoly of L(0)
+    def test_report_fields(self, capsys):
+        argv = ["current", "--preset", "A", "--e21", "0.5", "--betaH", "0.9", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        plain = json.loads(out)
+        assert code == 0 and list(plain) == ["bath", "current", "cooling_value", "cooling"]
+        assert plain["bath"] == "C" and plain["cooling"] is True and plain["current"] > 0
+        code, out, _ = run(capsys, *argv, "--verbose")
+        verbose = json.loads(out)
+        assert code == 0
+        assert list(verbose) == ["bath", "current", "cooling_value", "cooling", "charpoly"]
+        assert {key: verbose[key] for key in plain} == plain
+        l0 = build_generator(preset("A", 0.5, 0.9))
+        assert verbose["charpoly"] == charpoly(l0).coeffs.tolist()
+
+    def test_cooling_certificate_matches_cooling_condition(self, capsys):
+        for pid in "ABCD":
+            m = preset(pid, 0.3, 0.9)
+            value, cooling = cooling_condition(m)
+            for bath in m.baths:
+                code, out, _ = run(
+                    capsys, "current", "--preset", pid, "--e21", "0.3", "--betaH", "0.9",
+                    "--bath", bath.label, "--format", "json",
+                )
+                data = json.loads(out)
+                assert code == 0 and data["bath"] == bath.label
+                assert data["cooling_value"] == value and data["cooling"] is cooling
+                assert data["current"] == heat_current(m, m.baths.index(bath))
 
 
 _GOOD_FILE = {

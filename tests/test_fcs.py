@@ -19,12 +19,10 @@ from qarfcs.fcs import (
     _plan_steps,
     _step_polynomials,
     _trace_product,
-    adjugate,
     adjugate_derivative,
     cgf,
     charpoly,
     cooling_condition,
-    fcs_report,
     heat_current,
     noise,
     numeric_cumulants,
@@ -258,31 +256,31 @@ class TestCharPoly:
 class TestAdjugate:
     def test_2x2_closed_form(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.allclose(adjugate(m), [[4.0, -2.0], [-3.0, 1.0]], rtol=1e-14)
+        assert np.allclose(charpoly(m).adjugate, [[4.0, -2.0], [-3.0, 1.0]], rtol=1e-14)
 
     def test_product_identity_random(self, rng):
         for n in (2, 3, 4, 5):
             m = rng.normal(size=(n, n))
-            prod = m @ adjugate(m)
+            prod = m @ charpoly(m).adjugate
             assert np.allclose(prod, np.linalg.det(m) * np.eye(n), rtol=1e-9, atol=1e-9)
 
     def test_matches_cofactor_transpose(self, rng):
         for n in (3, 4):
             for _ in range(10):
                 m = rng.normal(size=(n, n))
-                a = adjugate(m)
+                a = charpoly(m).adjugate
                 b = cofactor_adjugate(m)
                 assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
     def test_singular_generator_annihilated(self):
         l0 = build_generator(preset("A", 0.5, 0.9))
-        prod = l0 @ adjugate(l0)
+        prod = l0 @ charpoly(l0).adjugate
         assert np.max(np.abs(prod)) <= 1e-20  # det is ~1e-22 at these scales
 
     def test_spin_boson_cofactor_structure(self, spin_boson):
         # C_12 = -[L]_21 and C_21 = -[L]_12 for the 2x2 generator
         l0 = build_generator(spin_boson)
-        adj = adjugate(l0)
+        adj = charpoly(l0).adjugate
         k_up = rate(spin_boson, 0, 1, 0) + rate(spin_boson, 0, 1, 1)
         k_dn = rate(spin_boson, 1, 0, 0) + rate(spin_boson, 1, 0, 1)
         assert adj[1, 0] == pytest.approx(-k_up, rel=1e-13)  # cofactor C_12
@@ -404,6 +402,24 @@ class TestNoise:
         monkeypatch.setattr(fcs_module, "build_counting_family", negated_base)
         with pytest.raises(ConsistencyError, match=r"a_\(N-1\)\(0\) = -\S+ is not positive"):
             noise(m, m.cold_index)
+
+    @pytest.mark.parametrize("rtol", [math.nan, math.inf, -math.inf, -1e-10, "1e-10", None])
+    @pytest.mark.parametrize("pid", ["A", "B"])
+    def test_precondition_rtol_must_be_finite_and_nonnegative(self, pid, rtol, monkeypatch):
+        # the rule --tol applies; a NaN or infinite tolerance used to switch the
+        # precondition off on B, and a negative one refused A at deviation 0
+        model = preset(pid, 0.3, 0.9)
+
+        def no_work(*args):
+            raise AssertionError("refused only after building the family")
+
+        monkeypatch.setattr(fcs_module, "build_counting_family", no_work)
+        with pytest.raises(ValidationError, match="precondition_rtol must be a finite number >= 0"):
+            noise(model, 0, precondition_rtol=rtol)
+
+    def test_precondition_rtol_zero_and_integer_accepted(self):
+        model = preset("A", 0.3, 0.9)
+        assert noise(model, 0, precondition_rtol=0) == noise(model, 0)
 
     def test_noise_nonnegative_random_two_level(self, rng):
         for _ in range(50):
@@ -633,8 +649,8 @@ class TestAdjugateDerivative:
             m = random_connected_model(rng)
             fam = build_counting_family(m, int(rng.integers(m.n_baths)))
             dadj = adjugate_derivative(fam)
-            plus, minus = fam.evaluate_extended(np.array([h, -h])).astype(float)
-            fd = (adjugate(plus) - adjugate(minus)) / (2 * h)
+            plus, minus = fam.dressed_stack(np.array([h, -h]))[0].astype(float)
+            fd = (charpoly(plus).adjugate - charpoly(minus).adjugate) / (2 * h)
             scale = max(np.max(np.abs(dadj)), np.max(np.abs(fd)), 1e-300)
             assert np.max(np.abs(dadj - fd)) <= 1e-7 * scale
 
@@ -831,7 +847,7 @@ class TestCgf:
                 m = random_connected_model(rng, topology=topology)
                 fam = build_counting_family(m, m.cold_index)
                 s = np.linspace(-0.9, 0.9, 9) * 4.0 * max(fam.betas)
-                stack = fam.evaluate_extended(s).astype(float)
+                stack = fam.dressed_stack(s)[0].astype(float)
                 perron = [np.max(np.linalg.eigvals(l_s).real) for l_s in stack]
                 scale = np.max(np.abs(fam.base))
                 assert np.max(np.abs(cgf(fam, s) - perron)) <= 1e-12 * scale
@@ -1048,7 +1064,8 @@ class TestConstantCoefficient:
             for topology in ("tree", "any"):
                 m = random_connected_model(rng, n_levels=n, topology=topology)
                 fam = build_counting_family(m, m.cold_index)
-                expected = (-1.0) ** n * np.linalg.det(fam.evaluate_extended(0.5).astype(float))
+                l_s = fam.dressed_stack(np.array([0.5]))[0][0].astype(float)
+                expected = (-1.0) ** n * np.linalg.det(l_s)
                 got = _step_polynomials(fam, [0.5])[0, -1]
                 assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
 
@@ -1118,23 +1135,3 @@ class TestEnergyConservation:
             j_max = max(abs(j) for j in currents)
             assert abs(math.fsum(currents)) <= 1e-10 * max(j_max, 1e-300)
 
-
-class TestReport:
-    def test_report_fields(self):
-        m = preset("A", 0.5, 0.9)
-        rep = fcs_report(m)
-        assert rep.bath_label == "C"
-        assert rep.cooling is True
-        assert rep.current > 0
-        assert len(rep.charpoly_coeffs) == 3
-        payload = rep.to_dict()
-        assert payload["cooling"] is True
-        assert list(payload) == ["bath", "current", "cooling_value", "cooling", "charpoly"]
-
-    def test_cooling_certificate_matches_cooling_condition(self):
-        for pid in "ABCD":
-            m = preset(pid, 0.3, 0.9)
-            value, cooling = cooling_condition(m)
-            for bath in range(m.n_baths):
-                rep = fcs_report(m, bath)
-                assert rep.cooling_value == value and rep.cooling is cooling

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qarfcs.liouvillian import (
-    bath_generator,
     build_counting_family,
     build_generator,
     generator_from_tables,
@@ -64,7 +63,7 @@ class TestBareGenerator:
         models = [random_connected_model(rng) for _ in range(20)]
         models += [preset(pid, e21, bh) for pid in "ABCD" for e21, bh in ((0.3, 0.9), (0.5, 0.5))]
         for m in models:
-            total = sum(bath_generator(m, b) for b in range(m.n_baths))
+            total = sum(generator_from_tables(rate_table(m, b)[None]) for b in range(m.n_baths))
             # bitwise, signed zeros included
             assert build_generator(m).tobytes() == total.tobytes()
 
@@ -97,7 +96,7 @@ class TestGeneratorFromTables:
             assert listed.tobytes() == generator_from_tables(np.array(tables)).tobytes()
             assert listed.tobytes() == build_generator(m).tobytes()
 
-    def test_one_bath_is_bath_generator(self, rng):
+    def test_one_bath_is_its_generator(self, rng):
         models = [random_connected_model(rng) for _ in range(20)]
         models += [preset(pid, e21, bh) for pid in "ABCD" for e21, bh in ((0.3, 0.9), (0.5, 0.5))]
         for m in models:
@@ -106,14 +105,16 @@ class TestGeneratorFromTables:
                 reference = k.T - np.diag(k.sum(axis=1))
                 got = generator_from_tables([k])
                 assert got.tobytes() == reference.tobytes()
-                assert got.tobytes() == bath_generator(m, b).tobytes()
+                assert got.tobytes() == generator_from_tables(k[None]).tobytes()
 
 
 class TestCountingFamily:
     def test_evaluator_at_zero_is_base(self):
         m = preset("B", 0.4, 0.8)
         fam = build_counting_family(m, 0)
-        assert np.array_equal(fam.evaluate_extended(0.0).astype(float), fam.base)
+        stack, _ = fam.dressed_stack(np.zeros(1))
+        assert stack.shape == (1, 3, 3)
+        assert np.array_equal(stack[0].astype(float), fam.base)
         assert np.array_equal(fam.base, build_generator(m))
 
     def test_spin_boson_dressed_entry(self, spin_boson):
@@ -122,21 +123,20 @@ class TestCountingFamily:
         kh_d = rate(spin_boson, 1, 0, 1)
         s = 0.3
         expected_01 = kc_d * np.exp(-s * 1.0) + kh_d
-        l_s = fam.evaluate_extended(s).astype(float)
+        l_s = fam.dressed_stack(np.array([s]))[0][0].astype(float)
         assert l_s[0, 1] == pytest.approx(expected_01, rel=1e-14)
 
     def test_trace_invariance(self):
         m = preset("B", 0.4, 0.8)
         fam = build_counting_family(m, 0)
         tr0 = np.trace(fam.base)
-        for s in np.linspace(-2.0, 2.0, 9):
-            l_s = fam.evaluate_extended(s).astype(float)
+        for l_s in fam.dressed_stack(np.linspace(-2.0, 2.0, 9))[0].astype(float):
             assert abs(np.trace(l_s) - tr0) <= 1e-14 * abs(tr0)
 
     def test_column_sums_break_for_nonzero_s(self):
         m = preset("A", 0.5, 0.9)
         fam = build_counting_family(m, 0)
-        ls = fam.evaluate_extended(0.5).astype(float)
+        ls = fam.dressed_stack(np.array([0.5]))[0][0].astype(float)
         # column 0 carries the dressed cold transition
         assert abs(ls[:, 0].sum()) > 1e-8 * np.max(np.abs(ls))
 
@@ -193,7 +193,7 @@ class TestCountingFamily:
             ref = fam.base.copy()
             for row, col, kk, de in fam.dressed:
                 ref[row, col] += kk * math.expm1(s * de)
-            got = np.asarray(fam.evaluate_extended(s), dtype=float)
+            got = fam.dressed_stack(np.array([s]))[0][0].astype(float)
             assert np.allclose(got, ref, rtol=1e-15, atol=0)
 
     def test_extended_evaluator_stack_is_bitwise_per_s(self):
@@ -202,22 +202,29 @@ class TestCountingFamily:
         hand = dataclasses.replace(fam, dressed=())
         grid = np.array([-0.7, 0.0, 0.2, 1.1])
         for f in (fam, hand):
-            stack = f.evaluate_extended(grid)
+            stack, corrections = f.dressed_stack(grid)
             assert stack.shape == (grid.size, m.n_levels, m.n_levels)
             assert stack.dtype == np.longdouble
-            for sk, mat in zip(grid.tolist(), stack):
-                assert np.array_equal(mat, f.evaluate_extended(sk))
-        assert np.array_equal(fam.evaluate_extended(0.0), fam.base)
+            for k, sk in enumerate(grid.tolist()):
+                one, one_corr = f.dressed_stack(np.array([sk]))
+                assert np.array_equal(one[0], stack[k])
+                assert np.array_equal(one_corr[0], corrections[k])
+        # bit for bit, not just equal: the size-1 stack at s = 0 is the base
+        zero = fam.dressed_stack(np.zeros(1))[0][0]
+        assert zero.astype(float).tobytes() == fam.base.tobytes()
 
     def test_extended_evaluator_skips_column_sums(self):
         # the stack comes with its corrections, one per dressed entry; only
         # the cgf continuation sums them by column
         fam = build_counting_family(preset("B", 0.3, 0.7), 1)
         grid = np.array([-0.7, 0.0, 0.2, 1.1])
-        stack, corrections = fam._dressed_stack(grid)
+        stack, corrections = fam.dressed_stack(grid)
         assert corrections.shape == (4, len(fam.dressed)) == (4, 6)
         assert corrections.dtype == np.longdouble
-        assert np.array_equal(fam.evaluate_extended(grid), stack)
+        summed = np.repeat(fam.base.astype(np.longdouble)[None], grid.size, axis=0)
+        for m, (row, col, _, _) in enumerate(fam.dressed):
+            summed[:, row, col] += corrections[:, m]
+        assert np.array_equal(summed, stack)
 
     def test_uncoupled_counted_bath_gives_zero_d1(self):
         m = make_spin_boson()

@@ -354,6 +354,80 @@ class TestModelFiles:
             model_from_dict(data)
         assert message in str(info.value)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda d: d["baths"][1].update(beta="1.0"),
+                "bath 'H': field 'beta' has invalid value '1.0'",
+            ),
+            (
+                lambda d: d["baths"][0]["couplings"][0].update(gamma="0.001"),
+                "bath 'C' coupling 1: field 'gamma' has invalid value '0.001'",
+            ),
+            (
+                lambda d: d["baths"][0]["couplings"][0].update(i=True),
+                "bath 'C' coupling 1: field 'i' has invalid value True",
+            ),
+            (
+                lambda d: d["baths"][0]["couplings"][0].update(j=2.0),
+                "bath 'C' coupling 1: field 'j' has invalid value 2.0",
+            ),
+            (
+                lambda d: d["baths"][0]["couplings"][0].update(gamma=True),
+                "bath 'C' coupling 1: field 'gamma' has invalid value True",
+            ),
+            (
+                lambda d: d["baths"][1].update(beta=False),
+                "bath 'H': field 'beta' has invalid value False",
+            ),
+            (
+                lambda d: d["baths"][1].update(omega_c="10"),
+                "bath 'H': field 'omega_c' has invalid value '10'",
+            ),
+            (
+                lambda d: d["baths"][1].update(beta=10**400),
+                "bath 'H': field 'beta' has invalid value 1",
+            ),
+            (lambda d: d.update(gap_tol="1e-6"), "field 'gap_tol' has invalid value '1e-6'"),
+            (
+                lambda d: d.update(energies=[False, 0.5, True]),
+                "field 'energies' has invalid value [False, 0.5, True]",
+            ),
+            (lambda d: d.update(energies="012"), "field 'energies' has invalid value '012'"),
+            (
+                lambda d: d["baths"][0].update(label=None),
+                "bath 1: field 'label' has invalid value None",
+            ),
+            (lambda d: d["baths"][0].update(label=7), "bath 1: field 'label' has invalid value 7"),
+            (lambda d: d.update(baths="CHW"), "field 'baths' has invalid value 'CHW'"),
+            (
+                lambda d: d["baths"][2].update(couplings={"i": 2, "j": 3, "gamma": 0.001}),
+                "bath 'W': field 'couplings' has invalid value",
+            ),
+        ],
+        ids=["beta-str", "gamma-str", "i-bool", "j-float", "gamma-bool", "beta-bool",
+             "omega-c-str", "beta-huge-int", "gap-tol-str", "energies-bools", "energies-str",
+             "label-null", "label-int", "baths-str", "couplings-object"],
+    )
+    def test_non_json_numbers_are_not_coerced(self, edit, message):
+        data = model_to_dict(preset("A", 0.5, 0.9))
+        edit(data)
+        with pytest.raises(ValidationError) as info:
+            model_from_dict(data)
+        assert message in str(info.value)
+
+    def test_integer_numbers_stay_valid(self):
+        data = model_to_dict(preset("A", 0.5, 0.9))
+        data.update(energies=[0, 1, 2], gap_tol=1)
+        data["baths"][0].update(beta=1, omega_c=10)
+        data["baths"][0]["couplings"][0]["gamma"] = 0
+        m = model_from_dict(data)
+        assert m.system.energies == (0.0, 1.0, 2.0) and m.system.gap_tol == 1.0
+        assert m.baths[0].beta == 1.0 and m.baths[0].spectral.omega_c == 10.0
+        assert m.baths[0].couplings == {(0, 1): 0.0}
+        assert all(type(x) is float for x in (*m.system.energies, m.baths[0].beta))
+
     def test_top_level_must_be_an_object(self):
         with pytest.raises(ValidationError, match="model file must be a JSON object, got list"):
             model_from_dict([1, 2])

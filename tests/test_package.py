@@ -10,11 +10,15 @@ import qarfcs
 
 def test_public_names_resolve():
     names = qarfcs.__all__
-    assert len(set(names)) == len(names) == 54
+    assert len(set(names)) == len(names) == 50
     for name in names:
         assert not isinstance(getattr(qarfcs, name), types.ModuleType)
     assert {"ContinuationError", "PRESET_IDS", "charpoly", "cgf", "grid_scan"} <= set(names)
     assert "__version__" not in names
+    # folded into what they wrapped: the current command, charpoly(m).adjugate
+    # and generator_from_tables
+    for gone in ("FcsReport", "fcs_report", "adjugate", "bath_generator"):
+        assert gone not in names and not hasattr(qarfcs, gone)
 
 
 # per-layer metrics that do not name a function
@@ -55,7 +59,9 @@ def test_public_parameter_lists_are_pinned():
     assert _parameters(qarfcs.random_connected_model) == [
         ("rng", _NO_DEFAULT), ("n_levels", None), ("n_baths", None), ("topology", "tree"),
     ]
-    assert _parameters(qarfcs.fcs_report) == [("model", _NO_DEFAULT), ("bath", None)]
+    assert _parameters(qarfcs.noise) == [
+        ("model", _NO_DEFAULT), ("bath", _NO_DEFAULT), ("precondition_rtol", 1e-10),
+    ]
     # numerator units only; the CLI's --current-units divides by the normalization
     assert _parameters(qarfcs.decompose) == [("model", _NO_DEFAULT)]
 
@@ -65,9 +71,9 @@ def test_report_and_family_fields_are_pinned():
         return [f.name for f in dataclasses.fields(cls)]
 
     assert names(qarfcs.CountingFamily) == ["base", "energies", "betas", "dressed", "d1", "d2"]
-    assert names(qarfcs.FcsReport) == [
-        "bath_label", "current", "cooling_value", "cooling", "charpoly_coeffs",
-    ]
+    # one L(s) builder
+    methods = [name for name, _ in inspect.getmembers(qarfcs.CountingFamily, inspect.isfunction)]
+    assert [name for name in methods if not name.startswith("__")] == ["dressed_stack"]
     assert names(qarfcs.Decomposition) == [
         "cycles", "leaks", "total", "normalization", "reconstruction_residual", "magnitude",
     ]
