@@ -17,9 +17,7 @@ import numpy as np
 from .errors import ConsistencyError, CopUndefinedError, TopologyError, ValidationError
 from .fcs import charpoly, heat_current
 from .liouvillian import generator_from_tables
-from .model import QarModel, bose_occupation, rate_table
-
-Pair = tuple[int, int]
+from .model import IDEAL_PAIRS, Pair, QarModel, bose_occupation, rate, rate_table
 
 
 def sb_current(
@@ -91,13 +89,29 @@ def _ideal_roles(model: QarModel) -> tuple[int, int, int]:
     return cold, hot, work
 
 
-def _require_couplings(model: QarModel, bath: int, pairs: set[Pair], what: str) -> None:
-    actual = {p for p, g in model.baths[bath].couplings.items() if g > 0.0}
-    if actual != pairs:
-        raise TopologyError(
-            f"{what}: bath {model.baths[bath].label!r} couples {sorted(actual)}, "
-            f"expected {sorted(pairs)}"
-        )
+def _ideal_machine(model: QarModel, leaky: bool = False):
+    """((cold, hot, work), E21, E31, (beta_C, beta_H, beta_W), leaking bath) of an ideal machine.
+
+    Each role's bath couples exactly its pair of ``IDEAL_PAIRS``; with ``leaky``, the
+    hot or else the work bath also couples the cold pair and is the leaking bath (else None).
+    """
+    roles = _ideal_roles(model)
+    coupled = [{p for p, g in model.baths[b].couplings.items() if g > 0.0} for b in roles]
+    expected = [{pair} for pair in IDEAL_PAIRS]
+    leak = None
+    if leaky:  # the hot bath leaks if it couples the cold pair, else the work bath must
+        r = 1 if IDEAL_PAIRS[0] in coupled[1] else 2
+        expected[r].add(IDEAL_PAIRS[0])
+        leak = roles[r]
+    for b, got, want in zip(roles, coupled, expected):
+        if got != want:
+            raise TopologyError(
+                f"{'leaky' if leaky else 'ideal'} refrigerator: bath {model.baths[b].label!r} "
+                f"couples {sorted(got)}, expected {sorted(want)}"
+            )
+    energies = model.system.energies
+    e21, e31 = [energies[j] - energies[i] for i, j in IDEAL_PAIRS[:2]]
+    return roles, e21, e31, [model.baths[b].beta for b in roles], leak
 
 
 def cop(model: QarModel) -> tuple[float, float]:
@@ -107,26 +121,14 @@ def cop(model: QarModel) -> tuple[float, float]:
     counting pipeline); for the ideal topology it equals E21/E32. Undefined
     outside the cooling window.
     """
-    cold, hot, work = _ideal_roles(model)
-    _require_couplings(model, cold, {(0, 1)}, "ideal refrigerator")
-    _require_couplings(model, hot, {(0, 2)}, "ideal refrigerator")
-    _require_couplings(model, work, {(1, 2)}, "ideal refrigerator")
-    energies = model.system.energies
-    e21 = energies[1] - energies[0]
-    e31 = energies[2] - energies[0]
-    beta_c = model.baths[cold].beta
-    beta_h = model.baths[hot].beta
-    beta_w = model.baths[work].beta
+    (cold, _, work), e21, e31, (beta_c, beta_h, beta_w), _ = _ideal_machine(model)
     if not ideal_cooling(e21, e31, beta_c, beta_h, beta_w):
         raise CopUndefinedError(
             f"E21/E31 = {e21 / e31:.6g} is outside the cooling window "
             f"(threshold {(beta_h - beta_w) / (beta_c - beta_w):.6g})"
         )
-    j_cold = heat_current(model, cold)
-    j_work = heat_current(model, work)
-    eta = j_cold / j_work
     eta_carnot = (beta_h - beta_w) / (beta_c - beta_h)
-    return eta, eta_carnot
+    return heat_current(model, cold) / heat_current(model, work), eta_carnot
 
 
 def leaky_cooling(model: QarModel) -> tuple[float, float, bool]:
@@ -137,39 +139,16 @@ def leaky_cooling(model: QarModel) -> tuple[float, float, bool]:
     leak_term > 0 with the leak part never positive. Returns both terms and
     the verdict.
     """
-    cold, hot, work = _ideal_roles(model)
-    _require_couplings(model, cold, {(0, 1)}, "leaky refrigerator")
-    hot_pairs = {p for p, g in model.baths[hot].couplings.items() if g > 0.0}
-    work_pairs = {p for p, g in model.baths[work].couplings.items() if g > 0.0}
-    if hot_pairs == {(0, 2), (0, 1)} and work_pairs == {(1, 2)}:
-        leak = hot
-    elif hot_pairs == {(0, 2)} and work_pairs == {(1, 2), (0, 1)}:
-        leak = work
-    else:
-        raise TopologyError(
-            "expected the A-type couplings plus exactly one hot- or work-bath "
-            f"leak on the 1-2 transition; hot couples {sorted(hot_pairs)}, "
-            f"work couples {sorted(work_pairs)}"
-        )
-    energies = model.system.energies
-    e21 = energies[1] - energies[0]
-    e31 = energies[2] - energies[0]
-    e32 = e31 - e21
-    beta_c = model.baths[cold].beta
-    beta_h = model.baths[hot].beta
-    beta_w = model.baths[work].beta
-    beta_l = model.baths[leak].beta
-    kt_hot = rate_table(model, hot)
-    kt_work = rate_table(model, work)
-    kt_leak = rate_table(model, leak)
-    k_leak_down = kt_leak[1, 0]
-    k_hot_down = kt_hot[2, 0]
-    k_work_down = kt_work[2, 1]
-    ideal_term = math.exp(-beta_c * e21 - beta_w * e32) - math.exp(-beta_h * e31)
+    (_, hot, work), e21, e31, (beta_c, beta_h, beta_w), leak = _ideal_machine(model, leaky=True)
+    # downward rates: the leaking bath's on the cold pair, the hot and work baths' on their own
+    k_leak_down, k_hot_down, k_work_down = (
+        rate(model, j, i, b) for b, (i, j) in zip((leak, hot, work), IDEAL_PAIRS)
+    )
+    ideal_term = math.exp(-beta_c * e21 - beta_w * (e31 - e21)) - math.exp(-beta_h * e31)
     leak_term = (
         k_leak_down
         * (1.0 / k_hot_down + 1.0 / k_work_down)
-        * (math.exp(-beta_c * e21) - math.exp(-beta_l * e21))
+        * (math.exp(-beta_c * e21) - math.exp(-model.baths[leak].beta * e21))
     )
     return ideal_term, leak_term, ideal_term + leak_term > 0.0
 

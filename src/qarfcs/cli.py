@@ -22,15 +22,16 @@ from . import scan as scan_mod
 from .analytic import cop, decompose
 from .errors import QarError, ValidationError
 from .fcs import (
+    PRECONDITION_RTOL,
+    _current_and_noise,
     _current_from_family,
     charpoly,
     cooling_condition,
     heat_current,
-    noise,
     numeric_cumulants,
 )
 from .liouvillian import build_counting_family, build_generator
-from .model import PRESET_DEFAULTS, PRESET_IDS, load_model, preset, preset_note, rate, rate_table
+from .model import IDEAL_PAIRS, PRESET_DEFAULTS, PRESET_IDS, load_model, preset, preset_note, rate
 from .oracle import (
     conservation_residual,
     direct_current,
@@ -39,7 +40,7 @@ from .oracle import (
 )
 
 _TOL_DEFAULTS = {
-    "noise_precondition": 1e-10,
+    "noise_precondition": PRECONDITION_RTOL,
     "detailed_balance": 1e-12,
     "oracle_equivalence": 1e-10,
     "conservation": 1e-12,
@@ -252,8 +253,8 @@ def _cmd_noise(args) -> int:
     tols = _parse_tols(args.tol)
     model = _model_from_args(args)
     bath = _bath_index(model, args.bath)
-    s = noise(model, bath, precondition_rtol=tols["noise_precondition"])
-    j = heat_current(model, bath)
+    family = build_counting_family(model, bath)
+    j, s = _current_and_noise(family, tols["noise_precondition"])
     payload = {"bath": model.baths[bath].label, "current": j, "noise": s}
     lines = [
         f"bath = {model.baths[bath].label}",
@@ -261,7 +262,6 @@ def _cmd_noise(args) -> int:
         f"noise = {s:.17e}",
     ]
     if args.verify:
-        family = build_counting_family(model, bath)
         j_num, s_num = numeric_cumulants(family)
         payload.update({"current_numeric": j_num, "noise_numeric": s_num})
         lines.append(f"numeric current = {j_num:.17e} ({_deviation(j_num, j)})")
@@ -445,11 +445,10 @@ def _run_checks(seed: int, trials: int, tols: dict[str, float]):
         e21 = float(rng.uniform(0.1, 0.9)) * thr
         m = preset("A", e21, beta_h)
         dec = decompose(m)
-        kc = rate_table(m, 0)
-        kh = rate_table(m, 1)
-        kw = rate_table(m, 2)
+        # the downward ideal rates; the preset's baths are in role order cold, hot, work
+        kc, kh, kw = (rate(m, j, i, b) for b, (i, j) in enumerate(IDEAL_PAIRS))
         bracket = math.exp(-beta_w * (e31 - e21) - beta_c * e21) - math.exp(-beta_h * e31)
-        closed = e21 * kh[2, 0] * kw[2, 1] * kc[1, 0] * bracket
+        closed = e21 * kh * kw * kc * bracket
         worst_dec = max(worst_dec, abs(dec.cycles[(0, 1)] - closed) / abs(closed))
         eta, eta_c = cop(m)
         ideal = e21 / (e31 - e21)

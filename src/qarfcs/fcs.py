@@ -171,6 +171,8 @@ def cooling_condition(model: QarModel) -> tuple[float, bool]:
 
 
 _NOISE_PRECOND_SAMPLES = (0.5, -0.5, 1.0, -1.0)
+# the default ``precondition_rtol`` of ``noise`` and of ``qarfcs noise``
+PRECONDITION_RTOL = 1e-10
 
 
 def _check_noise_precondition(family: CountingFamily, cp0: CharPoly, rtol: float) -> None:
@@ -196,7 +198,7 @@ def _check_noise_precondition(family: CountingFamily, cp0: CharPoly, rtol: float
                 )
 
 
-def noise(model: QarModel, bath: int, *, precondition_rtol: float = 1e-10) -> float:
+def noise(model: QarModel, bath: int, *, precondition_rtol: float = PRECONDITION_RTOL) -> float:
     """Zero-frequency noise of the heat current at one bath.
 
     Raises NoiseNotApplicableError when other baths share the counted bath's
@@ -207,7 +209,11 @@ def noise(model: QarModel, bath: int, *, precondition_rtol: float = 1e-10) -> fl
         raise ValidationError(
             f"precondition_rtol must be a finite number >= 0, got {precondition_rtol!r}"
         )
-    family = build_counting_family(model, bath)
+    return _current_and_noise(build_counting_family(model, bath), precondition_rtol)[1]
+
+
+def _current_and_noise(family: CountingFamily, precondition_rtol: float) -> tuple[float, float]:
+    """(current, noise) of one counting family; ``noise`` and ``qarfcs noise`` share it."""
     cp = _base_charpoly(family)
     _check_noise_precondition(family, cp, precondition_rtol)
     current, _, _ = _current_from_family(family, cp)
@@ -216,7 +222,7 @@ def noise(model: QarModel, bath: int, *, precondition_rtol: float = 1e-10) -> fl
     dadj = adjugate_derivative(family)
     traces = _trace_product(dadj, family.d1) + _trace_product(cp.adjugate, family.d2)
     # + 0.0 as in _current_from_family
-    return (-1.0) ** (n + 1) / a_pen * traces - 2.0 * (
+    return current, (-1.0) ** (n + 1) / a_pen * traces - 2.0 * (
         cp.coefficient(n - 2) / a_pen
     ) * current**2 + 0.0
 

@@ -21,6 +21,16 @@ Pair = tuple[int, int]
 
 DEFAULT_GAP_TOL = 1e-6
 
+# the numbers the model constructors take, as the loader does: never a string or a bool
+_REALS = (int, float, np.integer, np.floating)
+
+
+def _real(value, where: str, *args):
+    """``value`` if one of ``_REALS``, else a ValidationError naming ``where.format(*args)``."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, _REALS)):
+        raise ValidationError(f"{where.format(*args)} must be a real number, got {value!r}")
+    return value
+
 
 def bose_occupation(omega: float, beta: float) -> float:
     """Bose-Einstein occupation 1/(e^(beta*omega) - 1) for omega, beta > 0."""
@@ -42,6 +52,7 @@ class OhmicSpectralDensity:
     omega_c: float = 10.0
 
     def __post_init__(self) -> None:
+        _real(self.omega_c, "field 'omega_c'")
         if not self.omega_c > 0.0:  # +inf, the pure ohmic limit, passes
             raise ValidationError(f"cutoff 'omega_c' must be positive, got {self.omega_c}")
 
@@ -66,13 +77,14 @@ class SystemSpec:
     gap_tol: float = DEFAULT_GAP_TOL
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
+        levels = [_real(e, "field 'energies': level {}", i) for i, e in enumerate(self.energies, 1)]
+        object.__setattr__(self, "energies", tuple(map(float, levels)))
         for i, e in enumerate(self.energies):
             if not math.isfinite(e):
                 raise ValidationError(f"field 'energies': level {i + 1} is not finite, got {e}")
         if len(self.energies) < 2:
             raise ValidationError("a working medium needs at least 2 levels")
-        if not self.gap_tol > 0.0:
+        if not _real(self.gap_tol, "field 'gap_tol'") > 0.0:
             raise ValidationError(f"gap tolerance must be positive, got {self.gap_tol}")
         for i in range(len(self.energies) - 1):
             gap = self.energies[i + 1] - self.energies[i]
@@ -89,7 +101,12 @@ class SystemSpec:
 
 
 def _normalize_pair(pair: Pair) -> Pair:
-    i, j = int(pair[0]), int(pair[1])
+    i, j = pair[0], pair[1]
+    if (type(i), type(j)) != (int, int) and not all(  # numpy ints pass, bools do not
+        type(x) is int or isinstance(x, np.integer) for x in (i, j)
+    ):
+        raise ValidationError(f"coupling pair {pair!r} must join two integer levels")
+    i, j = int(i), int(j)
     if i == j:
         raise ValidationError(f"coupling pair must join distinct levels, got {pair}")
     return (i, j) if i < j else (j, i)
@@ -109,6 +126,9 @@ class BathSpec:
     spectral: OhmicSpectralDensity = field(default_factory=OhmicSpectralDensity)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise ValidationError(f"field 'label' must be a string, got {self.label!r}")
+        _real(self.beta, "bath {!r}: field 'beta'", self.label)
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise ValidationError(
                 f"bath {self.label!r}: inverse temperature 'beta' must be positive "
@@ -116,7 +136,7 @@ class BathSpec:
             )
         norm: dict[Pair, float] = {}
         for pair, g in dict(self.couplings).items():
-            g = float(g)
+            g = float(_real(g, "bath {!r}: coupling 'gamma' for pair {}", self.label, pair))
             if not (math.isfinite(g) and g >= 0.0):
                 raise ValidationError(
                     f"bath {self.label!r}: coupling 'gamma' for pair {pair} must be "
@@ -228,6 +248,9 @@ def rate_table(model: QarModel, bath: int) -> np.ndarray:
 
 PRESET_IDS = ("A", "B", "C", "D")
 
+# the ideal machine's one pair per bath, in role order cold, hot, work (every preset's bath order)
+IDEAL_PAIRS: tuple[Pair, Pair, Pair] = ((0, 1), (0, 2), (1, 2))
+
 # preset parameters other than (E21, beta_H); the scan writers emit them in
 # this order
 PRESET_DEFAULTS = {"e31": 1.0, "beta_c": 1.0, "beta_w": 0.1, "omega_c": 10.0, "gamma": 1e-3}
@@ -267,28 +290,18 @@ def preset(
         raise ValidationError(
             f"need beta_w < beta_h < beta_c, got {beta_w}, {beta_h}, {beta_c}"
         )
-    gt = gamma / 50.0
-    c: dict[Pair, float] = {(0, 1): gamma}
-    h: dict[Pair, float] = {(0, 2): gamma}
-    w: dict[Pair, float] = {(1, 2): gamma}
+    couplings = [{pair: gamma} for pair in IDEAL_PAIRS]
     if model_id == "B":
-        c[(0, 2)] = gt
-        c[(1, 2)] = gt
-        w[(0, 2)] = gt
-        w[(0, 1)] = gt
-        h[(1, 2)] = gt
-        h[(0, 1)] = gt
-    elif model_id == "C":
-        h[(0, 1)] = gamma
-    elif model_id == "D":
-        w[(0, 1)] = gamma
+        weak = dict.fromkeys(IDEAL_PAIRS, gamma / 50.0)
+        couplings = [{**weak, **own} for own in couplings]
+    elif model_id != "A":  # the hot (C) or work (D) bath leaks on the cold transition
+        couplings[{"C": 1, "D": 2}[model_id]][IDEAL_PAIRS[0]] = gamma
+    c, h, w = couplings
     sd = OhmicSpectralDensity(omega_c=omega_c)
     return QarModel(
         system=SystemSpec(energies=(0.0, e21, e31)),
         baths=(
-            BathSpec("C", beta_c, c, sd),
-            BathSpec("H", beta_h, h, sd),
-            BathSpec("W", beta_w, w, sd),
+            BathSpec("C", beta_c, c, sd), BathSpec("H", beta_h, h, sd), BathSpec("W", beta_w, w, sd)
         ),
         cold_index=0,
     )

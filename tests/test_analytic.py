@@ -137,8 +137,22 @@ class TestCop:
     def test_wrong_topology(self):
         with pytest.raises(TopologyError):
             cop(preset("C", 0.5, 0.9))
-        with pytest.raises(TopologyError):
+        with pytest.raises(TopologyError, match="^expected a three-level, three-bath model$"):
             cop(make_spin_boson())
+
+    @pytest.mark.parametrize(
+        "pid, message",
+        [
+            ("B", "bath 'C' couples [(0, 1), (0, 2), (1, 2)], expected [(0, 1)]"),
+            ("C", "bath 'H' couples [(0, 1), (0, 2)], expected [(0, 2)]"),
+            ("D", "bath 'W' couples [(0, 1), (1, 2)], expected [(1, 2)]"),
+        ],
+        ids=["B", "C", "D"],
+    )
+    def test_refusal_names_the_bath_and_its_pairs(self, pid, message):
+        with pytest.raises(TopologyError) as info:
+            cop(preset(pid, 0.5, 0.9))
+        assert str(info.value) == f"ideal refrigerator: {message}"
 
 
 class TestCycleConditions:
@@ -152,6 +166,15 @@ class TestCycleConditions:
         for e21 in (0.01, 0.99):
             c21, c32 = cycle_conditions(e21, 1.0, 1.0, 0.9, 0.1)
             assert not (c21 and c32) or (0.111 < e21 < 0.889)
+
+
+def _recoupled(pid, index, couplings):
+    """Preset ``pid`` at (0.5, 0.9) with bath ``index`` coupled by ``couplings`` instead."""
+    m = preset(pid, 0.5, 0.9)
+    baths = list(m.baths)
+    old = baths[index]
+    baths[index] = BathSpec(old.label, old.beta, couplings, old.spectral)
+    return QarModel(system=m.system, baths=tuple(baths), cold_index=0)
 
 
 class TestLeakyCooling:
@@ -189,6 +212,32 @@ class TestLeakyCooling:
             leaky_cooling(preset("A", 0.5, 0.9))
         with pytest.raises(TopologyError):
             leaky_cooling(preset("B", 0.5, 0.9))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            # no leak: the work bath, which must leak when the hot bath does not
+            (lambda: preset("A", 0.5, 0.9), "bath 'W' couples [(1, 2)], expected [(0, 1), (1, 2)]"),
+            (lambda: preset("B", 0.5, 0.9),
+             "bath 'C' couples [(0, 1), (0, 2), (1, 2)], expected [(0, 1)]"),
+            (lambda: _recoupled("C", 2, {(1, 2): 1e-3, (0, 1): 1e-3}),
+             "bath 'W' couples [(0, 1), (1, 2)], expected [(1, 2)]"),
+            (lambda: _recoupled("A", 1, {(0, 2): 1e-3, (1, 2): 1e-3}),
+             "bath 'H' couples [(0, 2), (1, 2)], expected [(0, 2)]"),
+        ],
+        ids=["A", "B", "hot-and-work-leak", "hot-leak-on-2-3"],
+    )
+    def test_refusal_names_the_bath_and_its_pairs(self, build, message):
+        with pytest.raises(TopologyError) as info:
+            leaky_cooling(build())
+        assert str(info.value) == f"leaky refrigerator: {message}"
+
+    def test_roles_do_not_depend_on_the_bath_order(self):
+        # roles come from the cold index and the betas
+        ref = preset("D", 0.3, 0.9)
+        c, h, w = ref.baths
+        m = QarModel(system=ref.system, baths=(h, w, c), cold_index=2)
+        assert leaky_cooling(m) == leaky_cooling(ref)
 
     def test_d_window_inside_c_window(self):
         # work-bath leaks hurt far more than hot-bath leaks

@@ -1,13 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qarfcs.analytic import sb_current
 from qarfcs import cli
 from qarfcs.cli import build_parser, main
-from qarfcs.fcs import charpoly, cooling_condition, heat_current
-from qarfcs.liouvillian import build_generator
+from qarfcs.fcs import charpoly, cooling_condition, heat_current, noise
+from qarfcs.liouvillian import build_counting_family, build_generator
 from qarfcs.model import OhmicSpectralDensity, preset, save_model, spectral_value
 from tests.conftest import make_spin_boson
 
@@ -282,6 +283,33 @@ class TestNoise:
         assert float(out.split("noise = ")[1].split()[0]) > 0
         assert "numeric noise" in out
 
+    @pytest.mark.parametrize("verify, charpolys", [((), 9), (("--verify",), 10)],
+                             ids=["plain", "verify"])
+    def test_one_counting_family_per_run(self, capsys, monkeypatch, verify, charpolys):
+        # the current, the noise and the --verify cumulants share one family
+        import qarfcs.fcs as fcs_module
+
+        families, calls = [], []
+
+        def building(model, bath):
+            families.append(bath)
+            return build_counting_family(model, bath)
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return charpoly(m)
+
+        monkeypatch.setattr(fcs_module, "build_counting_family", building)
+        monkeypatch.setattr(cli, "build_counting_family", building)
+        monkeypatch.setattr(fcs_module, "charpoly", counting)
+        argv = ("noise", "--preset", "A", "--e21", "0.5", "--betaH", "0.9", "--format", "json")
+        code, out, _ = run(capsys, *argv, *verify)
+        assert code == 0
+        assert families == [0] and len(calls) == charpolys
+        data = json.loads(out)
+        m = preset("A", 0.5, 0.9)
+        assert (data["current"], data["noise"]) == (heat_current(m, 0), noise(m, 0))
+
     def test_preset_b_inapplicable_exit_3(self, capsys):
         code, _, err = run(
             capsys, "noise", "--preset", "B", "--e21", "0.5", "--betaH", "0.9"
@@ -459,6 +487,18 @@ class TestCopCommand:
             capsys, "cop", "--preset", "A", "--e21", "0.95", "--betaH", "0.9"
         )
         assert code == 7
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_topology_error_exit_4_from_model_file(self, capsys, tmp_path, fmt):
+        path = tmp_path / "c.json"
+        save_model(preset("C", 0.5, 0.9), path)
+        code, out, err = run(capsys, "cop", "--model", str(path), "--format", fmt)
+        assert code == 4
+        message = "ideal refrigerator: bath 'H' couples [(0, 1), (0, 2)], expected [(0, 2)]"
+        if fmt == "json":
+            assert json.loads(out)["error"] == {"code": "topology", "exit": 4, "message": message}
+        else:
+            assert err == f"error (topology): {message}\n"
 
 
 class TestCheckCommand:

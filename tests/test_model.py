@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qarfcs.errors import ValidationError
+from qarfcs.fcs import heat_current
 from qarfcs.model import (
     BathSpec,
     OhmicSpectralDensity,
@@ -52,6 +53,8 @@ class TestSpectralDensity:
             OhmicSpectralDensity(omega_c=-1.0)
         with pytest.raises(ValidationError):
             spectral_value(OhmicSpectralDensity(), 1e-3, -1.0)
+        with pytest.raises(ValidationError, match="coupling must be nonnegative, got -0.001"):
+            spectral_value(OhmicSpectralDensity(), -1e-3, 1.0)
 
 
 class TestRates:
@@ -91,6 +94,18 @@ class TestRates:
         m = preset("A", 0.5, 0.9)
         with pytest.raises(ValidationError):
             rate(m, 1, 1, 0)
+
+    def test_explicit_zero_coupling_changes_no_bit(self):
+        # rate_table skips a listed zero coupling; the currents are those without it
+        sd = OhmicSpectralDensity()
+        ref = preset("A", 0.5, 0.9)
+        baths = list(ref.baths)
+        baths[0] = BathSpec("C", 1.0, {(0, 1): 1e-3, (0, 2): 0.0}, sd)
+        m = QarModel(system=ref.system, baths=tuple(baths), cold_index=0)
+        assert m.baths[0].couplings == {(0, 1): 1e-3, (0, 2): 0.0}
+        for b in range(3):
+            assert rate_table(m, b).tobytes() == rate_table(ref, b).tobytes()
+            assert heat_current(m, b).hex() == heat_current(ref, b).hex()
 
 
 def make_two_level(gamma, beta):
@@ -216,13 +231,81 @@ class TestValidation:
                 cold_index=0,
             )
 
+    def test_pair_joining_a_level_to_itself(self):
+        with pytest.raises(ValidationError, match=r"must join distinct levels, got \(1, 1\)"):
+            BathSpec("C", 1.0, {(1, 1): 1e-3})
+
+    def test_random_model_needs_two_levels(self):
+        with pytest.raises(ValidationError, match="need at least 2 levels"):
+            random_connected_model(np.random.default_rng(0), n_levels=1)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SystemSpec(energies="012"), r"field 'energies': level 1 .* got '0'"),
+            (lambda: SystemSpec(energies=(False, 0.5, True)), r"'energies': level 1 .* False"),
+            (lambda: SystemSpec((0.0, 1.0), gap_tol="1e-6"), r"field 'gap_tol' .* '1e-6'"),
+            (lambda: BathSpec("C", 1.0, {(0, 1): "0.001"}), r"'gamma' for pair \(0, 1\)"),
+            (lambda: BathSpec("C", 1.0, {(0, 1): True}), r"'gamma' for pair \(0, 1\)"),
+            (lambda: BathSpec(None, 1.0, {}), r"field 'label' .* got None"),
+            (lambda: BathSpec("C", "1.0", {}), r"bath 'C': field 'beta' .* got '1.0'"),
+            (lambda: BathSpec("C", 1.0, {(True, 2): 0.1}), r"pair \(True, 2\) .* integer"),
+            (lambda: BathSpec("C", 1.0, {(0, 1.0): 0.1}), r"pair \(0, 1.0\) .* integer"),
+            (lambda: OhmicSpectralDensity(True), r"field 'omega_c' .* got True"),
+            (lambda: OhmicSpectralDensity("10"), r"field 'omega_c' .* got '10'"),
+            (lambda: OhmicSpectralDensity(np.bool_(True)), r"field 'omega_c'"),
+        ],
+        ids=[
+            "energies-str", "energies-bool", "gap_tol-str", "gamma-str", "gamma-bool",
+            "label-none", "beta-str", "pair-bool", "pair-float", "omega_c-bool",
+            "omega_c-str", "omega_c-numpy-bool",
+        ],
+    )
+    def test_constructors_coerce_nothing(self, build, message):
+        # the loader's rule: numbers only, never a string or a boolean
+        with pytest.raises(ValidationError, match=message):
+            build()
+
+    def test_constructors_convert_ints_and_numpy_numbers(self):
+        system = SystemSpec((0, np.float64(0.25), np.int64(1)), gap_tol=np.float32(1e-6))
+        assert system.energies == (0.0, 0.25, 1.0)
+        assert all(type(e) is float for e in system.energies)
+        bath = BathSpec("C", np.int64(1), {(np.int64(1), 0): np.float64(1e-3), (0, 2): 1},
+                        OhmicSpectralDensity(np.int32(10)))
+        assert bath.couplings == {(0, 1): 1e-3, (0, 2): 1.0}
+        assert all(type(x) is int for pair in bath.couplings for x in pair)
+        assert all(type(g) is float for g in bath.couplings.values())
+
     def test_models_are_immutable(self):
         m = preset("A", 0.5, 0.9)
         with pytest.raises(AttributeError):
             m.cold_index = 1
 
 
+# written out by hand from the README presets table: A is the ideal machine
+# (cold on 1-2, hot on 1-3, work on 2-3), B adds gamma/50 on every other
+# transition, C a hot-bath and D a work-bath leak on 1-2; 0-based pairs
+_G, _W = 1e-3, 2e-5
+PRESET_COUPLINGS = {
+    "A": {"C": {(0, 1): _G}, "H": {(0, 2): _G}, "W": {(1, 2): _G}},
+    "B": {
+        "C": {(0, 1): _G, (0, 2): _W, (1, 2): _W},
+        "H": {(0, 1): _W, (0, 2): _G, (1, 2): _W},
+        "W": {(0, 1): _W, (0, 2): _W, (1, 2): _G},
+    },
+    "C": {"C": {(0, 1): _G}, "H": {(0, 1): _G, (0, 2): _G}, "W": {(1, 2): _G}},
+    "D": {"C": {(0, 1): _G}, "H": {(0, 2): _G}, "W": {(0, 1): _G, (1, 2): _G}},
+}
+
+
 class TestPresets:
+    @pytest.mark.parametrize("pid", sorted(PRESET_COUPLINGS))
+    def test_couplings_match_the_presets_table(self, pid):
+        m = preset(pid, 0.5, 0.9)
+        assert {b.label: b.couplings for b in m.baths} == PRESET_COUPLINGS[pid]
+        assert [(b.label, b.beta) for b in m.baths] == [("C", 1.0), ("H", 0.9), ("W", 0.1)]
+        assert m.cold_index == 0 and m.system.energies == (0.0, 0.5, 1.0)
+
     def test_preset_a_has_exactly_three_couplings(self):
         m = preset("A", 0.5, 0.9)
         nonzero = [(b.label, p) for b in m.baths for p, g in b.couplings.items() if g > 0]
