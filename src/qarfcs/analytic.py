@@ -105,9 +105,10 @@ def _ideal_machine(model: QarModel, leaky: bool = False):
         leak = roles[r]
     for b, got, want in zip(roles, coupled, expected):
         if got != want:
-            raise TopologyError(
+            got, want = ([(i + 1, j + 1) for i, j in sorted(pairs)] for pairs in (got, want))
+            raise TopologyError(  # levels 1-based, as in all user-facing output
                 f"{'leaky' if leaky else 'ideal'} refrigerator: bath {model.baths[b].label!r} "
-                f"couples {sorted(got)}, expected {sorted(want)}"
+                f"couples {got}, expected {want}"
             )
     energies = model.system.energies
     e21, e31 = [energies[j] - energies[i] for i, j in IDEAL_PAIRS[:2]]

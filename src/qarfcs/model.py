@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -26,9 +27,11 @@ _REALS = (int, float, np.integer, np.floating)
 
 
 def _real(value, where: str, *args):
-    """``value`` if one of ``_REALS``, else a ValidationError naming ``where.format(*args)``."""
+    """``value`` if one of ``_REALS`` in the float range, else a ValidationError at ``where``."""
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, _REALS)):
         raise ValidationError(f"{where.format(*args)} must be a real number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:  # a numpy integer always fits
+        raise ValidationError(f"{where.format(*args)} is an integer beyond the float range")
     return value
 
 
@@ -77,6 +80,8 @@ class SystemSpec:
     gap_tol: float = DEFAULT_GAP_TOL
 
     def __post_init__(self) -> None:
+        if not np.iterable(self.energies):
+            raise ValidationError(f"field 'energies' must be a sequence, got {self.energies!r}")
         levels = [_real(e, "field 'energies': level {}", i) for i, e in enumerate(self.energies, 1)]
         object.__setattr__(self, "energies", tuple(map(float, levels)))
         for i, e in enumerate(self.energies):
@@ -180,6 +185,9 @@ class QarModel:
         object.__setattr__(self, "baths", tuple(self.baths))
         if not self.baths:
             raise ValidationError("at least one bath is required")
+        if type(self.cold_index) is not int and not isinstance(self.cold_index, np.integer):
+            raise ValidationError(f"field 'cold_index' must be an integer, got {self.cold_index!r}")
+        object.__setattr__(self, "cold_index", int(self.cold_index))
         if not 0 <= self.cold_index < len(self.baths):
             raise ValidationError(f"cold bath index {self.cold_index} out of range")
         labels = [bath.label for bath in self.baths]

@@ -3,7 +3,8 @@
 These recompute currents from the steady state directly, check energy
 conservation, verify the two-bath fluctuation symmetry of the generating
 function, and provide the seeded random-model generator used by the
-property and acceptance suites.
+property and acceptance suites. ``INVARIANTS`` states each invariant of
+``qarfcs check`` once; acceptance criteria 04-08 and 10 call its measures.
 """
 
 from __future__ import annotations
@@ -14,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _ideal_machine, cop, decompose
 from .errors import TopologyError, ValidationError
-from .fcs import cgf
-from .liouvillian import build_counting_family, generator_from_tables
-from .model import BathSpec, OhmicSpectralDensity, QarModel, SystemSpec, _unreached, rate_table
+from .fcs import cgf, charpoly, cooling_condition, heat_current
+from .liouvillian import build_counting_family, build_generator, generator_from_tables
+from .model import (
+    IDEAL_PAIRS, BathSpec, OhmicSpectralDensity, QarModel, SystemSpec, _unreached, rate_table,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,3 +225,102 @@ def random_connected_model(
         for k in range(nb)
     )
     return QarModel(system=SystemSpec(energies=energies), baths=baths, cold_index=cold)
+
+
+def detailed_balance(model: QarModel) -> dict[str, float]:
+    """dev: worst relative deviation of k_up / k_down from exp(-beta dE) over coupled pairs."""
+    energies, dev = model.system.energies, 0.0
+    for b, bath in enumerate(model.baths):
+        k = rate_table(model, b).tolist()
+        for i, j in (pair for pair, g in bath.couplings.items() if g > 0.0):
+            expected = math.exp(-bath.beta * (energies[j] - energies[i]))
+            dev = max(dev, abs(k[i][j] / k[j][i] - expected) / expected)
+    return {"dev": dev}
+
+
+def spectral_structure(model: QarModel) -> dict[str, float]:
+    """Roots of L(0)'s characteristic polynomial. im: largest |Im| / largest |root|; zero,
+    second: the two smallest |root|; gap: minus the largest real part but the zero root's;
+    coeff: min of a_1..a_(N-1); an: |a_N| / ||L(0)||_F^N."""
+    l0 = build_generator(model)
+    cp = charpoly(l0)
+    n, roots = cp.n, np.roots(cp.monic())
+    mags = np.sort(np.abs(roots))
+    return {
+        "im": float(np.max(np.abs(roots.imag))) / float(mags[-1]), "zero": float(mags[0]),
+        "second": float(mags[1]), "gap": -float(np.sort(roots.real)[n - 2]),
+        "coeff": min(cp.coefficient(j) for j in range(1, n)),
+        "an": abs(cp.coefficient(n)) / float(np.linalg.norm(l0)) ** n,
+    }
+
+
+def current_agreement(model: QarModel) -> dict[str, float]:
+    """scale: largest |J| by ``heat_current`` or ``direct_current``; dev: their worst gap, and
+    residual: ``conservation_residual``, over scale (NaN if it is 0)."""
+    pairs = [(heat_current(model, b), direct_current(model, b)) for b in range(model.n_baths)]
+    scale = max(max(abs(x), abs(y)) for x, y in pairs)
+    over = scale or math.nan
+    dev = max(abs(x - y) for x, y in pairs) / over
+    return {"scale": scale, "dev": dev, "residual": conservation_residual(model) / over}
+
+
+def sign_agreement(model: QarModel) -> dict[str, int]:
+    """violations (0-2): cooling is not value > 0; value and J_C differ in sign."""
+    value, cooling = cooling_condition(model)
+    j_cold = heat_current(model, model.cold_index)
+    flipped = value != 0.0 and math.copysign(1.0, value) != math.copysign(1.0, j_cold)
+    return {"violations": int(cooling != (value > 0.0)) + int(flipped)}
+
+
+def exchange_symmetry(model: QarModel, n_samples: int = 8) -> dict[str, float]:
+    """dev: ``fluctuation_symmetry_check`` at n_samples points spanning both centres 0 and s*."""
+    pad = 0.3 * max(b.beta for b in model.baths)
+    # the other of two baths; the check refuses any other bath count
+    s_star = model.baths[model.cold_index].beta - model.baths[-1 - model.cold_index].beta
+    samples = np.linspace(min(0.0, s_star) - pad, max(0.0, s_star) + pad, n_samples)
+    return {"dev": fluctuation_symmetry_check(model, samples)}
+
+
+def ideal_cycle(model: QarModel) -> dict[str, float]:
+    """rel: ``decompose``'s cold-pair cycle against E21 kH kW kC (exp(-beta_W E32 - beta_C E21)
+    - exp(-beta_H E31)), downward rates, over |that| floored at 1e-10 of its magnitude."""
+    roles, e21, e31, (beta_c, beta_h, beta_w), _ = _ideal_machine(model)
+    kc, kh, kw = (rate_table(model, b).item(j, i) for b, (i, j) in zip(roles, IDEAL_PAIRS))
+    bracket = math.exp(-beta_w * (e31 - e21) - beta_c * e21) - math.exp(-beta_h * e31)
+    closed, dec = e21 * kh * kw * kc * bracket, decompose(model)
+    return {"rel": abs(dec.cycles[(0, 1)] - closed) / max(abs(closed), dec.magnitude * 1e-10)}
+
+
+def cop_accuracy(model: QarModel) -> dict[str, float]:
+    """rel: ``cop`` against E21/E32; excess: ``cop`` above its Carnot bound."""
+    (eta, eta_c), (e1, e2, e3) = cop(model), model.system.energies
+    spacing = (e2 - e1) / (e3 - e2)
+    return {"rel": abs(eta - spacing) / spacing, "excess": eta - eta_c}
+
+
+# One row per ``qarfcs check`` result, in output order: name, a measure above, (--tol name,
+# default) or None, limits, detail format. A limit (key, fold, bound) folds the key over the
+# models, and ``FOLDS`` tests the worst value against bound; a None bound is the --tol.
+INVARIANTS = (
+    ("detailed-balance", detailed_balance, ("detailed_balance", 1e-12),
+     (("dev", "max", None),), "worst rel dev {dev:.3e}"),
+    ("eigen-structure", spectral_structure, None,
+     (("im", "max", 1e-8), ("zero", "max", 1e-10), ("an", "max", 1e-12),
+      ("second", "min", 1e-10), ("gap", "min", 0.0), ("coeff", "min", 0.0)),
+     "worst Im/scale {im:.3e}, zero root {zero:.3e}, a_N/scale {an:.3e}"),
+    ("oracle-equivalence", current_agreement, ("oracle_equivalence", 1e-10),
+     (("dev", "max", None), ("scale", "min", 0.0)), "worst {dev:.3e}"),
+    ("conservation", current_agreement, ("conservation", 1e-12),
+     (("residual", "max", None),), "worst {residual:.3e}"),
+    ("sign-equivalence", sign_agreement, None,
+     (("violations", "sum", 0),), "{violations} violations"),
+    ("fluctuation-symmetry", exchange_symmetry, ("symmetry", 1e-10),
+     (("dev", "max", None),), "worst {dev:.3e}"),
+    ("ideal-cycle-term", ideal_cycle, ("decomposition", 1e-10),
+     (("rel", "max", None),), "worst rel {rel:.3e}"),
+    ("cop-bound", cop_accuracy, ("cop", 1e-10),
+     (("rel", "max", None), ("excess", "max", None)), "worst rel {rel:.3e}"),
+)
+
+# each fold: how it gathers a key over the models, and the test the worst value must pass
+FOLDS = {"max": (np.max, np.less_equal), "sum": (sum, np.less_equal), "min": (np.min, np.greater)}

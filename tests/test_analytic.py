@@ -143,9 +143,9 @@ class TestCop:
     @pytest.mark.parametrize(
         "pid, message",
         [
-            ("B", "bath 'C' couples [(0, 1), (0, 2), (1, 2)], expected [(0, 1)]"),
-            ("C", "bath 'H' couples [(0, 1), (0, 2)], expected [(0, 2)]"),
-            ("D", "bath 'W' couples [(0, 1), (1, 2)], expected [(1, 2)]"),
+            ("B", "bath 'C' couples [(1, 2), (1, 3), (2, 3)], expected [(1, 2)]"),
+            ("C", "bath 'H' couples [(1, 2), (1, 3)], expected [(1, 3)]"),
+            ("D", "bath 'W' couples [(1, 2), (2, 3)], expected [(2, 3)]"),
         ],
         ids=["B", "C", "D"],
     )
@@ -217,13 +217,13 @@ class TestLeakyCooling:
         "build, message",
         [
             # no leak: the work bath, which must leak when the hot bath does not
-            (lambda: preset("A", 0.5, 0.9), "bath 'W' couples [(1, 2)], expected [(0, 1), (1, 2)]"),
+            (lambda: preset("A", 0.5, 0.9), "bath 'W' couples [(2, 3)], expected [(1, 2), (2, 3)]"),
             (lambda: preset("B", 0.5, 0.9),
-             "bath 'C' couples [(0, 1), (0, 2), (1, 2)], expected [(0, 1)]"),
+             "bath 'C' couples [(1, 2), (1, 3), (2, 3)], expected [(1, 2)]"),
             (lambda: _recoupled("C", 2, {(1, 2): 1e-3, (0, 1): 1e-3}),
-             "bath 'W' couples [(0, 1), (1, 2)], expected [(1, 2)]"),
+             "bath 'W' couples [(1, 2), (2, 3)], expected [(2, 3)]"),
             (lambda: _recoupled("A", 1, {(0, 2): 1e-3, (1, 2): 1e-3}),
-             "bath 'H' couples [(0, 2), (1, 2)], expected [(0, 2)]"),
+             "bath 'H' couples [(1, 3), (2, 3)], expected [(1, 3)]"),
         ],
         ids=["A", "B", "hot-and-work-leak", "hot-leak-on-2-3"],
     )

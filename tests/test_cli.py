@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,12 +6,12 @@ import numpy as np
 import pytest
 
 from qarfcs.analytic import sb_current
-from qarfcs import cli
+from qarfcs import cli, oracle
 from qarfcs.cli import build_parser, main
 from qarfcs.fcs import charpoly, cooling_condition, heat_current, noise
 from qarfcs.liouvillian import build_counting_family, build_generator
 from qarfcs.model import OhmicSpectralDensity, preset, save_model, spectral_value
-from tests.conftest import make_spin_boson
+from tests.conftest import EIGHTY_BIT, make_spin_boson
 
 
 def run(capsys, *argv):
@@ -494,7 +495,7 @@ class TestCopCommand:
         save_model(preset("C", 0.5, 0.9), path)
         code, out, err = run(capsys, "cop", "--model", str(path), "--format", fmt)
         assert code == 4
-        message = "ideal refrigerator: bath 'H' couples [(0, 1), (0, 2)], expected [(0, 2)]"
+        message = "ideal refrigerator: bath 'H' couples [(1, 2), (1, 3)], expected [(1, 3)]"
         if fmt == "json":
             assert json.loads(out)["error"] == {"code": "topology", "exit": 4, "message": message}
         else:
@@ -549,6 +550,71 @@ class TestCheckCommand:
         data = json.loads(out)
         assert data["failed"] == []
         assert len(data["results"]) == 8
+
+    # sha256 of stdout as the suite printed it while each check still restated its
+    # criterion's arithmetic; reading every check from ``oracle.INVARIANTS`` kept each byte
+    _DIGESTS = {
+        ("1234", "csv", ()): "220ac4b36db53a4d697efc523dea9d464b046d8503300f20f04cafe262301d94",
+        ("1234", "json", ()): "9d1bc5c45ab8735268e51c2d453ac297127b75d186b4933bd78e0d1793f855f7",
+        ("7", "csv", ()): "3f951b0743fd8b84285727b47276e1f7520b5d1405917136bb2a25e705f64707",
+        ("7", "json", ()): "4b950d628fbb679b0823319dfed9b5d851eeeb4401160d8a4dc52c30d0c6dbd3",
+        ("1234", "csv", ("--tol", "symmetry=0")):
+            "37302bed006d75ceb0d3eef02f98494405458704f9c3505869b45504ec9286df",
+    }
+
+    @EIGHTY_BIT
+    @pytest.mark.parametrize("seed, fmt, extra", list(_DIGESTS), ids=lambda x: "-".join(x))
+    def test_output_is_pinned(self, capsys, seed, fmt, extra):
+        argv = ["check", "--seed", seed, "--trials", "10", "--format", fmt, *extra]
+        code, out, _ = run(capsys, *argv)
+        assert code == (1 if extra else 0)
+        assert hashlib.sha256(out.encode()).hexdigest() == self._DIGESTS[(seed, fmt, extra)]
+
+    @pytest.mark.parametrize(
+        "row, key, value",
+        [
+            ("eigen-structure", "second", 1e-10),  # a second root at zero
+            ("eigen-structure", "gap", 0.0),
+            ("eigen-structure", "coeff", 0.0),
+            ("oracle-equivalence", "scale", 0.0),  # no current to compare against
+            ("cop-bound", "excess", 2e-10),  # cop above its Carnot bound
+        ],
+    )
+    def test_each_limit_fails_its_row(self, capsys, monkeypatch, row, key, value):
+        def spoil(measure):  # the first of the row's models only, so the fold must find it
+            seen = []
+
+            def spoiled(model):
+                seen.append(model)
+                return {**measure(model), key: value} if len(seen) == 1 else measure(model)
+
+            return spoiled
+
+        table = [(name, spoil(m) if name == row else m, *rest) for name, m, *rest in cli.INVARIANTS]
+        monkeypatch.setattr(cli, "INVARIANTS", table)
+        code, out, _ = run(capsys, "check", "--trials", "3", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["failed"] == [row]
+
+    def test_sign_row_counts_a_verdict_other_than_value_positive(self, capsys, monkeypatch):
+        # one violation per model: the verdict disagrees with value > 0, the sign does not
+        real = oracle.cooling_condition
+        monkeypatch.setattr(oracle, "cooling_condition", lambda m: (real(m)[0], real(m)[0] <= 0.0))
+        code, out, _ = run(capsys, "check", "--trials", "3")
+        assert code == 1
+        assert "FAIL sign-equivalence: 3 violations\n" in out
+
+    def test_tolerance_defaults_are_pinned(self):
+        # noise's precondition, then each check's tolerance in table order
+        assert list(cli._TOL_DEFAULTS.items()) == [
+            ("noise_precondition", 1e-10),
+            ("detailed_balance", 1e-12),
+            ("oracle_equivalence", 1e-10),
+            ("conservation", 1e-12),
+            ("symmetry", 1e-10),
+            ("decomposition", 1e-10),
+            ("cop", 1e-10),
+        ]
 
 
 class TestArgumentRefusals:

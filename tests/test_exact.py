@@ -1,0 +1,64 @@
+"""``heat_current`` against the exact rational reference of ``tests.exact``."""
+
+import time
+from fractions import Fraction
+
+import numpy as np
+
+from qarfcs.analytic import sb_current
+from qarfcs.fcs import heat_current
+from qarfcs.model import preset, spectral_value
+from qarfcs.oracle import random_connected_model
+from tests.conftest import make_spin_boson
+from tests.exact import exact_current
+
+# unit roundoff of a double, and the multiple of it, times the gross flux at the
+# counted bath, that bounds the error of heat_current
+U = Fraction(2) ** -53
+C = 8
+
+
+def _pairs():
+    """(model, bath): A-D on a 7x7 (E21, beta_H) grid, then 60 random models of N = 2..5."""
+    for pid in "ABCD":
+        for e21 in np.linspace(0.05, 0.95, 7).tolist():
+            for beta_h in np.linspace(0.15, 0.95, 7).tolist():
+                model = preset(pid, e21, beta_h)
+                yield from ((model, b) for b in range(model.n_baths))
+    rng = np.random.default_rng(20261019)
+    for k in range(60):
+        model = random_connected_model(rng, n_levels=2 + k % 4)
+        yield from ((model, b) for b in range(model.n_baths))
+
+
+def test_heat_current_within_c_u_of_the_gross_flux():
+    t0 = time.perf_counter()
+    worst, count, sizes = Fraction(0), 0, set()
+    for model, bath in _pairs():
+        j, gross = exact_current(model, bath)
+        worst = max(worst, abs(Fraction(heat_current(model, bath)) - j) / (U * gross))
+        count += 1
+        sizes.add(model.n_levels)
+    elapsed = time.perf_counter() - t0
+    assert count >= 500 and sizes == {2, 3, 4, 5}
+    print(
+        f"heat_current vs exact J: worst {float(worst):.2f} u of the gross flux over "
+        f"{count} (model, bath) pairs ({elapsed:.2f}s)"
+    )
+    assert worst <= C
+
+
+def test_exact_currents_conserve_energy_exactly():
+    # L(0) p = 0 holds exactly, so the bath currents cancel with no residual
+    rng = np.random.default_rng(7)
+    for model in [preset("B", 0.3, 0.9)] + [random_connected_model(rng) for _ in range(20)]:
+        assert sum(exact_current(model, b)[0] for b in range(model.n_baths)) == 0
+
+
+def test_exact_current_matches_the_spin_boson_closed_form():
+    model = make_spin_boson()
+    gam = [spectral_value(b.spectral, b.couplings[(0, 1)], 1.0) for b in model.baths]
+    j, gross = exact_current(model, 0)
+    ref = sb_current(1.0, gam[0], gam[1], 1.0, 0.5)
+    assert abs(float(j) - ref) <= 1e-14 * abs(ref)
+    assert gross >= abs(j) > 0

@@ -276,6 +276,33 @@ class TestValidation:
         assert all(type(x) is int for pair in bath.couplings for x in pair)
         assert all(type(g) is float for g in bath.couplings.values())
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda s, b: QarModel(s, b, True), r"^field 'cold_index' .* integer, got True$"),
+            (lambda s, b: QarModel(s, b, 1.0), r"^field 'cold_index' .* integer, got 1.0$"),
+            (lambda s, b: QarModel(s, b, "0"), r"^field 'cold_index' .* integer, got '0'$"),
+            (lambda s, b: SystemSpec(5), r"^field 'energies' must be a sequence, got 5$"),
+            (lambda s, b: SystemSpec((0, 10**400)),
+             r"^field 'energies': level 2 is an integer beyond the float range$"),
+            (lambda s, b: BathSpec("C", 10**400, {}),
+             r"^bath 'C': field 'beta' is an integer beyond the float range$"),
+        ],
+        ids=["cold_index-bool", "cold_index-float", "cold_index-str", "energies-int",
+             "energies-overflow", "beta-overflow"],
+    )
+    def test_constructors_refuse_what_they_cannot_store(self, build, message):
+        system = SystemSpec((0.0, 1.0))
+        baths = (BathSpec("C", 1.0, {(0, 1): 1e-3}), BathSpec("H", 0.5, {(0, 1): 1e-3}))
+        with pytest.raises(ValidationError, match=message):
+            build(system, baths)
+
+    @pytest.mark.parametrize("cold", [1, np.int64(1), np.uint8(1)], ids=["int", "int64", "uint8"])
+    def test_cold_index_is_stored_as_int(self, cold):
+        baths = (BathSpec("C", 1.0, {(0, 1): 1e-3}), BathSpec("H", 0.5, {(0, 1): 1e-3}))
+        model = QarModel(SystemSpec((0.0, 1.0)), baths, cold)
+        assert model.cold_index == 1 and type(model.cold_index) is int
+
     def test_models_are_immutable(self):
         m = preset("A", 0.5, 0.9)
         with pytest.raises(AttributeError):

@@ -435,3 +435,41 @@ class TestRandomModelGenerator:
         with pytest.raises(ValidationError, match="1 to 4 baths"):
             random_connected_model(rng, n_baths=n_baths)
         assert rng.bit_generator.state == state
+
+
+class TestInvariantTable:
+    def _model_for(self, name):
+        rng = np.random.default_rng(3)
+        if name == "fluctuation-symmetry":
+            return random_connected_model(rng, n_baths=2)
+        if name in ("ideal-cycle-term", "cop-bound"):
+            return preset("A", 0.3, 0.6)
+        return random_connected_model(rng)
+
+    def test_rows_in_check_order(self):
+        assert [row[0] for row in oracle_module.INVARIANTS] == [
+            "detailed-balance", "eigen-structure", "oracle-equivalence", "conservation",
+            "sign-equivalence", "fluctuation-symmetry", "ideal-cycle-term", "cop-bound",
+        ]
+
+    @pytest.mark.parametrize("row", oracle_module.INVARIANTS, ids=lambda row: row[0])
+    def test_limits_and_detail_read_what_the_measure_returns(self, row):
+        name, measure, tol, limits, detail = row
+        values = measure(self._model_for(name))
+        assert all(type(v) in (float, int) for v in values.values())
+        assert {key for key, _, _ in limits} <= set(values)
+        assert all(fold in oracle_module.FOLDS for _, fold, _ in limits)
+        # a None bound reads the row's tolerance, which a row without one cannot
+        assert tol is not None or all(bound is not None for _, _, bound in limits)
+        detail.format(**values)
+
+    def test_ideal_rows_refuse_a_leaky_machine(self):
+        for measure in (oracle_module.ideal_cycle, oracle_module.cop_accuracy):
+            with pytest.raises(TopologyError, match=r"couples \[\(1, 2\), \(1, 3\)\]"):
+                measure(preset("C", 0.3, 0.6))
+
+    def test_exchange_symmetry_refuses_other_bath_counts(self):
+        for n_baths in (1, 3):
+            model = random_connected_model(np.random.default_rng(4), n_baths=n_baths)
+            with pytest.raises(TopologyError, match="exactly 2 baths"):
+                oracle_module.exchange_symmetry(model)
