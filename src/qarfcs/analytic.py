@@ -2,9 +2,9 @@
 
 Covers the two-level (spin-boson) current and noise, the ideal three-level
 cooling condition and coefficient of performance, the per-cycle cooling
-inequalities, the leaky-model condition, and an exact decomposition of the
-cold current numerator into cycle and leak parts by multilinear extraction
-in per-bath rate scalings.
+inequalities, the leaky-model condition, and the closed-form split of the
+three-level cold current numerator: Kirchhoff tree sums give the total, and
+Hill cycle fluxes, each a rate product times expm1(-affinity), give the parts.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConsistencyError, CopUndefinedError, TopologyError, ValidationError
-from .fcs import charpoly, heat_current
-from .liouvillian import generator_from_tables
+# charpoly is unused here; perfbench/test_perfbench.py asserts analytic.charpoly is fcs.charpoly
+from .fcs import charpoly, heat_current  # noqa: F401
 from .model import IDEAL_PAIRS, Pair, QarModel, bose_occupation, rate, rate_table
 
 
@@ -160,7 +158,9 @@ class Decomposition:
 
     Keys are 0-based level pairs; leak keys also carry the leaking bath's
     label. Parts sum to a_{N-1}(0) * J_C; dividing them by ``normalization``
-    expresses them as currents.
+    expresses them as currents. ``magnitude`` is the largest gross flux
+    dE (k^C_ij tau_i + k^C_ji tau_j) of one cold pair, the cancellation-free
+    scale of the roundoff in every part and in ``total``.
     """
 
     cycles: dict[Pair, float]
@@ -174,103 +174,63 @@ class Decomposition:
         return math.fsum(list(self.cycles.values()) + list(self.leaks.values()))
 
 
-# (cold, hot, work) rate scalings: six points fix the six monomial coefficients
-# of a homogeneous quadratic
-_EXTRACTION_POINTS = np.array(
-    [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (1, 2, 2)], dtype=float
-)
-_VANDERMONDE = np.array(
-    [(c * c, h * h, w * w, c * h, c * w, h * w) for c, h, w in _EXTRACTION_POINTS]
-)
-
-
 def decompose(model: QarModel) -> Decomposition:
-    """Exact cycle/leak decomposition of the cold current (three baths).
+    """Cycle/leak decomposition of the cold current (three levels, three baths) in closed form.
 
-    For each cold-coupled transition, the counted-numerator contribution is a
-    homogeneous quadratic in per-bath rate scalings (the adjugate supplies two
-    rate factors), so its six monomial coefficients follow exactly from
-    evaluations at small-integer scaling points. Classification: a hot- or
-    work-bath rate acting on the counted transition itself marks a leak of
-    that bath (its terms carry the exp(-beta_C dE) - exp(-beta_mu dE) factor);
-    with those rates removed, a mixed hot/work monomial is the genuine
-    three-bath cycle, a single-other-bath monomial is a composite two-bath
-    leak, and the pure-cold coefficient must vanish (one bath alone drives no
-    current). Because the on-transition rates enter the numerator linearly,
-    the on/off split is exact.
-
-    Per transition, the six scaling points with both other baths off the
-    transition and the unscaled set with only the work bath off are the
-    extraction generators; L(0), also every transition's full-rate point, goes
-    last, and all of them go through one stacked ``charpoly`` pass. Parts and
-    total are in numerator units.
+    tau_i sums the rate products of the spanning trees directed into level i,
+    so p = tau / sum(tau) and sum(tau) = a_(N-1)(0) (matrix-tree theorem). A
+    cold pair (i, j), third level m, dE = E_j - E_i, adds dE (k^C_ij tau_i -
+    k^C_ji tau_j) to the numerator, which splits into Hill cycle fluxes (Hill,
+    J. Theor. Biol. 10, 442 (1966); Schnakenberg, Rev. Mod. Phys. 48, 571
+    (1976)), each forward minus reverse rate product:
+    - two-cycles (K_mi + K_mj) (k^C_ij k^mu_ji - k^C_ji k^mu_ij), K the total
+      rates, affinity (beta_C - beta_mu) dE;
+    - triangles k^C_ij k^nu_jm k^rho_mi - k^C_ji k^nu_mj k^rho_im, affinity
+      beta_C dE + beta_nu (E_m - E_j) + beta_rho (E_i - E_m).
+    By detailed balance forward = reverse exp(-affinity), so each flux is the
+    larger product times an expm1 bracket, never a cancelling difference. A
+    flux through both the hot and the work bath is the cycle; one through the
+    cold bath and one other is that bath's leak; one through the cold bath
+    alone must vanish, which is checked. ``magnitude`` is the largest per-pair
+    gross flux dE (k^C_ij tau_i + k^C_ji tau_j); all fields but normalization
+    are in numerator units.
     """
     cold, hot, work = _ideal_roles(model)
-    tables = np.array([rate_table(model, b) for b in range(3)])
-    energies = model.system.energies
-    labels = {hot: model.baths[hot].label, work: model.baths[work].label}
+    k = [rate_table(model, b).tolist() for b in range(3)]
+    kc, e, beta = k[cold], model.system.energies, [b.beta for b in model.baths]
+    big_k = [[math.fsum(t[x][y] for t in k) for y in range(3)] for x in range(3)]
+    tau = [
+        math.fsum([big_k[j][i] * big_k[m][i], big_k[j][m] * big_k[m][i], big_k[m][j] * big_k[j][i]])
+        for i, j, m in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    ]
+    cycles, leaks, numerator, magnitude, pure_cold = {}, {}, [], 0.0, 0.0
+    for i, j in [(i, j) for i in range(3) for j in range(i + 1, 3) if kc[i][j] or kc[j][i]]:
+        m, de = 3 - i - j, e[j] - e[i]
+        up, down = de * kc[i][j] * tau[i], de * kc[j][i] * tau[j]
+        numerator += [up, -down]
+        magnitude = max(magnitude, up + down)
+        w = big_k[m][i] + big_k[m][j]
+        # (baths besides C, forward product, reverse product, affinity)
+        fluxes = [({mu}, w * kc[i][j] * k[mu][j][i], w * kc[j][i] * k[mu][i][j],
+                   (beta[cold] - beta[mu]) * de) for mu in (hot, work)]
+        fluxes += [({nu, rho} - {cold}, kc[i][j] * k[nu][j][m] * k[rho][m][i],
+                    kc[j][i] * k[nu][m][j] * k[rho][i][m],
+                    beta[cold] * de + beta[nu] * (e[m] - e[j]) + beta[rho] * (e[i] - e[m]))
+                   for nu in range(3) for rho in range(3)]
+        share = {frozenset(b): [] for b in ((hot, work), (hot,), (work,), ())}
+        for b, fwd, rev, a in fluxes:
+            share[frozenset(b)].append(rev * math.expm1(-a) if a >= 0.0 else -fwd * math.expm1(a))
+        # + 0.0: a vanishing affinity gives 0.0, not -0.0
+        part = {b: de * math.fsum(ts) + 0.0 for b, ts in share.items()}
+        cycles[(i, j)] = part[frozenset((hot, work))]
+        leaks.update({(model.baths[b].label, (i, j)): part[frozenset((b,))] for b in (hot, work)})
+        pure_cold = max(pure_cold, abs(part[frozenset()]))
 
-    k_cold = tables[cold].tolist()
-    pairs = [(i, j) for i in range(3) for j in range(i + 1, 3) if k_cold[i][j] or k_cold[j][i]]
-    # the scalings are 1 or 2, so scaling the tables scales each bath's generator exactly
-    scales = _EXTRACTION_POINTS[:, [(cold, hot, work).index(b) for b in range(3)], None, None]
-    sets = []
-    for i, j in pairs:
-        no_work = tables.copy()
-        no_work[work, [i, j], [j, i]] = 0.0
-        bare = no_work.copy()
-        bare[hot, [i, j], [j, i]] = 0.0
-        sets += [*(scales * bare), no_work]
-    cp = charpoly(generator_from_tables(np.array([*sets, tables])))
-    adj = cp.adjugate.tolist()
-
-    # each trace against d1 takes its signed fsum and its absolute fsum (the
-    # cancellation-free magnitude, finite where the signed numerator vanishes
-    # at the cooling boundary) from one list of products: |a x| = |a| |x|
-    vals, full_products = [], []
-    scale_ref = 0.0
-    for q, (i, j) in enumerate(pairs):
-        de = energies[j] - energies[i]
-        # d1 holds dE k[i, j] at (j, i) and -dE k[j, i] at (i, j)
-        d1 = [(de * k_cold[i][j], j, i), (-de * k_cold[j][i], i, j)]
-        d1 = [(x, r, c) for x, r, c in d1 if x]
-        products = [[a[c][r] * x for x, r, c in d1] for a in adj[7 * q : 7 * q + 7] + adj[-1:]]
-        scale_ref = max(scale_ref, *(math.fsum(map(abs, p)) for p in products))
-        vals.append([math.fsum(p) for p in products])
-        full_products += products[-1]
-    # one LAPACK solve per transition (the 6 bare points), bitwise that of a
-    # lone 6-vector solve
-    coef = np.linalg.solve(_VANDERMONDE, np.array(vals).reshape(-1, 8)[:, :6, None])[..., 0]
-
-    cycles: dict[Pair, float] = {}
-    leaks: dict[tuple[str, Pair], float] = {}
-    pure_cold_worst = 0.0
-    for pair, (c_cc, c_hh, c_ww, c_ch, c_cw, c_hw), (*_, t_no_work, t_full) in zip(
-        pairs, coef.tolist(), vals
-    ):
-        t_bare = math.fsum([c_cc, c_hh, c_ww, c_ch, c_cw, c_hw])
-        pure_cold_worst = max(pure_cold_worst, abs(c_cc))
-        cycles[pair] = c_hw
-        leaks[(labels[hot], pair)] = (c_ch + c_hh) + (t_no_work - t_bare)
-        leaks[(labels[work], pair)] = (c_cw + c_ww) + (t_full - t_no_work)
-
-    if pure_cold_worst > 1e-12 * max(scale_ref, 1e-300):
+    if pure_cold > 1e-12 * max(magnitude, 1e-300):
         raise ConsistencyError(
-            f"pure cold-bath part {pure_cold_worst:.3g} exceeds 1e-12 of the "
-            f"extraction scale {scale_ref:.3g}; a single bath cannot drive a "
-            "steady current"
+            f"pure cold-bath part {pure_cold:.3g} exceeds 1e-12 of the gross flux "
+            f"{magnitude:.3g}; a single bath cannot drive a steady current"
         )
-
-    a_pen = float(cp.coeffs[-1, 1])  # a_(N-1)(0) of L(0), N = 3
-    # the d1 of distinct transitions have disjoint entries, and fsum is exactly
-    # rounded, so this is the trace of adj(L(0)) against their sum
-    numerator = math.fsum(full_products)
-    parts = math.fsum(list(cycles.values()) + list(leaks.values()))
-    return Decomposition(
-        cycles=cycles,
-        leaks=leaks,
-        total=numerator,
-        normalization=a_pen,
-        reconstruction_residual=abs(parts - numerator),
-        magnitude=scale_ref,
-    )
+    total = math.fsum(numerator)
+    parts = math.fsum([*cycles.values(), *leaks.values()])
+    return Decomposition(cycles, leaks, total, math.fsum(tau), abs(parts - total), magnitude)

@@ -474,6 +474,19 @@ class TestDecomposeCommand:
         code, _, err = run(capsys, "decompose", "--model", str(path))
         assert code == 4
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_on_threshold_cycle_prints_unsigned_zero(self, capsys, fmt):
+        # criterion 08's middle cell, where the cycle's affinity rounds to exactly 0
+        code, out, _ = run(
+            capsys, "decompose", "--preset", "A", "--e21", "0.49999999999999994",
+            "--betaH", "0.5499999999999999", "--format", fmt,
+        )
+        assert code == 0
+        if fmt == "json":
+            assert '"2,1": 0.0\n' in out
+        else:
+            assert "\ncycle[2,1] = 0.00000000000000000e+00\n" in out
+
 
 class TestCopCommand:
     def test_value(self, capsys):
@@ -551,15 +564,14 @@ class TestCheckCommand:
         assert data["failed"] == []
         assert len(data["results"]) == 8
 
-    # sha256 of stdout as the suite printed it while each check still restated its
-    # criterion's arithmetic; reading every check from ``oracle.INVARIANTS`` kept each byte
+    # sha256 of stdout at --trials 10, so every row's detail string is pinned
     _DIGESTS = {
-        ("1234", "csv", ()): "220ac4b36db53a4d697efc523dea9d464b046d8503300f20f04cafe262301d94",
-        ("1234", "json", ()): "9d1bc5c45ab8735268e51c2d453ac297127b75d186b4933bd78e0d1793f855f7",
-        ("7", "csv", ()): "3f951b0743fd8b84285727b47276e1f7520b5d1405917136bb2a25e705f64707",
-        ("7", "json", ()): "4b950d628fbb679b0823319dfed9b5d851eeeb4401160d8a4dc52c30d0c6dbd3",
+        ("1234", "csv", ()): "b3a22927f373fb8cef8942d52dc3fea5c7010c398098527fdb064b86ca797d14",
+        ("1234", "json", ()): "2f3a053699145a7dbc118bf35827dbf08e4ba3e88664c2c5ea9987d384aee656",
+        ("7", "csv", ()): "9c3105c64cba4b4d22b9d7482438aa16169677a6ff12726a152458b15e4ee83d",
+        ("7", "json", ()): "293447b394a5807cfd2560d9d088e4ed004908a5c10865fe2b1cff700cfe0b66",
         ("1234", "csv", ("--tol", "symmetry=0")):
-            "37302bed006d75ceb0d3eef02f98494405458704f9c3505869b45504ec9286df",
+            "f5ae749b4533c8bf1aee8f3597bc46a171e808a29ff1d89a1758a7fa34ff605d",
     }
 
     @EIGHTY_BIT

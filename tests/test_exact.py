@@ -1,19 +1,20 @@
-"""``heat_current`` against the exact rational reference of ``tests.exact``."""
+"""``heat_current`` and ``decompose`` against the exact rational references of ``tests.exact``."""
 
 import time
 from fractions import Fraction
 
 import numpy as np
 
-from qarfcs.analytic import sb_current
+from qarfcs.analytic import decompose, sb_current
 from qarfcs.fcs import heat_current
 from qarfcs.model import preset, spectral_value
 from qarfcs.oracle import random_connected_model
 from tests.conftest import make_spin_boson
-from tests.exact import exact_current
+from tests.exact import exact_current, exact_parts
 
-# unit roundoff of a double, and the multiple of it, times the gross flux at the
-# counted bath, that bounds the error of heat_current
+# unit roundoff of a double, and the multiple of it that bounds the error of
+# heat_current (times the gross flux at the counted bath) and of decompose (its
+# parts and total times its magnitude, its normalization relative)
 U = Fraction(2) ** -53
 C = 8
 
@@ -62,3 +63,54 @@ def test_exact_current_matches_the_spin_boson_closed_form():
     ref = sb_current(1.0, gam[0], gam[1], 1.0, 0.5)
     assert abs(float(j) - ref) <= 1e-14 * abs(ref)
     assert gross >= abs(j) > 0
+
+
+def _three_level_models():
+    """A-D on the 7x7 grid of ``_pairs``, then 300 random 3-level, 3-bath models of any graph."""
+    for pid in "ABCD":
+        for e21 in np.linspace(0.05, 0.95, 7).tolist():
+            for beta_h in np.linspace(0.15, 0.95, 7).tolist():
+                yield preset(pid, e21, beta_h)
+    rng = np.random.default_rng(20261020)
+    for _ in range(300):
+        yield random_connected_model(rng, n_levels=3, n_baths=3, topology="any")
+
+
+def test_decompose_within_c_u_of_its_magnitude():
+    t0 = time.perf_counter()
+    worst_part = worst_total = worst_norm = Fraction(0)
+    count = 0
+    for model in _three_level_models():
+        dec = decompose(model)
+        cycles, leaks, total, norm = exact_parts(model)
+        assert dec.cycles.keys() == cycles.keys() and dec.leaks.keys() == leaks.keys()
+        scale = U * Fraction(dec.magnitude)
+        for got, want in [(dec.cycles, cycles), (dec.leaks, leaks)]:
+            errors = (abs(Fraction(got[key]) - v) / scale for key, v in want.items())
+            worst_part = max(worst_part, *errors)
+        worst_total = max(worst_total, abs(Fraction(dec.total) - total) / scale)
+        worst_norm = max(worst_norm, abs(Fraction(dec.normalization) - norm) / (U * norm))
+        count += 1
+    elapsed = time.perf_counter() - t0
+    assert count == 4 * 49 + 300
+    print(
+        f"decompose vs exact parts: worst part {float(worst_part):.2f} u and total "
+        f"{float(worst_total):.2f} u of the magnitude, normalization {float(worst_norm):.2f} u "
+        f"relative, over {count} models ({elapsed:.2f}s)"
+    )
+    assert max(worst_part, worst_total, worst_norm) <= C
+
+
+def test_exact_parts_agree_with_the_exact_current():
+    # total is a_(N-1)(0) J_C, from a solve that shares nothing with the tree sums; the
+    # parts miss only the pure-cold triangles, which vanish up to the rounding of the rates
+    rng = np.random.default_rng(3)
+    models = [preset(pid, 0.3, 0.9) for pid in "ABCD"]
+    models += [
+        random_connected_model(rng, n_levels=3, n_baths=3, topology="any") for _ in range(20)
+    ]
+    for model in models:
+        cycles, leaks, total, norm = exact_parts(model)
+        assert total == exact_current(model, model.cold_index)[0] * norm
+        parts = sum([*cycles.values(), *leaks.values()], Fraction(0))
+        assert abs(parts - total) <= C * U * Fraction(decompose(model).magnitude)
