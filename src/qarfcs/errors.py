@@ -30,7 +30,7 @@ class TopologyError(QarError):
 
 
 class ContinuationError(QarError):
-    """Newton continuation of the dominant root failed or roots collided."""
+    """Newton solve for the Perron root G(s) did not converge."""
 
     code = 5
     code_name = "continuation"

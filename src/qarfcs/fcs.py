@@ -13,9 +13,8 @@ small differences of large products, and 80-bit arithmetic keeps the
 cancellation noise far below every tolerance used here.
 
 The recursion also takes a stack of matrices. The generating function G(s)
-uses that: ``cgf`` plans its whole step grid first, takes the polynomials
-of every step from one stacked pass, and leaves only the Newton polish of
-the continued root sequential.
+uses that: ``cgf`` takes the polynomials of all its targets from one stacked
+pass, then finds each target's Perron root by its own Newton solve.
 """
 
 from __future__ import annotations
@@ -241,195 +240,50 @@ def _row_replaced_det(stack: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
     return (-1.0) ** m.shape[-1] * np.linalg.det(m)
 
 
-def _step_polynomials(family: CountingFamily, grid: list[float]) -> np.ndarray:
-    """Monic coefficients [1, a_1(s_k), ..., a_N(s_k)] of every step, shape (K, N + 1).
+def _step_polynomials(family: CountingFamily, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[1, a_1(s_k), ..., a_N(s_k)] of every L(s_k), shape (K, N + 1), and its largest column sum.
 
     One long-double stack of L(s_k) and one stacked recursion give a_1..a_(N-1);
     a_N comes from one stacked row-replaced determinant of the same stack, whose
     column sums are formed from the corrections alone, so they carry no roundoff
-    of the base generator.
+    of the base generator. The largest of them, shape (K,), bounds the real part
+    of every eigenvalue of L(s_k) from above.
     """
-    stack, corrections = family.dressed_stack(np.asarray(grid, dtype=float))
+    stack, corrections = family.dressed_stack(np.asarray(s, dtype=float))
     coeffs = charpoly(stack).monic()
     cols = np.array([col for _, col, _, _ in family.dressed], dtype=int)
     col_sums = np.zeros(stack.shape[:-1], dtype=stack.dtype)
     np.add.at(col_sums, (slice(None), cols), corrections)
     coeffs[:, -1] = _row_replaced_det(stack, col_sums)
-    return coeffs
+    return coeffs, col_sums.max(axis=-1).astype(float)
 
 
-def _first_collision(
-    coeffs: np.ndarray, lams: list[float], collision_rtol: float
-) -> tuple[int, float, float] | None:
-    """First step whose root has another root within ``collision_rtol`` of the scale.
-
-    The roots are the eigenvalues of the steps' companion matrices, taken in
-    one stacked ``eigvals`` (``cgf`` passes the steps that p'(G) left undecided).
-    A zero a_N (a counted bath without couplings) leaves a zero last column,
-    whose eigenvalue 0 comes out within roundoff of the spectral scale.
-    Returns (step, distance to the nearest other root, spectral scale) or None.
-    """
-    k, n = coeffs.shape[0], coeffs.shape[1] - 1
-    if n < 2 or k == 0:
-        return None
-    comp = np.zeros((k, n, n))
-    comp[:, 0, :] = np.negative(coeffs[:, 1:])
-    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-    roots = np.linalg.eigvals(comp)
-    scale = np.max(np.abs(roots), axis=1)
-    gap = np.sort(np.abs(roots - np.asarray(lams)[:, None]), axis=1)[:, 1]
-    hit = np.flatnonzero(gap < collision_rtol * scale)
-    if not hit.size:
-        return None
-    return int(hit[0]), float(gap[hit[0]]), float(scale[hit[0]])
-
-
-def _certified_separation(poly: list[float], deriv: list[float], lam: float, rtol: float) -> bool:
-    """Whether p'(lam) proves every other root at least ``rtol`` of the scale away.
-
-    p'(lam) = prod(lam - r_i) over the other roots, each factor at most 2F with F
-    the Fujiwara bound on the spectral radius, so the nearest one lies at least
-    |p'(lam)| / (2F)^(N-2) away. The factor 4 on rtol * F absorbs the roundoff of
-    the root and of the companion eigenvalues; a non-finite bound decides nothing.
-    """
-    n = len(deriv)
-    dp = 0.0
-    for c in deriv:
-        dp = dp * lam + c
-    radii = [abs(c) ** (1.0 / j) for j, c in enumerate(poly[1:-1], start=1)]
-    f = 2.0 * max(radii + [abs(poly[-1] / 2.0) ** (1.0 / n)])
-    try:
-        bound = 4.0 * rtol * f * (2.0 * f) ** (n - 2)
-    except OverflowError:
-        return False
-    return math.isfinite(bound) and abs(dp) >= bound
-
-
-def _plan_steps(
-    flat: np.ndarray, ds_max: float
-) -> tuple[list[float], set[int], list[tuple[int, int]]]:
-    """The continuation grid for the targets ``flat``, planned before any step.
-
-    The positive targets come first, then the negative ones, each side in
-    order of |s| from s = 0; between consecutive targets the path takes
-    n = ceil(|s_to - s_prev| / ds_max) equal steps. Returns the steps in
-    visiting order, the steps where a side starts again from G(0) = 0, and
-    (target index, step index) for every nonzero target.
-    """
-    grid: list[float] = []
-    side_starts = set()
-    reached = []
-    values = flat.tolist()
-    for sign in (1.0, -1.0):
-        side_starts.add(len(grid))
-        s_prev = 0.0
-        # (|s|, index) pairs sort by |s| and keep ties in input order
-        for _, i in sorted((abs(v), i) for i, v in enumerate(values) if v * sign > 0.0):
-            s_to = values[i]
-            if s_to != s_prev:
-                n_steps = max(1, int(math.ceil(abs(s_to - s_prev) / ds_max)))
-                grid.extend(
-                    s_prev + (s_to - s_prev) * k / n_steps for k in range(1, n_steps + 1)
-                )
-            reached.append((i, len(grid) - 1))
-            s_prev = s_to
-    return grid, side_starts, reached
-
-
-def _continue_root(
-    family: CountingFamily,
-    grid: list[float],
-    side_starts: set[int],
-    newton_rtol: float,
-    max_newton_iter: int,
-    collision_rtol: float,
-) -> list[float]:
-    """The continued root at every step of ``grid``.
-
-    Newton in Python floats, seeded from the previous step's root (or from 0
-    where a side starts), is the only sequential part. A failure is reported
-    at the earliest failing step; within one step a Newton failure comes
-    before a collision.
-    """
-    coeffs = _step_polynomials(family, grid)
-    n = coeffs.shape[1] - 1
-    lams: list[float] = []
-    undecided: list[int] = []
-    newton_error = None
-    lam = 0.0
-    for k, poly in enumerate(coeffs.tolist()):
-        if k in side_starts:
-            lam = 0.0
-        deriv = [c * (n - j) for j, c in enumerate(poly[:-1])]
-        converged = False
-        step = math.nan
-        for _ in range(max_newton_iter):
-            p = 0.0
-            for c in poly:
-                p = p * lam + c
-            dp = 0.0
-            for c in deriv:
-                dp = dp * lam + c
-            if dp == 0.0:
-                break
-            step = p / dp
-            lam -= step
-            if abs(step) <= newton_rtol * abs(lam) + 1e-300:
-                converged = True
-                break
-        if not converged:
-            newton_error = ContinuationError(
-                f"Newton did not converge at s = {grid[k]:.6g} "
-                f"(last step {step:.3g}, root estimate {lam:.3g})"
-            )
-            break
-        lams.append(lam)
-        if n > 1 and not _certified_separation(poly, deriv, lam, collision_rtol):
-            undecided.append(k)
-    collision = _first_collision(coeffs[undecided], [lams[k] for k in undecided], collision_rtol)
-    if collision is not None:
-        first, gap, scale = collision
-        k = undecided[first]
-        raise ContinuationError(
-            f"root collision at s = {grid[k]:.6g}: nearest other root within "
-            f"{gap:.3g} (< {collision_rtol:.1g} of scale {scale:.3g})"
-        )
-    if newton_error is not None:
-        raise newton_error
-    return lams
-
-
-# the fixed settings of the G(s) continuation; ``cgf`` says where each enters
+# the fixed settings of G(s); ``cgf`` says where each enters
 _WINDOW_FACTOR = 4.0
-_STEP_FACTOR = 0.05
 _NEWTON_RTOL = 1e-12
 _MAX_NEWTON_ITER = 100
-_COLLISION_RTOL = 1e-8
 
 
 def cgf(family: CountingFamily, s: float | np.ndarray) -> float | np.ndarray:
     """Scaled cumulant generating function G(s) of the counted heat.
 
-    G is the root of the characteristic polynomial of L(s) continued from
-    G(0) = 0 by stepping s and Newton-polishing at each step, which pins the
-    physical branch without ranking eigenvalues, to a relative ``_NEWTON_RTOL``
-    within ``_MAX_NEWTON_ITER`` iterations per step. Root collisions along the
-    path (closer than ``_COLLISION_RTOL`` of the spectral scale) abort.
+    For real s, L(s) is a Metzler matrix on the model's connected graph, so
+    G(s), its eigenvalue of largest real part, is its Perron root: real,
+    simple, and at most the largest column sum of L(s). Every root of the
+    characteristic polynomial p, and by Gauss-Lucas every root of p' and p'',
+    has real part <= G, so p is increasing and convex to the right of G.
+    Newton started at the column-sum bound therefore descends monotonically
+    onto G, with no seed from another target and no other root to pass. It
+    stops at a relative step of ``_NEWTON_RTOL``; a target not reached within
+    ``_MAX_NEWTON_ITER`` iterations raises ContinuationError, the first such
+    target in input order.
 
     ``s`` is a scalar (a float comes back) or an array (an array of the same
     shape comes back, in input order; targets equal to 0 give 0.0). Every
-    target is checked against the window before any step. On each side of
-    s = 0 the targets share one continuation, visited in order of |s|:
-    between consecutive targets the path takes n = ceil(|s_to - s_prev| /
-    ds_max) equal steps, with ds_max = ``_STEP_FACTOR`` / energy span, so a
-    lone target is reached on the grid s * k / n from the origin. The window
-    is |s| <= ``_WINDOW_FACTOR`` * max beta.
-
-    The whole step grid is planned first, so the polynomials of every step
-    come from one stacked pass (one long-double stack of L(s_k), one stacked
-    ``charpoly``, one stacked determinant for a_N). Newton is the only
-    sequential part; p'(G) certifies each step's root separation, and only the
-    steps it cannot decide get one stacked companion ``eigvals``.
+    target is checked against the window |s| <= ``_WINDOW_FACTOR`` * max beta
+    first. The polynomials of all targets come from one stacked pass (one
+    long-double stack of L(s), one stacked ``charpoly``, one stacked
+    determinant for a_N); each target is then solved alone.
     """
     targets = np.asarray(s, dtype=float)
     flat = targets.ravel()
@@ -439,14 +293,34 @@ def cgf(family: CountingFamily, s: float | np.ndarray) -> float | np.ndarray:
             f"|s| = {np.max(np.abs(flat)):.3g} outside the continuation window "
             f"{window:.3g} (= {_WINDOW_FACTOR} * max beta)"
         )
-    grid, side_starts, reached = _plan_steps(flat, _STEP_FACTOR / family.energy_span)
     out = np.zeros(flat.shape)
-    if grid:
-        lams = _continue_root(
-            family, grid, side_starts, _NEWTON_RTOL, _MAX_NEWTON_ITER, _COLLISION_RTOL
-        )
-        for i, k in reached:
-            out[i] = lams[k]
+    solve = np.flatnonzero(flat)
+    if solve.size:
+        coeffs, bounds = _step_polynomials(family, flat[solve])
+        n = coeffs.shape[1] - 1
+        for i, poly, lam in zip(solve.tolist(), coeffs.tolist(), bounds.tolist()):
+            deriv = [c * (n - j) for j, c in enumerate(poly[:-1])]
+            converged = False
+            step = math.nan
+            for _ in range(_MAX_NEWTON_ITER):
+                p = dp = 0.0
+                for c in poly:
+                    p = p * lam + c
+                for c in deriv:
+                    dp = dp * lam + c
+                if dp == 0.0:
+                    break
+                step = p / dp
+                lam -= step
+                if abs(step) <= _NEWTON_RTOL * abs(lam) + 1e-300:
+                    converged = True
+                    break
+            if not converged:
+                raise ContinuationError(
+                    f"Newton did not converge at s = {flat[i]:.6g} "
+                    f"(last step {step:.3g}, root estimate {lam:.3g})"
+                )
+            out[i] = lam
     if targets.ndim == 0:
         return float(out[0])
     return out.reshape(targets.shape)

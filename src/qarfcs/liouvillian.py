@@ -85,7 +85,7 @@ class CountingFamily:
     def dressed_stack(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """L(s_k) and its k * expm1(s_k * dE) corrections for a 1-D array of s.
 
-        Both are ``WORKING_DTYPE``, since the continuation resolves root shifts far
+        Both are ``WORKING_DTYPE``, since G(s) resolves root shifts far
         below the double rounding of the dressed entries: the stack is (K, N, N)
         and the corrections (K, M), one column per entry of ``dressed``. Each
         matrix is bitwise that of a size-1 call at its s.

@@ -110,7 +110,7 @@ def fluctuation_symmetry_check(model: QarModel, s_samples) -> float:
     L(s*) - s) ~ L(s)^T under the diagonal conjugation exp(beta_other * E);
     it holds for any two-bath coupling pattern but has no single-field analog
     for three or more baths, so those are refused. Both sides of every pair
-    come from one ``cgf`` call, which shares a continuation per sign of s.
+    come from one ``cgf`` call, which solves each target alone.
     """
     if model.n_baths != 2:
         raise TopologyError(

@@ -1,11 +1,13 @@
-"""Exact references for the heat current and its split: rational arithmetic on the double rates.
+"""Exact references for the currents, the noise, the split and G(s): rational arithmetic.
 
 Given the double rate tables and level energies, the steady state p, the
-current J and every cycle and leak part are rational functions of those
-inputs, so ``fractions.Fraction`` evaluates them with no rounding. Their
-difference to ``heat_current`` and ``decompose`` is the fast path's own
-arithmetic error. The rounding of each rate (one exp or expm1) happens before
-either route and is a separate term this reference does not see.
+current J, the noise S and every cycle and leak part are rational functions of
+those inputs, so ``fractions.Fraction`` evaluates them with no rounding. Their
+difference to ``heat_current``, ``noise`` and ``decompose`` is the fast path's
+own arithmetic error. The rounding of each rate (one exp or expm1) happens
+before either route and is a separate term this reference does not see. G(s)
+is irrational in general; ``perron_bracket`` proves an interval around it from
+the exact characteristic polynomial of the long-double L(s) that ``cgf`` uses.
 """
 
 from fractions import Fraction
@@ -36,29 +38,59 @@ def _exact_tables(model: QarModel) -> tuple[list[list[list[Fraction]]], list[Fra
     return tables, [Fraction(e) for e in model.system.energies]
 
 
-def exact_current(model: QarModel, bath: int) -> tuple[Fraction, Fraction]:
-    """(J, gross) at ``bath``: the sum of dE k p over its jumps, and the sum of |dE k p|.
-
-    Every rate_table entry and level energy is taken exactly, and p is the one
-    exact solve of L(0) p = 0 with row 0 replaced by sum(p) = 1.
-    """
+def _steady_state(model: QarModel):
+    """(tables, energies, L(0), p): exact rates, energies and generator, and the one
+    exact solve of L(0) p = 0 with row 0 replaced by sum(p) = 1."""
     n = model.n_levels
     tables, energies = _exact_tables(model)
     # gen[j][i] is the total rate i -> j; every column of L(0) sums to zero
     gen = [[sum(k[i][j] for k in tables) if i != j else 0 for i in range(n)] for j in range(n)]
     for i in range(n):
         gen[i][i] = -sum(gen[j][i] for j in range(n) if j != i)
-    gen[0] = [Fraction(1)] * n
-    p = _solve(gen, [Fraction(1)] + [Fraction(0)] * (n - 1))
-    k = tables[bath]
-    # the jump i -> j takes E_j - E_i from the bath that drives it
-    terms = [
-        (energies[j] - energies[i]) * k[i][j] * p[i]
-        for i in range(n)
-        for j in range(n)
-        if i != j and k[i][j] != 0
+    p = _solve([[Fraction(1)] * n] + gen[1:], [Fraction(1)] + [Fraction(0)] * (n - 1))
+    return tables, energies, gen, p
+
+
+def _jumps(k, energies):
+    """(i, j, dE) of every jump i -> j the rate table ``k`` drives; it takes E_j - E_i."""
+    n = len(k)
+    return [
+        (i, j, energies[j] - energies[i]) for i in range(n) for j in range(n) if i != j and k[i][j]
     ]
+
+
+def exact_current(model: QarModel, bath: int) -> tuple[Fraction, Fraction]:
+    """(J, gross) at ``bath``: the sum of dE k p over its jumps, and the sum of |dE k p|.
+
+    Every rate_table entry and level energy is taken exactly.
+    """
+    tables, energies, _, p = _steady_state(model)
+    k = tables[bath]
+    terms = [de * k[i][j] * p[i] for i, j, de in _jumps(k, energies)]
     return sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0))
+
+
+def exact_cumulants(model: QarModel, bath: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(J, gross, S) at ``bath``, S the zero-frequency noise G''(0).
+
+    With d1 and d2 the exact first and second s-derivatives of L(s) at 0 (dE k
+    and dE^2 k at each counted jump), S = 1^T d2 p + 2 1^T d1 x, where
+    L(0) x = -(d1 p - J p) and 1^T x = 0; the right side sums to zero, so row 0
+    of L(0) gives way to the normalization, as in the solve for p.
+    """
+    n = model.n_levels
+    tables, energies, gen, p = _steady_state(model)
+    k = tables[bath]
+    jumps = _jumps(k, energies)
+    d1p = [Fraction(0)] * n
+    for i, j, de in jumps:
+        d1p[j] += de * k[i][j] * p[i]
+    current = sum(d1p, Fraction(0))
+    gross = sum((abs(de * k[i][j] * p[i]) for i, j, de in jumps), Fraction(0))
+    rhs = [current * pi - d for pi, d in zip(p, d1p)]
+    x = _solve([[Fraction(1)] * n] + gen[1:], [Fraction(0)] + rhs[1:])
+    terms = (de * k[i][j] * (de * p[i] + 2 * x[i]) for i, j, de in jumps)
+    return current, gross, sum(terms, Fraction(0))
 
 
 def exact_parts(model: QarModel):
@@ -100,3 +132,38 @@ def exact_parts(model: QarModel):
                     share[through.pop()] += flux
         leaks.update({(model.baths[b].label, (i, j)): v for b, v in share.items()})
     return cycles, leaks, total, sum(tau)
+
+
+def exact_matrix(m) -> list[list[Fraction]]:
+    """Every entry of a (long-)double matrix, taken exactly."""
+    return [[Fraction(*x.as_integer_ratio()) for x in row] for row in m]
+
+
+def exact_charpoly(m: list[list[Fraction]]) -> list[Fraction]:
+    """[1, a_1, ..., a_N] of det(lambda I - M): Faddeev-LeVerrier, exact in rationals."""
+    n = len(m)
+    coeffs, mk = [Fraction(1)], m
+    for k in range(1, n + 1):
+        a = -sum(mk[i][i] for i in range(n)) / k
+        coeffs.append(a)
+        shifted = [[x + a if i == j else x for j, x in enumerate(row)] for i, row in enumerate(mk)]
+        mk = [[sum(m[i][r] * shifted[r][j] for r in range(n)) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+def perron_bracket(coeffs: list[Fraction], g: Fraction, delta: Fraction) -> bool:
+    """Whether the largest real root of the monic ``coeffs`` provably lies within ``delta`` of g.
+
+    p(g - delta) < 0 puts a real root above g - delta. Every Taylor coefficient
+    of p at g + delta positive makes p(g + delta + t) > 0 for t >= 0, so no real
+    root lies at or above g + delta.
+    """
+    below = Fraction(0)
+    for c in coeffs:
+        below = below * (g - delta) + c
+    # Taylor shift by repeated synthetic division: p(x0 + t), highest power first
+    shifted, x0, n = list(coeffs), g + delta, len(coeffs) - 1
+    for k in range(n):
+        for i in range(1, n + 1 - k):
+            shifted[i] += shifted[i - 1] * x0
+    return below < 0 and all(c > 0 for c in shifted)

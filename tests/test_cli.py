@@ -568,8 +568,8 @@ class TestCheckCommand:
     _DIGESTS = {
         ("1234", "csv", ()): "b3a22927f373fb8cef8942d52dc3fea5c7010c398098527fdb064b86ca797d14",
         ("1234", "json", ()): "2f3a053699145a7dbc118bf35827dbf08e4ba3e88664c2c5ea9987d384aee656",
-        ("7", "csv", ()): "9c3105c64cba4b4d22b9d7482438aa16169677a6ff12726a152458b15e4ee83d",
-        ("7", "json", ()): "293447b394a5807cfd2560d9d088e4ed004908a5c10865fe2b1cff700cfe0b66",
+        ("7", "csv", ()): "4752411c522f4b79a8f9439a87f4259d02ef2f0751af22510c0685dc404f3e4f",
+        ("7", "json", ()): "d2b76877b928cb56317f56c8fa8cb0d527518f712c3ec74f8e19eabac19638d3",
         ("1234", "csv", ("--tol", "symmetry=0")):
             "f5ae749b4533c8bf1aee8f3597bc46a171e808a29ff1d89a1758a7fa34ff605d",
     }

@@ -1,22 +1,43 @@
-"""``heat_current`` and ``decompose`` against the exact rational references of ``tests.exact``."""
+"""The fast path against the exact rational references of ``tests.exact``."""
 
+import functools
 import time
 from fractions import Fraction
 
 import numpy as np
 
 from qarfcs.analytic import decompose, sb_current
-from qarfcs.fcs import heat_current
-from qarfcs.model import preset, spectral_value
+from qarfcs.errors import NoiseNotApplicableError
+from qarfcs.fcs import cgf, heat_current, noise, numeric_cumulants
+from qarfcs.liouvillian import build_counting_family
+from qarfcs.model import (
+    BathSpec,
+    OhmicSpectralDensity,
+    QarModel,
+    SystemSpec,
+    preset,
+    spectral_value,
+)
 from qarfcs.oracle import random_connected_model
 from tests.conftest import make_spin_boson
-from tests.exact import exact_current, exact_parts
+from tests.exact import (
+    exact_charpoly,
+    exact_cumulants,
+    exact_current,
+    exact_matrix,
+    exact_parts,
+    perron_bracket,
+)
 
 # unit roundoff of a double, and the multiple of it that bounds the error of
-# heat_current (times the gross flux at the counted bath) and of decompose (its
-# parts and total times its magnitude, its normalization relative)
+# heat_current (times the gross flux at the counted bath), of noise (times the
+# larger of |S| and the gross flux times the level energy span), of decompose
+# (its parts and total times its magnitude, its normalization relative) and of
+# cgf (times the largest |entry| of L(s))
 U = Fraction(2) ** -53
 C = 8
+# the finite-difference floor of numeric_cumulants' S, relative
+NUMERIC_S_RTOL = Fraction(1, 10**8)
 
 
 def _pairs():
@@ -114,3 +135,115 @@ def test_exact_parts_agree_with_the_exact_current():
         assert total == exact_current(model, model.cold_index)[0] * norm
         parts = sum([*cycles.values(), *leaks.values()], Fraction(0))
         assert abs(parts - total) <= C * U * Fraction(decompose(model).magnitude)
+
+
+def _leaf_model():
+    """The cold bath alone drives the leaf pair (1, 2): its heat never accumulates, so S = 0."""
+    sd = OhmicSpectralDensity(omega_c=10.0)
+    return QarModel(
+        system=SystemSpec((0.0, 0.3, 1.0)),
+        baths=(
+            BathSpec("C", 1.5, {(0, 1): 0.004}, sd),
+            BathSpec("H", 0.4, {(1, 2): 0.002}, sd),
+            BathSpec("W", 0.9, {(1, 2): 0.003}, sd),
+        ),
+        cold_index=0,
+    )
+
+
+@functools.cache
+def _exact_noise_pairs():
+    """(model, bath, J, gross, S, energy span) over ``_pairs`` and the counted leaf pair."""
+    return [
+        (m, b, *exact_cumulants(m, b), Fraction(m.system.energies[-1] - m.system.energies[0]))
+        for m, b in [*_pairs(), (_leaf_model(), 0)]
+    ]
+
+
+def test_exact_noise_vanishes_on_a_counted_leaf_pair():
+    j, gross, s = exact_cumulants(_leaf_model(), 0)
+    assert j == 0 and s == 0 and gross > 0
+
+
+def test_noise_within_c_u_of_the_exact_noise():
+    t0 = time.perf_counter()
+    worst = worst_rel = Fraction(0)
+    count = 0
+    for model, bath, _, gross, s, span in _exact_noise_pairs():
+        try:
+            got = Fraction(noise(model, bath))
+        except NoiseNotApplicableError:
+            continue
+        # relative to |S| alone the error is not bounded: where the diffusive
+        # 1^T d2 p and the correlation term cancel most, S is a few % of each
+        worst = max(worst, abs(got - s) / (U * max(abs(s), gross * span)))
+        if s:
+            worst_rel = max(worst_rel, abs(got - s) / (U * abs(s)))
+        count += 1
+    elapsed = time.perf_counter() - t0
+    assert count >= 250
+    print(
+        f"noise vs exact S: worst {float(worst):.2f} u of max(|S|, gross * span), "
+        f"{float(worst_rel):.2f} u relative, over {count} (model, bath) pairs ({elapsed:.2f}s)"
+    )
+    assert worst <= C
+
+
+def test_numeric_cumulants_s_within_its_finite_difference_floor():
+    t0 = time.perf_counter()
+    worst, count, sizes = Fraction(0), 0, set()
+    for model, bath, _, gross, s, span in _exact_noise_pairs():
+        got = Fraction(numeric_cumulants(build_counting_family(model, bath))[1])
+        # absolute against the gross flux times the span where S is exactly 0
+        worst = max(worst, abs(got - s) / (abs(s) or gross * span))
+        count += 1
+        sizes.add(model.n_levels)
+    elapsed = time.perf_counter() - t0
+    assert count >= 500 and sizes == {2, 3, 4, 5}
+    print(
+        f"numeric_cumulants S vs exact S: worst {float(worst):.3g} relative over "
+        f"{count} (model, bath) pairs ({elapsed:.2f}s)"
+    )
+    assert worst <= NUMERIC_S_RTOL
+
+
+def _cgf_families():
+    """(family, s targets): A-D at three points and 32 random models of N = 2..5, each at
+    +-window, +-window / 2, +-window / 10 and +-1e-4."""
+    models = [
+        (preset(pid, e21, beta_h), 0)
+        for pid in "ABCD"
+        for e21, beta_h in ((0.3, 0.9), (0.5, 0.5), (0.7, 0.2))
+    ]
+    rng = np.random.default_rng(20261021)
+    for k in range(32):
+        model = random_connected_model(rng, n_levels=2 + k % 4, topology=("tree", "any")[k % 2])
+        models.append((model, k % model.n_baths))
+    for model, bath in models:
+        family = build_counting_family(model, bath)
+        window = 4.0 * max(family.betas)
+        scaled = [window * f for f in (1.0, 0.5, 0.1)] + [1e-4]
+        yield family, np.array(scaled + [-x for x in scaled])
+
+
+def test_cgf_is_the_perron_root_within_c_u():
+    # the smallest multiple c <= C of u * max|L(s)| whose bracket holds, per (family, s)
+    ladder = [C * Fraction(2) ** -e for e in range(6, -1, -1)]
+    t0 = time.perf_counter()
+    worst, count = Fraction(0), 0
+    for family, s in _cgf_families():
+        stack = family.dressed_stack(s)[0]
+        for g, l_s in zip(cgf(family, s).tolist(), stack):
+            m = exact_matrix(l_s)
+            coeffs = exact_charpoly(m)
+            scale = U * max(abs(x) for row in m for x in row)
+            c = next((c for c in ladder if perron_bracket(coeffs, Fraction(g), c * scale)), None)
+            assert c is not None, (family, g)
+            worst = max(worst, c)
+            count += 1
+    elapsed = time.perf_counter() - t0
+    assert count >= 300
+    print(
+        f"cgf vs the exact Perron root: every value within {float(worst):g} u * max|L(s)| "
+        f"over {count} (family, s) pairs ({elapsed:.2f}s)"
+    )

@@ -14,9 +14,6 @@ from qarfcs.errors import (
 from qarfcs import fcs as fcs_module
 from qarfcs.fcs import (
     CharPoly,
-    _certified_separation,
-    _continue_root,
-    _plan_steps,
     _step_polynomials,
     _trace_product,
     adjugate_derivative,
@@ -37,7 +34,7 @@ from qarfcs.model import (
     rate,
     spectral_value,
 )
-from qarfcs.oracle import fluctuation_symmetry_check, random_connected_model
+from qarfcs.oracle import random_connected_model
 from tests.conftest import EIGHTY_BIT, make_spin_boson
 
 
@@ -715,55 +712,6 @@ class TestTraceProduct:
         assert np.array_equal(_trace_product(np.ones((4, 3, 3)), np.zeros((3, 3))), np.zeros(4))
 
 
-def numpy_plan_steps(flat, ds_max):
-    """Reference step plan: sides by np.flatnonzero, each ordered by a stable argsort of |s|."""
-    grid, side_starts, reached = [], set(), []
-    for side in (np.flatnonzero(flat > 0.0), np.flatnonzero(flat < 0.0)):
-        side_starts.add(len(grid))
-        s_prev = 0.0
-        order = side[np.argsort(np.abs(flat[side]), kind="stable")].tolist()
-        for i, s_to in zip(order, flat[order].tolist()):
-            if s_to != s_prev:
-                n_steps = max(1, int(math.ceil(abs(s_to - s_prev) / ds_max)))
-                grid.extend(
-                    s_prev + (s_to - s_prev) * k / n_steps for k in range(1, n_steps + 1)
-                )
-            reached.append((i, len(grid) - 1))
-            s_prev = s_to
-    return grid, side_starts, reached
-
-
-class TestPlanSteps:
-    @pytest.mark.parametrize(
-        "targets",
-        [
-            [0.3, -0.3, 0.3, 0.0, -0.0, 0.1, -0.1, 0.3, -0.7, 0.0],
-            [-0.2, -0.2, -0.05, 0.0],
-            [0.0, -0.0],
-            [1e-4, -1e-4],
-            [0.45],
-            [],
-        ],
-    )
-    def test_matches_numpy_reference(self, targets):
-        flat = np.array(targets, dtype=float)
-        grid, side_starts, reached = _plan_steps(flat, 0.04)
-        ref_grid, ref_starts, ref_reached = numpy_plan_steps(flat, 0.04)
-        assert [g.hex() for g in grid] == [g.hex() for g in ref_grid]
-        assert side_starts == ref_starts
-        assert reached == ref_reached
-
-    def test_matches_numpy_reference_on_random_targets(self, rng):
-        for _ in range(50):
-            flat = rng.choice([-1.0, 0.0, 1.0], size=12) * rng.choice(
-                [0.0, 0.1, 0.25, rng.uniform(0.0, 0.9)], size=12
-            )
-            got = _plan_steps(flat, 0.03)
-            ref = numpy_plan_steps(flat, 0.03)
-            assert [g.hex() for g in got[0]] == [g.hex() for g in ref[0]]
-            assert got[1:] == ref[1:]
-
-
 class TestCgf:
     def test_zero_at_origin(self, rng):
         for _ in range(5):
@@ -791,25 +739,21 @@ class TestCgf:
             cgf(fam, 4.1)  # window is 4 * max beta = 4.0
 
     def test_array_matches_scalar_calls(self, rng):
+        # each target is solved alone, so the array gives every scalar call's bits
         for _ in range(8):
             m = random_connected_model(rng)
             fam = build_counting_family(m, m.cold_index)
             w = 4.0 * max(fam.betas)
             s = np.array([0.3 * w, -0.05 * w, 0.1 * w, 1e-4, -0.3 * w, 0.2 * w])
             got = cgf(fam, s)
-            scale = np.max(np.abs(fam.base)) * fam.energy_span
-            expected = np.array([cgf(fam, x) for x in s])
             assert got.shape == s.shape
-            assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+            assert got.tolist() == [cgf(fam, x) for x in s.tolist()]
 
     def test_array_keeps_input_order(self):
         fam = build_counting_family(preset("A", 0.5, 0.9), 0)
         s = np.array([0.6, -0.2, 0.1, 0.4, -0.5])
         got = cgf(fam, s)
-        scale = np.max(np.abs(fam.base)) * fam.energy_span
-        for i, x in enumerate(s):
-            assert abs(got[i] - cgf(fam, x)) <= 1e-12 * scale
-        # the path depends on the set of targets only, not on their order
+        assert got.tolist() == [cgf(fam, x) for x in s.tolist()]
         for perm in ([4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
             assert np.array_equal(cgf(fam, s[perm]), got[perm])
 
@@ -842,15 +786,28 @@ class TestCgf:
     def test_perron_root_oracle(self, rng):
         # L(s) is a Metzler matrix with an irreducible graph, so G(s) is its
         # Perron root: the eigenvalue of largest real part, real and simple
+        families = [build_counting_family(preset(pid, 0.5, 0.9), 0) for pid in "ABCD"]
         for topology in ("tree", "any"):
             for _ in range(12):
                 m = random_connected_model(rng, topology=topology)
+                families.append(build_counting_family(m, m.cold_index))
+        for fam in families:
+            s = np.linspace(-1.0, 1.0, 9) * 4.0 * max(fam.betas)
+            stack = fam.dressed_stack(s)[0].astype(float)
+            perron = [np.max(np.linalg.eigvals(l_s).real) for l_s in stack]
+            scale = np.max(np.abs(fam.base))
+            assert np.max(np.abs(cgf(fam, s) - perron)) <= 1e-12 * scale
+
+    def test_newton_starts_above_the_root(self, rng):
+        # the largest column sum of L(s) bounds G(s) from above
+        u = 2.0**-53
+        for n in range(2, 6):
+            for topology in ("tree", "any"):
+                m = random_connected_model(rng, n_levels=n, topology=topology)
                 fam = build_counting_family(m, m.cold_index)
-                s = np.linspace(-0.9, 0.9, 9) * 4.0 * max(fam.betas)
-                stack = fam.dressed_stack(s)[0].astype(float)
-                perron = [np.max(np.linalg.eigvals(l_s).real) for l_s in stack]
-                scale = np.max(np.abs(fam.base))
-                assert np.max(np.abs(cgf(fam, s) - perron)) <= 1e-12 * scale
+                s = np.linspace(-1.0, 1.0, 8) * 4.0 * max(fam.betas)
+                _, bounds = _step_polynomials(fam, s)
+                assert np.all(bounds >= cgf(fam, s) - 8.0 * u * np.max(np.abs(fam.base)))
 
     def test_one_stacked_charpoly_per_call(self, monkeypatch):
         import qarfcs.fcs as fcs_module
@@ -864,8 +821,8 @@ class TestCgf:
         monkeypatch.setattr(fcs_module, "charpoly", counting)
         fam = build_counting_family(preset("A", 0.5, 0.9), 0)
         cgf(fam, np.array([0.3, -0.2, 0.1]))
-        # 6 steps to 0.3 and 4 steps to -0.2 at ds_max = 0.05
-        assert calls == [(10, 3, 3)]
+        # one matrix per target
+        assert calls == [(3, 3, 3)]
 
     def _preset_a_family(self):
         model = preset("A", 0.5, 0.9)
@@ -874,33 +831,25 @@ class TestCgf:
     def test_newton_failure(self, monkeypatch):
         fam = self._preset_a_family()
         monkeypatch.setattr(fcs_module, "_MAX_NEWTON_ITER", 1)
-        with pytest.raises(ContinuationError, match=r"Newton did not converge at s = 0\.05 "):
+        with pytest.raises(ContinuationError, match=r"Newton did not converge at s = 0\.3 "):
             cgf(fam, np.array([0.3, -0.2]))
 
-    def test_root_collision(self, monkeypatch):
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_coefficients_fail_at_the_first_target(self, monkeypatch, bad):
         fam = self._preset_a_family()
-        monkeypatch.setattr(fcs_module, "_COLLISION_RTOL", 1.0)
-        with pytest.raises(ContinuationError, match=r"root collision at s = 0\.05:"):
-            cgf(fam, np.array([0.3, -0.2]))
 
-    def test_newton_failure_reported_before_collision(self, monkeypatch):
-        fam = self._preset_a_family()
-        monkeypatch.setattr(fcs_module, "_MAX_NEWTON_ITER", 1)
-        monkeypatch.setattr(fcs_module, "_COLLISION_RTOL", 1.0)
-        with pytest.raises(ContinuationError, match=r"Newton did not converge at s = 0\.05 "):
-            cgf(fam, np.array([0.3, -0.2]))
+        def spoiled(family, s):
+            coeffs, bounds = _step_polynomials(family, s)
+            coeffs[1:, 1] = bad  # every target but the first
+            return coeffs, bounds
 
-    def test_each_side_starts_from_the_origin(self, monkeypatch):
-        # four Newton iterations reach the first step on either side from
-        # G(0) = 0, but not from the far root G(0.9) of the positive side
-        fam = self._preset_a_family()
-        expected = [cgf(fam, 0.9), cgf(fam, -0.2)]
-        monkeypatch.setattr(fcs_module, "_MAX_NEWTON_ITER", 4)
-        assert cgf(fam, np.array([0.9, -0.2])).tolist() == expected
+        monkeypatch.setattr(fcs_module, "_step_polynomials", spoiled)
+        with pytest.raises(ContinuationError, match=r"Newton did not converge at s = -0\.2 "):
+            cgf(fam, np.array([0.1, -0.2, 0.3]))
 
     def test_uncoupled_counted_bath_is_zero(self):
-        # no counted transitions: a_N(s) = 0 on every step and the zero root
-        # splits off before the companion eigenvalues
+        # no counted transitions: every column sum and a_N(s) are 0, so Newton
+        # starts on the root and stops at once
         model = preset("A", 0.5, 0.9)
         idle = BathSpec("X", 0.7, {}, model.baths[0].spectral)
         model = QarModel(model.system, model.baths + (idle,), model.cold_index)
@@ -908,137 +857,6 @@ class TestCgf:
         assert fam.dressed == ()
         assert cgf(fam, 0.3) == 0.0
         assert np.array_equal(cgf(fam, np.array([0.3, -0.2, 0.0])), np.zeros(3))
-
-
-def companion_roots(coeffs):
-    """Eigenvalues of the companion matrix of every monic row [1, a_1, ..., a_N]."""
-    k, n = coeffs.shape[0], coeffs.shape[1] - 1
-    comp = np.zeros((k, n, n))
-    comp[:, 0, :] = np.negative(coeffs[:, 1:])
-    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-    return np.linalg.eigvals(comp)
-
-
-def certificate_families(rng):
-    """Counted cold baths of A-D and of N = 2..5 random tree and cyclic models."""
-    families = [
-        build_counting_family(preset(pid, e21, beta_h), 0)
-        for pid in "ABCD"
-        for e21, beta_h in ((0.3, 0.9), (0.5, 0.5))
-    ]
-    for n in range(2, 6):
-        for topology in ("tree", "any"):
-            for _ in range(3):
-                m = random_connected_model(rng, n_levels=n, topology=topology)
-                families.append(build_counting_family(m, m.cold_index))
-    return families
-
-
-def window_targets(fam):
-    return np.linspace(-0.95, 0.95, 9) * 4.0 * max(fam.betas)
-
-
-_COLLISION_RTOLS = (1e-8, 1e-3, 0.1, 0.5, 1.0)
-
-
-class TestRootSeparationCertificate:
-    def test_certified_steps_are_separated(self, rng):
-        decided = dict.fromkeys(_COLLISION_RTOLS, 0)
-        steps = 0
-        for fam in certificate_families(rng):
-            grid, side_starts, _ = _plan_steps(window_targets(fam), 0.05 / fam.energy_span)
-            # collision_rtol = 0 certifies every step, so no eigvals runs here
-            lams = _continue_root(fam, grid, side_starts, 1e-12, 100, 0.0)
-            coeffs = _step_polynomials(fam, grid)
-            n = coeffs.shape[1] - 1
-            for poly, lam, roots in zip(coeffs.tolist(), lams, companion_roots(coeffs)):
-                deriv = [c * (n - j) for j, c in enumerate(poly[:-1])]
-                gap = np.sort(np.abs(roots - lam))[1]
-                scale = np.max(np.abs(roots))
-                steps += 1
-                for rtol in _COLLISION_RTOLS:
-                    if _certified_separation(poly, deriv, lam, rtol):
-                        decided[rtol] += 1
-                        assert gap >= rtol * scale
-        # every step is decided at the default; from 0.5 on none can be,
-        # because |p'| <= (2F)^(N-1) <= 4 * rtol * F * (2F)^(N-2)
-        assert decided[1e-8] == steps > 1000
-        assert decided[0.5] == decided[1.0] == 0
-
-    def test_cgf_matches_eigvals_only_reference(self, rng, monkeypatch):
-        families = certificate_families(rng)
-
-        def outcomes():
-            out = []
-            for fam in families:
-                for rtol in _COLLISION_RTOLS:
-                    for iters in (100, 3):
-                        monkeypatch.setattr(fcs_module, "_COLLISION_RTOL", rtol)
-                        monkeypatch.setattr(fcs_module, "_MAX_NEWTON_ITER", iters)
-                        try:
-                            g = cgf(fam, window_targets(fam))
-                            out.append([x.hex() for x in g.tolist()])
-                        except ContinuationError as exc:
-                            out.append(str(exc))
-            return out
-
-        got = outcomes()
-        monkeypatch.setattr(fcs_module, "_certified_separation", lambda *args: False)
-        reference = outcomes()
-        assert got == reference
-        messages = [x for x in reference if isinstance(x, str)]
-        assert any(x.startswith("root collision") for x in messages)
-        assert any(x.startswith("Newton did not converge") for x in messages)
-        assert len(messages) < len(reference)
-
-    def test_collision_step_indexes_the_full_grid(self, monkeypatch):
-        # certify the first three steps by fiat: the first step left to eigvals
-        # is the fourth, s = 0.2 on the 0.05 grid, and every step collides at 1.0
-        verdicts = iter([True, True, True])
-        monkeypatch.setattr(
-            fcs_module, "_certified_separation", lambda *args: next(verdicts, False)
-        )
-        monkeypatch.setattr(fcs_module, "_COLLISION_RTOL", 1.0)
-        fam = build_counting_family(preset("A", 0.5, 0.9), 0)
-        with pytest.raises(ContinuationError, match=r"root collision at s = 0\.2:"):
-            cgf(fam, np.array([0.3, -0.2]))
-
-    def test_no_eigvals_on_the_common_path(self, rng, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg.eigvals called")
-
-        monkeypatch.setattr(np.linalg, "eigvals", refuse)
-        for pid in "ABCD":
-            fam = build_counting_family(preset(pid, 0.5, 0.9), 0)
-            numeric_cumulants(fam)
-            cgf(fam, window_targets(fam))
-        for n in range(2, 6):
-            for topology in ("tree", "any"):
-                m = random_connected_model(rng, n_levels=n, n_baths=2, topology=topology)
-                numeric_cumulants(build_counting_family(m, m.cold_index))
-                fluctuation_symmetry_check(m, np.linspace(-0.3, 0.9, 8))
-
-    def test_two_level_bound_is_the_gap(self):
-        # roots 1 and 2: |p'(1)| = 1 is the gap, F = 2 * max(3, (2 / 2)^(1/2)) = 6,
-        # so the step is certified while 1 >= 4 * rtol * 6
-        poly, deriv = [1.0, -3.0, 2.0], [2.0, -3.0]
-        assert _certified_separation(poly, deriv, 1.0, 0.04)
-        assert not _certified_separation(poly, deriv, 1.0, 0.05)
-
-    @pytest.mark.parametrize(
-        "poly",
-        [
-            [1.0, 1e200, 1.0, 1.0, 1.0, 1.0],  # (2F)^(N-2) overflows in **
-            [1.0, 1e200, 1.0, 1.0],  # the product overflows to inf
-            [1.0, math.inf, 1.0, 1.0],
-            [1.0, math.nan, 1.0, 1.0],
-        ],
-        ids=["pow-overflow", "product-overflow", "inf", "nan"],
-    )
-    def test_nonfinite_bound_leaves_step_undecided(self, poly):
-        n = len(poly) - 1
-        deriv = [c * (n - j) for j, c in enumerate(poly[:-1])]
-        assert not _certified_separation(poly, deriv, 0.5, 1e-8)
 
 
 class TestConstantCoefficient:
@@ -1056,7 +874,7 @@ class TestConstantCoefficient:
                 j = heat_current(m, m.cold_index)
                 for h_rel, rtol in ((1e-7, 1e-5), (1e-12, 1e-9)):
                     h = h_rel / fam.energy_span
-                    slope = _step_polynomials(fam, [h])[0, -1] / h
+                    slope = _step_polynomials(fam, [h])[0][0, -1] / h
                     assert slope == pytest.approx(-a_pen * j, rel=rtol, abs=0.0)
 
     def test_matches_determinant_at_finite_s(self, rng):
@@ -1066,14 +884,14 @@ class TestConstantCoefficient:
                 fam = build_counting_family(m, m.cold_index)
                 l_s = fam.dressed_stack(np.array([0.5]))[0][0].astype(float)
                 expected = (-1.0) ** n * np.linalg.det(l_s)
-                got = _step_polynomials(fam, [0.5])[0, -1]
+                got = _step_polynomials(fam, [0.5])[0][0, -1]
                 assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_nothing_counted_is_exactly_zero(self):
         # a family with only its base generator: the replaced row is all zeros
         fam = dataclasses.replace(build_counting_family(preset("B", 0.4, 0.8), 0), dressed=())
-        assert _step_polynomials(fam, [0.5])[0, -1] == 0.0
-        assert np.array_equal(_step_polynomials(fam, [0.5, -0.3])[:, -1], np.zeros(2))
+        assert _step_polynomials(fam, [0.5])[0][0, -1] == 0.0
+        assert np.array_equal(_step_polynomials(fam, [0.5, -0.3])[0][:, -1], np.zeros(2))
 
 
 class TestNumericCumulants:

@@ -215,7 +215,7 @@ class TestCountingFamily:
 
     def test_extended_evaluator_skips_column_sums(self):
         # the stack comes with its corrections, one per dressed entry; only
-        # the cgf continuation sums them by column
+        # cgf sums them by column, for a_N(s) and its Newton start
         fam = build_counting_family(preset("B", 0.3, 0.7), 1)
         grid = np.array([-0.7, 0.0, 0.2, 1.1])
         stack, corrections = fam.dressed_stack(grid)
