@@ -240,14 +240,18 @@ def _row_replaced_det(stack: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
     return (-1.0) ** m.shape[-1] * np.linalg.det(m)
 
 
-def _step_polynomials(family: CountingFamily, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[1, a_1(s_k), ..., a_N(s_k)] of every L(s_k), shape (K, N + 1), and its largest column sum.
+def _target_polynomials(family: CountingFamily, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[1, a_1(s_k), ..., a_N(s_k)] of every L(s_k), shape (K, N + 1), and an upper bound on G(s_k).
 
     One long-double stack of L(s_k) and one stacked recursion give a_1..a_(N-1);
     a_N comes from one stacked row-replaced determinant of the same stack, whose
     column sums are formed from the corrections alone, so they carry no roundoff
-    of the base generator. The largest of them, shape (K,), bounds the real part
-    of every eigenvalue of L(s_k) from above.
+    of the base generator. The bound, shape (K,), is the smaller of two bounds
+    on every real root: the largest column sum of L(s_k) (Collatz-Wielandt)
+    and the Fujiwara bound 2 max(|a_1|, |a_2|^(1/2), ..., |a_N / 2|^(1/N)) on
+    every root's modulus. The column sum is close to G near s = 0 but grows
+    like k * exp(|s dE|); the Fujiwara bound stays within 2N of the spectral
+    radius.
     """
     stack, corrections = family.dressed_stack(np.asarray(s, dtype=float))
     coeffs = charpoly(stack).monic()
@@ -255,7 +259,11 @@ def _step_polynomials(family: CountingFamily, s: np.ndarray) -> tuple[np.ndarray
     col_sums = np.zeros(stack.shape[:-1], dtype=stack.dtype)
     np.add.at(col_sums, (slice(None), cols), corrections)
     coeffs[:, -1] = _row_replaced_det(stack, col_sums)
-    return coeffs, col_sums.max(axis=-1).astype(float)
+    n = coeffs.shape[1] - 1
+    scaled = np.abs(coeffs[:, 1:])
+    scaled[:, -1] /= 2.0
+    fujiwara = 2.0 * np.max(scaled ** (1.0 / np.arange(1, n + 1)), axis=-1)
+    return coeffs, np.minimum(col_sums.max(axis=-1).astype(float), fujiwara)
 
 
 # the fixed settings of G(s); ``cgf`` says where each enters
@@ -268,15 +276,15 @@ def cgf(family: CountingFamily, s: float | np.ndarray) -> float | np.ndarray:
     """Scaled cumulant generating function G(s) of the counted heat.
 
     For real s, L(s) is a Metzler matrix on the model's connected graph, so
-    G(s), its eigenvalue of largest real part, is its Perron root: real,
-    simple, and at most the largest column sum of L(s). Every root of the
-    characteristic polynomial p, and by Gauss-Lucas every root of p' and p'',
-    has real part <= G, so p is increasing and convex to the right of G.
-    Newton started at the column-sum bound therefore descends monotonically
-    onto G, with no seed from another target and no other root to pass. It
-    stops at a relative step of ``_NEWTON_RTOL``; a target not reached within
-    ``_MAX_NEWTON_ITER`` iterations raises ContinuationError, the first such
-    target in input order.
+    G(s), its eigenvalue of largest real part, is its Perron root: real and
+    simple. Every root of the characteristic polynomial p, and by Gauss-Lucas
+    every root of p' and p'', has real part <= G, so p is increasing and
+    convex to the right of G. Newton started at ``_target_polynomials``'s
+    upper bound therefore descends monotonically onto G, with no seed from
+    another target and no other root to pass. It stops at a relative step of
+    ``_NEWTON_RTOL``; a target not reached within ``_MAX_NEWTON_ITER``
+    iterations, or whose p overflows on the way, raises ContinuationError,
+    the first such target in input order.
 
     ``s`` is a scalar (a float comes back) or an array (an array of the same
     shape comes back, in input order; targets equal to 0 give 0.0). Every
@@ -296,7 +304,7 @@ def cgf(family: CountingFamily, s: float | np.ndarray) -> float | np.ndarray:
     out = np.zeros(flat.shape)
     solve = np.flatnonzero(flat)
     if solve.size:
-        coeffs, bounds = _step_polynomials(family, flat[solve])
+        coeffs, bounds = _target_polynomials(family, flat[solve])
         n = coeffs.shape[1] - 1
         for i, poly, lam in zip(solve.tolist(), coeffs.tolist(), bounds.tolist()):
             deriv = [c * (n - j) for j, c in enumerate(poly[:-1])]
@@ -313,7 +321,8 @@ def cgf(family: CountingFamily, s: float | np.ndarray) -> float | np.ndarray:
                 step = p / dp
                 lam -= step
                 if abs(step) <= _NEWTON_RTOL * abs(lam) + 1e-300:
-                    converged = True
+                    # p(lam) overflows far above the root: a step to -inf stops here
+                    converged = math.isfinite(lam)
                     break
             if not converged:
                 raise ContinuationError(

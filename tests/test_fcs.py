@@ -14,7 +14,7 @@ from qarfcs.errors import (
 from qarfcs import fcs as fcs_module
 from qarfcs.fcs import (
     CharPoly,
-    _step_polynomials,
+    _target_polynomials,
     _trace_product,
     adjugate_derivative,
     cgf,
@@ -798,15 +798,34 @@ class TestCgf:
             scale = np.max(np.abs(fam.base))
             assert np.max(np.abs(cgf(fam, s) - perron)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize(
+        "model",
+        [preset(pid, 0.5, 0.9, beta_c=40.0) for pid in "ABCD"] + [make_spin_boson(beta_c=40.0)],
+        ids=["A", "B", "C", "D", "two-level"],
+    )
+    def test_perron_root_oracle_cold_bath(self, model):
+        # beta_C = 40 on unit-scale gaps: at the window edge the largest column
+        # sum grows like k * exp(|s dE|), e^40 and more above G, far beyond the
+        # Newton budget from there; the Fujiwara bound starts within 2N of the
+        # spectral radius
+        for bath in range(model.n_baths):
+            fam = build_counting_family(model, bath)
+            s = np.array([-1.0, -0.5, 0.5, 1.0]) * 4.0 * max(fam.betas)
+            stack = fam.dressed_stack(s)[0].astype(float)
+            perron = [np.max(np.linalg.eigvals(l_s).real) for l_s in stack]
+            scale = np.max(np.abs(stack), axis=(1, 2))
+            assert np.all(np.abs(cgf(fam, s) - perron) <= 1e-12 * scale)
+
     def test_newton_starts_above_the_root(self, rng):
-        # the largest column sum of L(s) bounds G(s) from above
+        # the smaller of the largest column sum of L(s) and the Fujiwara bound
+        # bounds G(s) from above
         u = 2.0**-53
         for n in range(2, 6):
             for topology in ("tree", "any"):
                 m = random_connected_model(rng, n_levels=n, topology=topology)
                 fam = build_counting_family(m, m.cold_index)
                 s = np.linspace(-1.0, 1.0, 8) * 4.0 * max(fam.betas)
-                _, bounds = _step_polynomials(fam, s)
+                _, bounds = _target_polynomials(fam, s)
                 assert np.all(bounds >= cgf(fam, s) - 8.0 * u * np.max(np.abs(fam.base)))
 
     def test_one_stacked_charpoly_per_call(self, monkeypatch):
@@ -839,13 +858,23 @@ class TestCgf:
         fam = self._preset_a_family()
 
         def spoiled(family, s):
-            coeffs, bounds = _step_polynomials(family, s)
+            coeffs, bounds = _target_polynomials(family, s)
             coeffs[1:, 1] = bad  # every target but the first
             return coeffs, bounds
 
-        monkeypatch.setattr(fcs_module, "_step_polynomials", spoiled)
+        monkeypatch.setattr(fcs_module, "_target_polynomials", spoiled)
         with pytest.raises(ContinuationError, match=r"Newton did not converge at s = -0\.2 "):
             cgf(fam, np.array([0.1, -0.2, 0.3]))
+
+    def test_overflowing_polynomial_fails(self, monkeypatch):
+        # p(lam) overflows to inf above a root near 1e200, so the first step
+        # lands on -inf: an error, never a non-finite G
+        def huge(family, s):
+            return np.array([[1.0, -1e200, 0.0]] * len(s)), np.full(len(s), 2e200)
+
+        monkeypatch.setattr(fcs_module, "_target_polynomials", huge)
+        with pytest.raises(ContinuationError, match=r"Newton did not converge at s = 0\.3 "):
+            cgf(self._preset_a_family(), 0.3)
 
     def test_uncoupled_counted_bath_is_zero(self):
         # no counted transitions: every column sum and a_N(s) are 0, so Newton
@@ -874,7 +903,7 @@ class TestConstantCoefficient:
                 j = heat_current(m, m.cold_index)
                 for h_rel, rtol in ((1e-7, 1e-5), (1e-12, 1e-9)):
                     h = h_rel / fam.energy_span
-                    slope = _step_polynomials(fam, [h])[0][0, -1] / h
+                    slope = _target_polynomials(fam, [h])[0][0, -1] / h
                     assert slope == pytest.approx(-a_pen * j, rel=rtol, abs=0.0)
 
     def test_matches_determinant_at_finite_s(self, rng):
@@ -884,14 +913,14 @@ class TestConstantCoefficient:
                 fam = build_counting_family(m, m.cold_index)
                 l_s = fam.dressed_stack(np.array([0.5]))[0][0].astype(float)
                 expected = (-1.0) ** n * np.linalg.det(l_s)
-                got = _step_polynomials(fam, [0.5])[0][0, -1]
+                got = _target_polynomials(fam, [0.5])[0][0, -1]
                 assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_nothing_counted_is_exactly_zero(self):
         # a family with only its base generator: the replaced row is all zeros
         fam = dataclasses.replace(build_counting_family(preset("B", 0.4, 0.8), 0), dressed=())
-        assert _step_polynomials(fam, [0.5])[0][0, -1] == 0.0
-        assert np.array_equal(_step_polynomials(fam, [0.5, -0.3])[0][:, -1], np.zeros(2))
+        assert _target_polynomials(fam, [0.5])[0][0, -1] == 0.0
+        assert np.array_equal(_target_polynomials(fam, [0.5, -0.3])[0][:, -1], np.zeros(2))
 
 
 class TestNumericCumulants:
