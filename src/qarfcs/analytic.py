@@ -76,24 +76,17 @@ def cycle_conditions(
     return cond21, cond32
 
 
-def _ideal_roles(model: QarModel) -> tuple[int, int, int]:
-    """(cold, hot, work) bath indices for the dominant A-type topology."""
-    if model.n_levels != 3 or model.n_baths != 3:
-        raise TopologyError("expected a three-level, three-bath model")
-    cold = model.cold_index
-    others = [b for b in range(3) if b != cold]
-    hot = max(others, key=lambda b: model.baths[b].beta)
-    work = min(others, key=lambda b: model.baths[b].beta)
-    return cold, hot, work
-
-
 def _ideal_machine(model: QarModel, leaky: bool = False):
     """((cold, hot, work), E21, E31, (beta_C, beta_H, beta_W), leaking bath) of an ideal machine.
 
-    Each role's bath couples exactly its pair of ``IDEAL_PAIRS``; with ``leaky``, the
-    hot or else the work bath also couples the cold pair and is the leaking bath (else None).
+    Of the baths besides the cold one, the colder is hot and the hotter work. Each role's
+    bath couples exactly its pair of ``IDEAL_PAIRS``; with ``leaky``, the hot or else the
+    work bath also couples the cold pair and is the leaking bath (else None).
     """
-    roles = _ideal_roles(model)
+    if model.n_levels != 3 or model.n_baths != 3:
+        raise TopologyError("expected a three-level, three-bath model")
+    beta, others = [b.beta for b in model.baths], [b for b in range(3) if b != model.cold_index]
+    roles = (model.cold_index, max(others, key=beta.__getitem__), min(others, key=beta.__getitem__))
     coupled = [{p for p, g in model.baths[b].couplings.items() if g > 0.0} for b in roles]
     expected = [{pair} for pair in IDEAL_PAIRS]
     leak = None
@@ -110,7 +103,7 @@ def _ideal_machine(model: QarModel, leaky: bool = False):
             )
     energies = model.system.energies
     e21, e31 = [energies[j] - energies[i] for i, j in IDEAL_PAIRS[:2]]
-    return roles, e21, e31, [model.baths[b].beta for b in roles], leak
+    return roles, e21, e31, [beta[b] for b in roles], leak
 
 
 def cop(model: QarModel) -> tuple[float, float]:
@@ -175,7 +168,7 @@ class Decomposition:
 
 
 def decompose(model: QarModel) -> Decomposition:
-    """Cycle/leak decomposition of the cold current (three levels, three baths) in closed form.
+    """Cycle/leak decomposition of the cold current of a three-level model, in closed form.
 
     tau_i sums the rate products of the spanning trees directed into level i,
     so p = tau / sum(tau) and sum(tau) = a_(N-1)(0) (matrix-tree theorem). A
@@ -188,16 +181,18 @@ def decompose(model: QarModel) -> Decomposition:
     - triangles k^C_ij k^nu_jm k^rho_mi - k^C_ji k^nu_mj k^rho_im, affinity
       beta_C dE + beta_nu (E_m - E_j) + beta_rho (E_i - E_m).
     By detailed balance forward = reverse exp(-affinity), so each flux is the
-    larger product times an expm1 bracket, never a cancelling difference. A
-    flux through both the hot and the work bath is the cycle; one through the
-    cold bath and one other is that bath's leak; one through the cold bath
-    alone is zero up to the rounding of its affinity and belongs to no part,
-    so ``reconstruction_residual`` holds it. ``magnitude`` is the largest per-pair
+    larger product times an expm1 bracket, never a cancelling difference.
+    With any number of baths, a flux through two baths besides C is a cycle,
+    through one it is that bath's leak, and through C alone it is zero up to
+    the rounding of its affinity, so it belongs to no part and
+    ``reconstruction_residual`` holds it. ``magnitude`` is the largest per-pair
     gross flux dE (k^C_ij tau_i + k^C_ji tau_j); all fields but normalization
     are in numerator units.
     """
-    cold, hot, work = _ideal_roles(model)
-    k = [rate_table(model, b).tolist() for b in range(3)]
+    if model.n_levels != 3:
+        raise TopologyError(f"decompose needs a three-level model, got {model.n_levels} levels")
+    cold, baths = model.cold_index, range(model.n_baths)
+    k = [rate_table(model, b).tolist() for b in baths]
     kc, e, beta = k[cold], model.system.energies, [b.beta for b in model.baths]
     big_k = [[math.fsum(t[x][y] for t in k) for y in range(3)] for x in range(3)]
     tau = [
@@ -213,18 +208,19 @@ def decompose(model: QarModel) -> Decomposition:
         w = big_k[m][i] + big_k[m][j]
         # (baths besides C, forward product, reverse product, affinity)
         fluxes = [({mu}, w * kc[i][j] * k[mu][j][i], w * kc[j][i] * k[mu][i][j],
-                   (beta[cold] - beta[mu]) * de) for mu in (hot, work)]
+                   (beta[cold] - beta[mu]) * de) for mu in baths if mu != cold]
         fluxes += [({nu, rho} - {cold}, kc[i][j] * k[nu][j][m] * k[rho][m][i],
                     kc[j][i] * k[nu][m][j] * k[rho][i][m],
                     beta[cold] * de + beta[nu] * (e[m] - e[j]) + beta[rho] * (e[i] - e[m]))
-                   for nu in range(3) for rho in range(3) if (nu, rho) != (cold, cold)]
-        share = {frozenset(b): [] for b in ((hot, work), (hot,), (work,))}
-        for b, fwd, rev, a in fluxes:
-            share[frozenset(b)].append(rev * math.expm1(-a) if a >= 0.0 else -fwd * math.expm1(a))
+                   for nu in baths for rho in baths if (nu, rho) != (cold, cold)]
+        cycle, share = [], {b: [] for b in baths if b != cold}
+        for through, fwd, rev, a in fluxes:
+            flux = rev * math.expm1(-a) if a >= 0.0 else -fwd * math.expm1(a)
+            (cycle if len(through) == 2 else share[min(through)]).append(flux)
         # + 0.0: a vanishing affinity gives 0.0, not -0.0
-        part = {b: de * math.fsum(ts) + 0.0 for b, ts in share.items()}
-        cycles[(i, j)] = part[frozenset((hot, work))]
-        leaks.update({(model.baths[b].label, (i, j)): part[frozenset((b,))] for b in (hot, work)})
+        cycles[(i, j)] = de * math.fsum(cycle) + 0.0
+        leaks.update({(model.baths[b].label, (i, j)): de * math.fsum(ts) + 0.0
+                      for b, ts in share.items()})
     total = math.fsum(numerator)
     parts = math.fsum([*cycles.values(), *leaks.values()])
     return Decomposition(cycles, leaks, total, math.fsum(tau), abs(parts - total), magnitude)

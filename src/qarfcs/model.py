@@ -41,7 +41,10 @@ def bose_occupation(omega: float, beta: float) -> float:
         raise ValidationError(f"transition energy must be positive, got {omega}")
     if beta <= 0.0:
         raise ValidationError(f"inverse temperature must be positive, got {beta}")
-    return 1.0 / math.expm1(beta * omega)
+    try:
+        return 1.0 / math.expm1(beta * omega)
+    except OverflowError:  # e^(beta omega) leaves the double range above beta omega ~ 709.78
+        raise ValidationError(f"e^(beta omega) overflows at beta * omega = {beta * omega:.6g}")
 
 
 @dataclass(frozen=True)
@@ -377,9 +380,10 @@ def model_from_dict(data: dict) -> QarModel:
 
 
 def model_to_dict(model: QarModel) -> dict:
-    """Inverse of model_from_dict (emits 1-based indices)."""
+    """Inverse of model_from_dict (emits 1-based indices, and ``gap_tol`` unless the default)."""
     return {
         "energies": list(model.system.energies),
+        **({} if model.system.gap_tol == DEFAULT_GAP_TOL else {"gap_tol": model.system.gap_tol}),
         "baths": [
             {
                 "label": b.label,

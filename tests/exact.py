@@ -5,11 +5,15 @@ current J, the noise S and every cycle and leak part are rational functions of
 those inputs, so ``fractions.Fraction`` evaluates them with no rounding. Their
 difference to ``heat_current``, ``noise`` and ``decompose`` is the fast path's
 own arithmetic error. The rounding of each rate (one exp or expm1) happens
-before either route and is a separate term this reference does not see. G(s)
+before either route and is a separate term this reference does not see.
+``faddeev_leverrier`` runs the recursion of ``fcs`` exactly on the matrices the
+fast path sees, which checks ``charpoly`` and ``adjugate_derivative``, and on the
+exact generator, where its coefficients and adjugates give S a second way. G(s)
 is irrational in general; ``perron_bracket`` proves an interval around it from
 the exact characteristic polynomial of the long-double L(s) that ``cgf`` uses.
 """
 
+import math
 from fractions import Fraction
 
 from qarfcs.model import QarModel, rate_table
@@ -38,15 +42,22 @@ def _exact_tables(model: QarModel) -> tuple[list[list[list[Fraction]]], list[Fra
     return tables, [Fraction(e) for e in model.system.energies]
 
 
-def _steady_state(model: QarModel):
-    """(tables, energies, L(0), p): exact rates, energies and generator, and the one
-    exact solve of L(0) p = 0 with row 0 replaced by sum(p) = 1."""
+def _generator(model: QarModel):
+    """(tables, energies, L(0)): exact rates and energies, and the generator they build."""
     n = model.n_levels
     tables, energies = _exact_tables(model)
     # gen[j][i] is the total rate i -> j; every column of L(0) sums to zero
     gen = [[sum(k[i][j] for k in tables) if i != j else 0 for i in range(n)] for j in range(n)]
     for i in range(n):
         gen[i][i] = -sum(gen[j][i] for j in range(n) if j != i)
+    return tables, energies, gen
+
+
+def _steady_state(model: QarModel):
+    """(tables, energies, L(0), p): ``_generator``'s, and the one exact solve of
+    L(0) p = 0 with row 0 replaced by sum(p) = 1."""
+    n = model.n_levels
+    tables, energies, gen = _generator(model)
     p = _solve([[Fraction(1)] * n] + gen[1:], [Fraction(1)] + [Fraction(0)] * (n - 1))
     return tables, energies, gen, p
 
@@ -94,7 +105,7 @@ def exact_cumulants(model: QarModel, bath: int) -> tuple[Fraction, Fraction, Fra
 
 
 def exact_parts(model: QarModel):
-    """(cycles, leaks, total, normalization) of a 3-level, 3-bath model, keyed as ``decompose``'s.
+    """(cycles, leaks, total, normalization) of a 3-level model, keyed as ``decompose``'s.
 
     tau_i sums the rate products of the spanning trees into level i (K the
     total rates), and normalization = sum(tau). A cold pair (i, j) with third
@@ -103,12 +114,14 @@ def exact_parts(model: QarModel):
     - two-cycles (K_mi + K_mj) (k^C_ij k^mu_ji - k^C_ji k^mu_ij) go to the
       leak of bath mu;
     - triangles k^C_ij k^nu_jm k^rho_mi - k^C_ji k^nu_mj k^rho_im go to the
-      cycle when nu and rho are the two other baths, to a bath's leak when it
-      is the only other one, and nowhere when only the cold bath takes part.
+      cycle when nu and rho are two baths besides the cold one, to a bath's
+      leak when it is the only other one, and nowhere when only the cold bath
+      takes part. Any number of baths takes the same sums.
     """
     cold = model.cold_index
     k, e = _exact_tables(model)
-    kc, others = k[cold], [b for b in range(3) if b != cold]
+    baths = range(len(k))
+    kc, others = k[cold], [b for b in baths if b != cold]
     big_k = [[sum(t[x][y] for t in k) for y in range(3)] for x in range(3)]
     tau = [
         big_k[j][i] * big_k[m][i] + big_k[j][m] * big_k[m][i] + big_k[m][j] * big_k[j][i]
@@ -121,8 +134,8 @@ def exact_parts(model: QarModel):
         w = big_k[m][i] + big_k[m][j]
         share = {b: de * w * (kc[i][j] * k[b][j][i] - kc[j][i] * k[b][i][j]) for b in others}
         cycles[(i, j)] = Fraction(0)
-        for nu in range(3):
-            for rho in range(3):
+        for nu in baths:
+            for rho in baths:
                 forward = kc[i][j] * k[nu][j][m] * k[rho][m][i]
                 flux = de * (forward - kc[j][i] * k[nu][m][j] * k[rho][i][m])
                 through = {nu, rho} - {cold}
@@ -134,21 +147,65 @@ def exact_parts(model: QarModel):
     return cycles, leaks, total, sum(tau)
 
 
+def exact_family(model: QarModel, bath: int):
+    """(L(0), d1, d2) counted at ``bath``, exact: ``_generator``'s L(0) and the first and
+    second s-derivatives dE k and dE^2 k of L(s) at each counted jump."""
+    n = model.n_levels
+    tables, energies, gen = _generator(model)
+    d1, d2 = ([[Fraction(0)] * n for _ in range(n)] for _ in range(2))
+    for i, j, de in _jumps(tables[bath], energies):
+        d1[j][i] += de * tables[bath][i][j]
+        d2[j][i] += de * de * tables[bath][i][j]
+    return gen, d1, d2
+
+
 def exact_matrix(m) -> list[list[Fraction]]:
     """Every entry of a (long-)double matrix, taken exactly."""
     return [[Fraction(*x.as_integer_ratio()) for x in row] for row in m]
 
 
-def exact_charpoly(m: list[list[Fraction]]) -> list[Fraction]:
-    """[1, a_1, ..., a_N] of det(lambda I - M): Faddeev-LeVerrier, exact in rationals."""
+def _matmul(a, b):
+    n = len(a)
+    return [[sum(a[i][r] * b[r][j] for r in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _shift(m, c):
+    """m + c I."""
+    return [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+def faddeev_leverrier(m, dm=None, sign: int = -1):
+    """([1, a_1, ..., a_N], B_(N-1), dB_(N-1)) of the recursion ``fcs`` runs, exact in rationals.
+
+    M_1 = M, a_k = sign tr(M_k) / k, B_k = M_k + a_k I, M_(k+1) = M B_k, so with
+    sign = -1 adj(M) = (-1)^(N-1) B_(N-1). A tangent ``dm`` is carried alongside,
+    dB_k = dM_k + da_k I, dM_(k+1) = dM B_k + M dB_k, and gives d adj(M) =
+    (-1)^(N-1) dB_(N-1); without one dB_(N-1) is None. Run with sign = +1 on |M|
+    and |dM| it adds up every product's magnitude instead: the scale of the
+    rounding of each output of the signed recursion. N >= 2.
+
+    The Fractions enter once: with D a common denominator of M and dM, M_k =
+    X_k / d_k and B_k = Y_k / (k d_k) for integer matrices Y_k = k X_k +
+    sign tr(X_k) I and X_(k+1) = (D M) Y_k, with d_1 = D and d_(k+1) = D k d_k,
+    so every matrix product is an integer one (the tangent likewise).
+    """
     n = len(m)
-    coeffs, mk = [Fraction(1)], m
-    for k in range(1, n + 1):
-        a = -sum(mk[i][i] for i in range(n)) / k
-        coeffs.append(a)
-        shifted = [[x + a if i == j else x for j, x in enumerate(row)] for i, row in enumerate(mk)]
-        mk = [[sum(m[i][r] * shifted[r][j] for r in range(n)) for j in range(n)] for i in range(n)]
-    return coeffs
+    den = math.lcm(*(x.denominator for rows in (m, dm or []) for row in rows for x in row))
+    mi, dmi = ([[int(x * den) for x in row] for row in a] for a in (m, dm or []))
+    coeffs, x, dx, d, dy = [Fraction(1)], mi, dmi, den, None
+    for k in range(1, n):
+        t, bd = sign * sum(x[i][i] for i in range(n)), k * d  # B_k = Y_k / bd
+        coeffs.append(Fraction(t, bd))
+        y = _shift([[k * v for v in row] for row in x], t)
+        if dm is not None:
+            dt = sign * sum(dx[i][i] for i in range(n))
+            dy = _shift([[k * v for v in row] for row in dx], dt)
+            if k < n - 1:
+                dx = [[u + v for u, v in zip(*r)] for r in zip(_matmul(dmi, y), _matmul(mi, dy))]
+        x, d = _matmul(mi, y), den * bd
+    coeffs.append(Fraction(sign * sum(x[i][i] for i in range(n)), n * d))
+    adj = [[Fraction(v, bd) for v in row] for row in y]
+    return coeffs, adj, None if dy is None else [[Fraction(v, bd) for v in row] for row in dy]
 
 
 def perron_bracket(coeffs: list[Fraction], g: Fraction, delta: Fraction) -> bool:

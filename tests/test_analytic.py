@@ -448,9 +448,28 @@ class TestDecompose:
         parts = math.fsum([*data["cycles"].values(), *data["leaks"].values()])
         assert parts == pytest.approx(data["total"], rel=1e-9)
 
-    def test_requires_three_baths(self, spin_boson):
-        with pytest.raises(TopologyError):
+    def test_requires_three_levels(self, spin_boson):
+        message = "^decompose needs a three-level model, got 2 levels$"
+        with pytest.raises(TopologyError, match=message):
             decompose(spin_boson)
+
+    @pytest.mark.parametrize("n_baths", [1, 2, 4])
+    def test_any_bath_count_takes_the_same_sums(self, n_baths):
+        # a cycle needs two baths besides the cold one, so with fewer every cycle is 0.0
+        rng = np.random.default_rng(n_baths)
+        for _ in range(10):
+            m = random_connected_model(rng, n_levels=3, n_baths=n_baths, topology="any")
+            dec = decompose(m)
+            cold = m.baths[m.cold_index]
+            pairs = sorted(p for p, g in cold.couplings.items() if g > 0.0)
+            assert sorted(dec.cycles) == pairs
+            assert sorted(dec.leaks) == sorted((b.label, p) for b in m.baths if b is not cold
+                                               for p in pairs)
+            if n_baths < 3:
+                assert all(v == 0.0 for v in dec.cycles.values())
+            current = dec.normalization * heat_current(m, m.cold_index)
+            assert abs(dec.total - current) <= 1e-12 * dec.magnitude
+            assert abs(dec.part_sum() - dec.total) <= 1e-10 * dec.magnitude
 
     def test_calls_neither_charpoly_nor_generator_from_tables(self, monkeypatch):
         rng = np.random.default_rng(11)

@@ -10,7 +10,14 @@ from qarfcs import cli, oracle
 from qarfcs.cli import build_parser, main
 from qarfcs.fcs import charpoly, cooling_condition, heat_current, noise
 from qarfcs.liouvillian import build_counting_family, build_generator
-from qarfcs.model import OhmicSpectralDensity, preset, save_model, spectral_value
+from qarfcs.model import (
+    BathSpec,
+    OhmicSpectralDensity,
+    QarModel,
+    preset,
+    save_model,
+    spectral_value,
+)
 from tests.conftest import EIGHTY_BIT, make_spin_boson
 
 
@@ -47,6 +54,21 @@ class TestCurrent:
         assert float(out.split("current = ")[1].split()[0]) == pytest.approx(
             expected, rel=1e-10
         )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bose_overflow_exit_2(self, capsys, tmp_path, fmt):
+        # the cold bath's e^(beta omega) at beta 2000 on the 0.5 gap leaves the double range
+        model = preset("A", 0.5, 0.9)
+        cold = BathSpec("C", 2000.0, model.baths[0].couplings, model.baths[0].spectral)
+        path = tmp_path / "cold.json"
+        save_model(QarModel(model.system, (cold, *model.baths[1:]), 0), path)
+        code, out, err = run(capsys, "current", "--model", str(path), "--format", fmt)
+        assert code == 2
+        message = "e^(beta omega) overflows at beta * omega = 1000"
+        if fmt == "json":
+            assert json.loads(out)["error"] == {"code": "validation", "exit": 2, "message": message}
+        else:
+            assert out == "" and err == f"error (validation): {message}\n"
 
     def test_verbose_charpoly(self, capsys):
         code, out, _ = run(
@@ -473,6 +495,19 @@ class TestDecomposeCommand:
         save_model(make_spin_boson(), path)
         code, _, err = run(capsys, "decompose", "--model", str(path))
         assert code == 4
+        assert err == "error (topology): decompose needs a three-level model, got 2 levels\n"
+
+    def test_three_levels_with_two_baths(self, capsys, tmp_path):
+        # preset C without its work bath: no cycle closes, and the hot bath's leak is all
+        model = preset("C", 0.3, 0.9)
+        path = tmp_path / "two.json"
+        save_model(QarModel(model.system, model.baths[:2], 0), path)
+        code, out, _ = run(capsys, "decompose", "--model", str(path), "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["cycles"] == {"2,1": 0.0} and list(data["leaks"]) == ["H;2,1"]
+        assert data["leaks"]["H;2,1"] == pytest.approx(data["total"], rel=1e-12)
+        assert data["total"] < 0.0
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_on_threshold_cycle_prints_unsigned_zero(self, capsys, fmt):

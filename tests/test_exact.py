@@ -8,7 +8,7 @@ import numpy as np
 
 from qarfcs.analytic import decompose, sb_current
 from qarfcs.errors import NoiseNotApplicableError
-from qarfcs.fcs import cgf, heat_current, noise, numeric_cumulants
+from qarfcs.fcs import adjugate_derivative, cgf, charpoly, heat_current, noise, numeric_cumulants
 from qarfcs.liouvillian import build_counting_family
 from qarfcs.model import (
     BathSpec,
@@ -21,19 +21,21 @@ from qarfcs.model import (
 from qarfcs.oracle import random_connected_model
 from tests.conftest import make_spin_boson
 from tests.exact import (
-    exact_charpoly,
     exact_cumulants,
     exact_current,
+    exact_family,
     exact_matrix,
     exact_parts,
+    faddeev_leverrier,
     perron_bracket,
 )
 
 # unit roundoff of a double, and the multiple of it that bounds the error of
 # heat_current (times the gross flux at the counted bath), of noise (times the
 # larger of |S| and the gross flux times the level energy span), of decompose
-# (its parts and total times its magnitude, its normalization relative) and of
-# cgf (times the largest |entry| of L(s))
+# (its parts and total times its magnitude, its normalization relative), of
+# charpoly and adjugate_derivative (each output times the same recursion's sum
+# of magnitudes) and of cgf (times the largest |entry| of L(s))
 U = Fraction(2) ** -53
 C = 8
 # the finite-difference floor of numeric_cumulants' S, relative
@@ -122,6 +124,31 @@ def test_decompose_within_c_u_of_its_magnitude():
     assert max(worst_part, worst_total, worst_norm) <= C
 
 
+def test_decompose_any_bath_count_within_c_u_of_its_magnitude():
+    # 1, 2 and 4 baths: the filing rule of the three-bath models, with no branch of its own
+    t0 = time.perf_counter()
+    worst, counts = Fraction(0), {}
+    rng = np.random.default_rng(20261022)
+    for k in range(180):
+        model = random_connected_model(rng, n_levels=3, n_baths=(1, 2, 4)[k % 3], topology="any")
+        dec = decompose(model)
+        cycles, leaks, total, _ = exact_parts(model)
+        assert dec.cycles.keys() == cycles.keys() and dec.leaks.keys() == leaks.keys()
+        scale = U * Fraction(dec.magnitude)
+        errors = [abs(Fraction(dec.total) - total) / scale]
+        for got, want in [(dec.cycles, cycles), (dec.leaks, leaks)]:
+            errors += [abs(Fraction(got[key]) - v) / scale for key, v in want.items()]
+        worst = max(worst, *errors)
+        counts[model.n_baths] = counts.get(model.n_baths, 0) + 1
+    elapsed = time.perf_counter() - t0
+    assert counts == {1: 60, 2: 60, 4: 60}
+    print(
+        f"decompose vs exact parts at 1, 2 and 4 baths: worst {float(worst):.2f} u of the "
+        f"magnitude (parts and total) over {sum(counts.values())} models ({elapsed:.2f}s)"
+    )
+    assert worst <= C
+
+
 def test_exact_parts_agree_with_the_exact_current():
     # total is a_(N-1)(0) J_C, from a solve that shares nothing with the tree sums; the
     # parts miss only the pure-cold triangles, which vanish up to the rounding of the rates
@@ -135,6 +162,72 @@ def test_exact_parts_agree_with_the_exact_current():
         assert total == exact_current(model, model.cold_index)[0] * norm
         parts = sum([*cycles.values(), *leaks.values()], Fraction(0))
         assert abs(parts - total) <= C * U * Fraction(decompose(model).magnitude)
+
+
+def _abs(m):
+    return [[abs(x) for x in row] for row in m]
+
+
+def test_charpoly_and_adjugate_derivative_within_c_u_of_the_exact_recursion():
+    # each output against the exact recursion on the same double L(0) and d1, scaled
+    # entrywise by the recursion on |L(0)| and |d1|: where that sum is 0, so is the output
+    t0 = time.perf_counter()
+    worst = dict.fromkeys(("coefficients", "adjugate", "adjugate derivative"), Fraction(0))
+    count, sizes = 0, set()
+    for model, bath in _pairs():
+        family = build_counting_family(model, bath)
+        n = family.n
+        m, dm = exact_matrix(family.base), exact_matrix(family.d1)
+        coeffs, adj, dadj = faddeev_leverrier(m, dm)
+        scale_coeffs, scale_adj, scale_dadj = faddeev_leverrier(_abs(m), _abs(dm), sign=1)
+        cp = charpoly(family.base)
+        sign = (-1) ** (n - 1)
+        checks = [
+            ("coefficients", [cp.coefficient(j) for j in range(1, n + 1)], coeffs[1:],
+             scale_coeffs[1:]),
+            ("adjugate", cp.adjugate.ravel().tolist(), [sign * x for r in adj for x in r],
+             [x for r in scale_adj for x in r]),
+            ("adjugate derivative", adjugate_derivative(family).ravel().tolist(),
+             [sign * x for r in dadj for x in r], [x for r in scale_dadj for x in r]),
+        ]
+        for name, got, want, scale in checks:
+            for g, w, sc in zip(got, want, scale):
+                err = abs(Fraction(g) - w)
+                if err:
+                    assert sc, (name, model, bath)
+                    worst[name] = max(worst[name], err / (U * sc))
+        count += 1
+        sizes.add(n)
+    elapsed = time.perf_counter() - t0
+    assert count >= 500 and sizes == {2, 3, 4, 5}
+    print(
+        "charpoly and adjugate_derivative vs the exact recursion: worst "
+        + ", ".join(f"{name} {float(w):.2f} u" for name, w in worst.items())
+        + f" of the recursion on |L(0)|, |d1| over {count} (model, bath) pairs ({elapsed:.2f}s)"
+    )
+    assert max(worst.values()) <= C
+
+
+def test_second_cumulant_from_the_recursion_is_the_exact_noise():
+    # second order of P(G(s), s) = 0 at s = 0, with a'_(N-1) = (-1)^(N-1) tr(d adj):
+    # S = [(-1)^(N+1) (tr(d adj d1) + tr(adj d2)) - 2 a'_(N-1) J - 2 a_(N-2) J^2] / a_(N-1)
+    # (_pairs holds presets A-D, where noise answers only on A). adj = (-1)^(N-1) B_(N-1)
+    # and d adj = (-1)^(N-1) dB_(N-1), so every sign (-1)^(N+1) cancels against theirs
+    t0 = time.perf_counter()
+    count = 0
+    for model, bath, j, _, s, _ in _exact_noise_pairs():
+        gen, d1, d2 = exact_family(model, bath)
+        coeffs, b, db = faddeev_leverrier(gen, d1)
+        n = len(gen)
+        tr = [sum(x[i][r] * y[r][i] for i in range(n) for r in range(n))
+              for x, y in ((b, d1), (db, d1), (b, d2))]
+        assert tr[0] == coeffs[n - 1] * j
+        da_pen = sum(db[i][i] for i in range(n))
+        assert (tr[1] + tr[2] - 2 * da_pen * j - 2 * coeffs[n - 2] * j * j) / coeffs[n - 1] == s
+        count += 1
+    elapsed = time.perf_counter() - t0
+    assert count >= 300
+    print(f"second-order S equals the exact S on all {count} (model, bath) pairs ({elapsed:.2f}s)")
 
 
 def _leaf_model():
@@ -235,7 +328,7 @@ def test_cgf_is_the_perron_root_within_c_u():
         stack = family.dressed_stack(s)[0]
         for g, l_s in zip(cgf(family, s).tolist(), stack):
             m = exact_matrix(l_s)
-            coeffs = exact_charpoly(m)
+            coeffs = faddeev_leverrier(m)[0]
             scale = U * max(abs(x) for row in m for x in row)
             c = next((c for c in ladder if perron_bracket(coeffs, Fraction(g), c * scale)), None)
             assert c is not None, (family, g)

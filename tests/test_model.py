@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -39,6 +40,12 @@ class TestBoseOccupation:
             bose_occupation(0.0, 1.0)
         with pytest.raises(ValidationError):
             bose_occupation(1.0, -2.0)
+
+    def test_overflow_is_a_validation_error_naming_beta_omega(self):
+        assert bose_occupation(0.5, 1419.0) > 0.0  # beta omega = 709.5 still fits
+        message = r"^e\^\(beta omega\) overflows at beta \* omega = 1000$"
+        with pytest.raises(ValidationError, match=message):
+            bose_occupation(0.5, 2000.0)
 
 
 class TestSpectralDensity:
@@ -390,6 +397,35 @@ class TestModelFiles:
             assert b1.label == b2.label
             assert b1.beta == b2.beta
             assert b1.couplings == b2.couplings
+
+    def test_round_trip_keeps_a_gap_tolerance(self, tmp_path):
+        sd = OhmicSpectralDensity()
+        m = QarModel(
+            system=SystemSpec((0.0, 1e-7, 0.5), gap_tol=1e-9),
+            baths=(BathSpec("C", 1.0, {(0, 1): 1e-3}, sd), BathSpec("H", 0.5, {(1, 2): 1e-3}, sd)),
+            cold_index=0,
+        )
+        assert model_to_dict(m)["gap_tol"] == 1e-9
+        assert model_from_dict(model_to_dict(m)) == m
+        path = tmp_path / "model.json"
+        save_model(m, path)
+        assert load_model(path) == m
+
+    # sha256 of json.dumps(model_to_dict(preset(pid, 0.3, 0.9)), indent=2): a default
+    # gap tolerance is not written, so files of default models keep their bytes
+    _PRESET_DICT_DIGESTS = {
+        "A": "1b5f7e15026788758969c06475d80323fc065d316d87868ee11bb22b41a29ba3",
+        "B": "e25c784e4d375f0b497e8ec7bc09e63f644a2459b7df9064352034d5bb008728",
+        "C": "c7b99ae2c87d156416589d29f6521f112afddc39743e8a6ab7e6c94bfd428ada",
+        "D": "c5ef2e18834ffeeb33c9625d022f84b43a1feeb6f81825dab09b67b68f6bbf43",
+    }
+
+    @pytest.mark.parametrize("pid", "ABCD")
+    def test_default_gap_tolerance_is_not_written(self, pid):
+        data = model_to_dict(preset(pid, 0.3, 0.9))
+        assert "gap_tol" not in data
+        digest = hashlib.sha256(json.dumps(data, indent=2).encode()).hexdigest()
+        assert digest == self._PRESET_DICT_DIGESTS[pid]
 
     def test_one_based_indices_in_files(self, tmp_path):
         m = preset("A", 0.5, 0.9)
