@@ -79,14 +79,19 @@ def cycle_conditions(
 def _ideal_machine(model: QarModel, leaky: bool = False):
     """((cold, hot, work), E21, E31, (beta_C, beta_H, beta_W), leaking bath) of an ideal machine.
 
-    Of the baths besides the cold one, the colder is hot and the hotter work. Each role's
-    bath couples exactly its pair of ``IDEAL_PAIRS``; with ``leaky``, the hot or else the
-    work bath also couples the cold pair and is the leaking bath (else None).
+    Of the baths besides the cold one, the colder is hot and the hotter work; two at one beta
+    fail ``_check_ordering``. Each role's bath couples exactly its pair of ``IDEAL_PAIRS``;
+    with ``leaky``, the hot or else the work bath also couples the cold pair and is the
+    leaking bath (else None).
     """
     if model.n_levels != 3 or model.n_baths != 3:
         raise TopologyError("expected a three-level, three-bath model")
     beta, others = [b.beta for b in model.baths], [b for b in range(3) if b != model.cold_index]
     roles = (model.cold_index, max(others, key=beta.__getitem__), min(others, key=beta.__getitem__))
+    energies = model.system.energies
+    e21, e31 = [energies[j] - energies[i] for i, j in IDEAL_PAIRS[:2]]
+    if roles[1] == roles[2]:  # tied betas: max and min pick one bath for both roles
+        _check_ordering(e21, e31, *[beta[b] for b in roles])
     coupled = [{p for p, g in model.baths[b].couplings.items() if g > 0.0} for b in roles]
     expected = [{pair} for pair in IDEAL_PAIRS]
     leak = None
@@ -101,8 +106,6 @@ def _ideal_machine(model: QarModel, leaky: bool = False):
                 f"{'leaky' if leaky else 'ideal'} refrigerator: bath {model.baths[b].label!r} "
                 f"couples {got}, expected {want}"
             )
-    energies = model.system.energies
-    e21, e31 = [energies[j] - energies[i] for i, j in IDEAL_PAIRS[:2]]
     return roles, e21, e31, [beta[b] for b in roles], leak
 
 

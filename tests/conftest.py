@@ -26,6 +26,21 @@ def make_spin_boson(
     )
 
 
+def make_tied_machine():
+    """C (beta 1) on 1-2, H and W both at beta 0.5, on 1-3 and 2-3: the ideal coupling
+    pattern with hot and work baths at one beta."""
+    sd = OhmicSpectralDensity()
+    return QarModel(
+        system=SystemSpec((0.0, 0.4, 1.0)),
+        baths=(
+            BathSpec("C", 1.0, {(0, 1): 1e-3}, sd),
+            BathSpec("H", 0.5, {(0, 2): 1e-3}, sd),
+            BathSpec("W", 0.5, {(1, 2): 1e-3}, sd),
+        ),
+        cold_index=0,
+    )
+
+
 @pytest.fixture
 def spin_boson():
     return make_spin_boson()

@@ -27,7 +27,7 @@ from qarfcs.model import (
     spectral_value,
 )
 from qarfcs.oracle import random_connected_model
-from tests.conftest import make_spin_boson
+from tests.conftest import make_spin_boson, make_tied_machine
 
 
 class TestSpinBosonForms:
@@ -155,6 +155,15 @@ class TestCop:
         assert str(info.value) == f"ideal refrigerator: {message}"
 
 
+class TestTiedHotAndWorkBetas:
+    @pytest.mark.parametrize("func", [cop, leaky_cooling], ids=["cop", "leaky_cooling"])
+    def test_refused_by_the_temperature_order(self, func):
+        # one bath would take both the hot and the work role
+        with pytest.raises(ValidationError) as info:
+            func(make_tied_machine())
+        assert str(info.value) == "need beta_w < beta_h < beta_c, got 0.5, 0.5, 1.0"
+
+
 class TestCycleConditions:
     def test_thresholds_at_reference_point(self):
         # betaH = 0.9: cond21 iff E21 <= 8/9, cond32 iff E21 >= 1/9
@@ -238,6 +247,23 @@ class TestLeakyCooling:
         c, h, w = ref.baths
         m = QarModel(system=ref.system, baths=(h, w, c), cold_index=2)
         assert leaky_cooling(m) == leaky_cooling(ref)
+
+    def test_terms_are_decompose_parts_over_the_ideal_rate_product(self):
+        # cycle / (E21 kC_21 kH_31 kW_32) is the ideal term and the leaks over it the leak
+        # term, two independent routes to the same closed form
+        worst = 0.0
+        for pid in ("C", "D"):
+            for e21 in np.linspace(0.05, 0.95, 21):
+                for bh in np.linspace(0.12, 0.98, 21):
+                    m = preset(pid, float(e21), float(bh))
+                    ideal, leak, _ = leaky_cooling(m)
+                    kc, kh, kw = (rate_table(m, b) for b in range(3))
+                    scale = float(e21) * kc[1, 0] * kh[2, 0] * kw[2, 1]
+                    dec = decompose(m)
+                    parts = (dec.cycles[(0, 1)] / scale, math.fsum(dec.leaks.values()) / scale)
+                    gap = max(abs(parts[0] - ideal), abs(parts[1] - leak))
+                    worst = max(worst, gap / (abs(ideal) + abs(leak)))
+        assert worst <= 4e-15
 
     def test_d_window_inside_c_window(self):
         # work-bath leaks hurt far more than hot-bath leaks

@@ -18,7 +18,7 @@ from qarfcs.model import (
     save_model,
     spectral_value,
 )
-from tests.conftest import EIGHTY_BIT, make_spin_boson
+from tests.conftest import EIGHTY_BIT, make_spin_boson, make_tied_machine
 
 
 def run(capsys, *argv):
@@ -548,6 +548,19 @@ class TestCopCommand:
             assert json.loads(out)["error"] == {"code": "topology", "exit": 4, "message": message}
         else:
             assert err == f"error (topology): {message}\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_tied_hot_and_work_betas_exit_2(self, capsys, tmp_path, fmt):
+        # the order fails, not the topology
+        path = tmp_path / "tied.json"
+        save_model(make_tied_machine(), path)
+        code, out, err = run(capsys, "cop", "--model", str(path), "--format", fmt)
+        assert code == 2
+        message = "need beta_w < beta_h < beta_c, got 0.5, 0.5, 1.0"
+        if fmt == "json":
+            assert json.loads(out)["error"] == {"code": "validation", "exit": 2, "message": message}
+        else:
+            assert err == f"error (validation): {message}\n"
 
 
 class TestCheckCommand:

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 
@@ -14,6 +16,7 @@ from qarfcs.model import (
     OhmicSpectralDensity,
     QarModel,
     SystemSpec,
+    model_from_dict,
     model_to_dict,
     preset,
     rate,
@@ -179,21 +182,69 @@ class TestEquilibrium:
         assert np.allclose(ss.populations, gibbs, rtol=1e-12)
 
 
-class TestRateTablesOncePerCall:
+class TestRateTablesOncePerModel:
     def test_each_bath_table_built_once(self, rng, monkeypatch):
-        calls = []
+        calls, solves = [], []
 
         def counting(model, bath):
             calls.append(bath)
             return rate_table(model, bath)
 
+        def counting_solve(l0):
+            solves.append(l0)
+            return steady_state(l0)
+
         monkeypatch.setattr(oracle_module, "rate_table", counting)
+        monkeypatch.setattr(oracle_module, "steady_state", counting_solve)
         m = random_connected_model(rng, n_levels=4, n_baths=3)
         direct_current(m, 1)
-        assert calls == [0, 1, 2]
+        assert calls == [0, 1, 2] and len(solves) == 1
         calls.clear()
+        direct_current(m, 0)
+        direct_current(m, 2)
         conservation_residual(m)
-        assert calls == [0, 1, 2]
+        assert calls == [] and len(solves) == 1
+        # a new object, equal or not, is solved again
+        for other in (dataclasses.replace(m), model_from_dict(model_to_dict(m))):
+            calls.clear()
+            conservation_residual(other)
+            assert calls == [0, 1, 2]
+        assert len(solves) == 3
+
+    def test_kept_solution_is_not_a_field(self, rng):
+        m = random_connected_model(rng, n_levels=3, n_baths=2)
+        before = ([f.name for f in dataclasses.fields(m)], repr(m), model_to_dict(m))
+        direct_current(m, 0)
+        assert ([f.name for f in dataclasses.fields(m)], repr(m), model_to_dict(m)) == before
+        assert before[0] == ["system", "baths", "cold_index"]
+        fresh = dataclasses.replace(m)
+        assert m == fresh and fresh == m
+        assert dataclasses.replace(m) == model_from_dict(model_to_dict(m))
+        tables, p = oracle_module._solved(m)
+        for a in (*tables, p):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_every_call_order_gives_a_fresh_models_bits(self, rng):
+        def query(m, q):  # q is a bath index, or None for the conservation residual
+            return (conservation_residual(m) if q is None else direct_current(m, q)).hex()
+
+        def orders(m):
+            queries = [*range(m.n_baths), None]
+            if m.n_baths == 3:
+                return list(itertools.permutations(queries))
+            return [queries, queries[::-1], [queries[i] for i in rng.permutation(len(queries))]]
+
+        models = [preset(pid, 0.3, 0.9) for pid in "ABCD"]
+        models += [random_connected_model(rng, topology=("tree", "any")[k % 2]) for k in range(200)]
+        assert {(m.n_levels, m.n_baths) for m in models} == {
+            (n, b) for n in range(2, 6) for b in range(2, 5)
+        }
+        for m in models:
+            want = {q: query(dataclasses.replace(m), q) for q in [*range(m.n_baths), None]}
+            for order in orders(m):
+                kept = dataclasses.replace(m)
+                assert [query(kept, q) for q in order] == [want[q] for q in order]
 
 
 # float.hex of the validation path, recorded before the oracle built its rate

@@ -40,6 +40,30 @@ def test_benchmark_layer_names_are_module_level_functions():
         assert (func.__module__, func.__qualname__) == (module.__name__, name), layer
 
 
+# keys every BENCH_*.json entry carries; later entries add "layers_moved" and "notes"
+_BENCH_KEYS = {
+    "change", "claim", "environment", "parent_commit", "per_layer_trace1", "protocol", "workloads",
+}
+
+
+def test_bench_entries_cover_the_benchmark():
+    # every speed claim points to a BENCH entry; each entry must stay readable against
+    # BENCHMARK.json: all its workloads, and a claim (if any) on one end-to-end metric
+    root = Path(__file__).resolve().parents[1]
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in bench["workloads"]}
+    metrics = {m["name"] for m in bench["end_to_end"]}
+    entries = sorted(root.glob("BENCH_*.json"))
+    assert entries
+    for path in entries:
+        entry = json.loads(path.read_text())
+        assert _BENCH_KEYS <= set(entry), path.name
+        assert workloads <= set(entry["workloads"]), path.name
+        claim = entry["claim"]
+        if claim is not None:
+            assert claim["workload"] in workloads and claim["metric"] in metrics, path.name
+
+
 _NO_DEFAULT = inspect.Parameter.empty
 
 
