@@ -24,15 +24,13 @@ from . import scan as scan_mod
 from .analytic import cop, decompose
 from .errors import QarError, ValidationError
 from .fcs import (  # charpoly: unused, but perfbench's binding test asserts cli binds it
-    PRECONDITION_RTOL, _current_and_noise, _current_from_family, charpoly, cooling_condition,
-    numeric_cumulants,
+    _current_and_noise, _current_from_family, charpoly, cooling_condition, numeric_cumulants,
 )
 from .liouvillian import build_counting_family
 from .model import PRESET_DEFAULTS, PRESET_IDS, load_model, preset, preset_note
 from .oracle import FOLDS, INVARIANTS, random_connected_model
 
-_TOL_DEFAULTS = {"noise_precondition": PRECONDITION_RTOL}
-_TOL_DEFAULTS.update(row[2] for row in INVARIANTS if row[2])  # (--tol name, default) of a row
+_TOL_DEFAULTS = dict(row[2] for row in INVARIANTS if row[2])  # (--tol name, default) of a row
 
 
 def _parse_tols(pairs: list[str] | None) -> dict[str, float]:
@@ -143,12 +141,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _add_tol(p: argparse.ArgumentParser) -> None:
-    """``--tol``, only on the commands that read a tolerance."""
-    p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                   help="override a named tolerance (repeatable)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qarfcs",
@@ -167,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noise", help="zero-frequency noise at one contact")
     _add_model_args(p)
     _add_common(p)
-    _add_tol(p)
     p.add_argument("--bath", help="bath label to count at (default: cold bath)")
     p.add_argument("--verify", action="store_true",
                    help="cross-check against finite differences of the CGF")
@@ -197,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the seeded invariant suite")
     _add_common(p)
-    _add_tol(p)
+    p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                   help="override a named tolerance (repeatable)")
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--trials", type=int, default=200)
 
@@ -235,11 +227,10 @@ def _deviation(value: float, ref: float) -> str:
 
 
 def _cmd_noise(args) -> int:
-    tols = _parse_tols(args.tol)
     model = _model_from_args(args)
     bath = _bath_index(model, args.bath)
     family = build_counting_family(model, bath)
-    j, s = _current_and_noise(family, tols["noise_precondition"])
+    j, s = _current_and_noise(family)
     payload = {"bath": model.baths[bath].label, "current": j, "noise": s}
     lines = [
         f"bath = {model.baths[bath].label}",

@@ -20,7 +20,6 @@ pass, then finds each target's Perron root by its own Newton solve.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,12 +168,12 @@ def cooling_condition(model: QarModel) -> tuple[float, bool]:
     return value, value > 0.0
 
 
+# s * energy span at each sample of the precondition, and its fixed relative tolerance
 _NOISE_PRECOND_SAMPLES = (0.5, -0.5, 1.0, -1.0)
-# the default ``precondition_rtol`` of ``noise`` and of ``qarfcs noise``
-PRECONDITION_RTOL = 1e-10
+_NOISE_PRECOND_RTOL = 1e-10
 
 
-def _check_noise_precondition(family: CountingFamily, cp0: CharPoly, rtol: float) -> None:
+def _check_noise_precondition(family: CountingFamily, cp0: CharPoly) -> None:
     """The truncated noise formula needs a_{N-1}(s), a_{N-2}(s) constant in s.
 
     ``cp0`` is the characteristic polynomial of L(0).
@@ -188,7 +187,7 @@ def _check_noise_precondition(family: CountingFamily, cp0: CharPoly, rtol: float
             continue  # monic coefficient, constant by definition
         for s, l_s in zip(samples.tolist(), stack):
             dev = abs(charpoly(l_s).coefficient(j) - ref)
-            if dev > rtol * abs(ref):
+            if dev > _NOISE_PRECOND_RTOL * abs(ref):
                 raise NoiseNotApplicableError(
                     f"coefficient a_{j}(s) varies with the counting variable "
                     f"(relative deviation {dev / abs(ref):.3g} at s = {s:.3g}); "
@@ -197,24 +196,19 @@ def _check_noise_precondition(family: CountingFamily, cp0: CharPoly, rtol: float
                 )
 
 
-def noise(model: QarModel, bath: int, *, precondition_rtol: float = PRECONDITION_RTOL) -> float:
+def noise(model: QarModel, bath: int) -> float:
     """Zero-frequency noise of the heat current at one bath.
 
     Raises NoiseNotApplicableError when other baths share the counted bath's
-    transitions (the truncation is then uncontrolled). ``precondition_rtol``
-    must be a finite number >= 0.
+    transitions (the truncation is then uncontrolled).
     """
-    if not (isinstance(precondition_rtol, numbers.Real) and 0.0 <= precondition_rtol < math.inf):
-        raise ValidationError(
-            f"precondition_rtol must be a finite number >= 0, got {precondition_rtol!r}"
-        )
-    return _current_and_noise(build_counting_family(model, bath), precondition_rtol)[1]
+    return _current_and_noise(build_counting_family(model, bath))[1]
 
 
-def _current_and_noise(family: CountingFamily, precondition_rtol: float) -> tuple[float, float]:
+def _current_and_noise(family: CountingFamily) -> tuple[float, float]:
     """(current, noise) of one counting family; ``noise`` and ``qarfcs noise`` share it."""
     cp = _base_charpoly(family)
-    _check_noise_precondition(family, cp, precondition_rtol)
+    _check_noise_precondition(family, cp)
     current, _, _ = _current_from_family(family, cp)
     n = cp.n
     a_pen = cp.coefficient(n - 1)
@@ -243,22 +237,43 @@ def _row_replaced_det(stack: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
 def _target_polynomials(family: CountingFamily, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """[1, a_1(s_k), ..., a_N(s_k)] of every L(s_k), shape (K, N + 1), and an upper bound on G(s_k).
 
-    One long-double stack of L(s_k) and one stacked recursion give a_1..a_(N-1);
-    a_N comes from one stacked row-replaced determinant of the same stack, whose
-    column sums are formed from the corrections alone, so they carry no roundoff
-    of the base generator. The bound, shape (K,), is the smaller of two bounds
-    on every real root: the largest column sum of L(s_k) (Collatz-Wielandt)
-    and the Fujiwara bound 2 max(|a_1|, |a_2|^(1/2), ..., |a_N / 2|^(1/N)) on
-    every root's modulus. The column sum is close to G near s = 0 but grows
-    like k * exp(|s dE|); the Fujiwara bound stays within 2N of the spectral
-    radius.
+    One long-double stack of L(s_k) and one stacked recursion give a_1..a_N.
+    Where |s_k| max|dE| <= ``_ROW_REPLACED_REACH`` over the dressed entries,
+    a_N comes instead from one stacked row-replaced determinant of the same
+    stack, whose column sums are formed from the corrections alone, so they
+    carry no roundoff of the base generator: near s = 0 it keeps the digits
+    that the recursion's a_N loses to cancellation. Farther out the replaced
+    row outgrows the determinant by orders of magnitude and the double LU has
+    no digit left, while the recursion's a_N has all of them. A target whose
+    L(s_k) has an entry beyond double range, or whose coefficients are not
+    finite, raises ContinuationError, the first such target in input order.
+
+    The bound, shape (K,), is the smaller of two bounds on every real root:
+    the largest column sum of L(s_k) (Collatz-Wielandt) and the Fujiwara bound
+    2 max(|a_1|, |a_2|^(1/2), ..., |a_N / 2|^(1/N)) on every root's modulus.
+    The column sum is close to G near s = 0 but grows like k * exp(|s dE|);
+    the Fujiwara bound stays within 2N of the spectral radius.
     """
-    stack, corrections = family.dressed_stack(np.asarray(s, dtype=float))
-    coeffs = charpoly(stack).monic()
+    s = np.asarray(s, dtype=float)
+    stack, corrections = family.dressed_stack(s)
     cols = np.array([col for _, col, _, _ in family.dressed], dtype=int)
     col_sums = np.zeros(stack.shape[:-1], dtype=stack.dtype)
     np.add.at(col_sums, (slice(None), cols), corrections)
-    coeffs[:, -1] = _row_replaced_det(stack, col_sums)
+    max_de = max((abs(de) for *_, de in family.dressed), default=0.0)
+    if max(map(abs, s.tolist())) * max_de <= _ROW_REPLACED_REACH:
+        coeffs = charpoly(stack).monic()
+        coeffs[:, -1] = _row_replaced_det(stack, col_sums)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = charpoly(stack).monic()
+        outside = ~np.all(np.abs(stack) <= np.finfo(float).max, axis=(-2, -1))
+        bad = np.flatnonzero(outside | ~np.all(np.isfinite(coeffs), axis=-1))
+        if bad.size:
+            k = bad[0]
+            what = "an entry of L(s) is" if outside[k] else "the coefficients of L(s) are"
+            raise ContinuationError(f"{what} beyond double range at s = {s[k]:.6g}")
+        near = np.flatnonzero(np.abs(s) * max_de <= _ROW_REPLACED_REACH)
+        coeffs[near, -1] = _row_replaced_det(stack[near], col_sums[near])
     n = coeffs.shape[1] - 1
     scaled = np.abs(coeffs[:, 1:])
     scaled[:, -1] /= 2.0
@@ -268,6 +283,7 @@ def _target_polynomials(family: CountingFamily, s: np.ndarray) -> tuple[np.ndarr
 
 # the fixed settings of G(s); ``cgf`` says where each enters
 _WINDOW_FACTOR = 4.0
+_ROW_REPLACED_REACH = 4.0
 _NEWTON_RTOL = 1e-12
 _MAX_NEWTON_ITER = 100
 
@@ -291,7 +307,9 @@ def cgf(family: CountingFamily, s: float | np.ndarray) -> float | np.ndarray:
     target is checked against the window |s| <= ``_WINDOW_FACTOR`` * max beta
     first. The polynomials of all targets come from one stacked pass (one
     long-double stack of L(s), one stacked ``charpoly``, one stacked
-    determinant for a_N); each target is then solved alone.
+    determinant for a_N where |s dE| <= ``_ROW_REPLACED_REACH``); a target
+    that pass cannot put in double range is refused before any solve. Each
+    target is then solved alone.
     """
     targets = np.asarray(s, dtype=float)
     flat = targets.ravel()

@@ -138,7 +138,7 @@ def fluctuation_symmetry_check(model: QarModel, s_samples) -> float:
     """Max deviation of G(s) from G((beta_C - beta_H) - s) for two-bath models.
 
     The symmetry point beta_cold - beta_other follows from the similarity
-    L(s*) - s) ~ L(s)^T under the diagonal conjugation exp(beta_other * E);
+    L(s* - s) ~ L(s)^T under the diagonal conjugation exp(beta_other * E);
     it holds for any two-bath coupling pattern but has no single-field analog
     for three or more baths, so those are refused. Both sides of every pair
     come from one ``cgf`` call, which solves each target alone.

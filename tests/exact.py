@@ -208,12 +208,45 @@ def faddeev_leverrier(m, dm=None, sign: int = -1):
     return coeffs, adj, None if dy is None else [[Fraction(v, bd) for v in row] for row in dy]
 
 
+def _sturm_count(coeffs: list[Fraction], a: Fraction, b: Fraction) -> int:
+    """Distinct real roots in (a, b] of the monic ``coeffs`` (highest power first), by
+    Sturm's theorem; neither a nor b may be a root."""
+    n = len(coeffs) - 1
+    chain = [list(coeffs), [c * (n - k) for k, c in enumerate(coeffs[:-1])]]
+    while len(chain[-1]) > 1:
+        rem, div = list(chain[-2]), chain[-1]
+        while len(rem) >= len(div):  # polynomial long division; keep the remainder
+            q = rem[0] / div[0]
+            for i, d in enumerate(div):
+                rem[i] -= q * d
+            rem.pop(0)
+        while rem and rem[0] == 0:
+            rem.pop(0)
+        if not rem:
+            break
+        chain.append([-r for r in rem])
+
+    def changes(x):
+        signs = []
+        for poly in chain:
+            v = Fraction(0)
+            for c in poly:
+                v = v * x + c
+            if v:
+                signs.append(v > 0)
+        return sum(u != w for u, w in zip(signs, signs[1:]))
+
+    return changes(a) - changes(b)
+
+
 def perron_bracket(coeffs: list[Fraction], g: Fraction, delta: Fraction) -> bool:
     """Whether the largest real root of the monic ``coeffs`` provably lies within ``delta`` of g.
 
-    p(g - delta) < 0 puts a real root above g - delta. Every Taylor coefficient
-    of p at g + delta positive makes p(g + delta + t) > 0 for t >= 0, so no real
-    root lies at or above g + delta.
+    Every Taylor coefficient of p at g + delta positive makes p(g + delta + t) > 0
+    for t >= 0, so no real root lies at or above g + delta. p(g - delta) < 0 then
+    puts a real root above g - delta; where p(g - delta) > 0, two roots closer
+    than delta (as from two decoupled, equal blocks of L(s)) may still lie
+    inside, and Sturm's theorem counts them.
     """
     below = Fraction(0)
     for c in coeffs:
@@ -223,4 +256,6 @@ def perron_bracket(coeffs: list[Fraction], g: Fraction, delta: Fraction) -> bool
     for k in range(n):
         for i in range(1, n + 1 - k):
             shifted[i] += shifted[i - 1] * x0
-    return below < 0 and all(c > 0 for c in shifted)
+    if not all(c > 0 for c in shifted):
+        return False
+    return below <= 0 or _sturm_count(coeffs, g - delta, x0) > 0

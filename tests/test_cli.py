@@ -296,6 +296,14 @@ class TestMalformedModelFile:
         assert code == 0 and json.loads(out)["bath"] == "C"
 
 
+# preset B at (0.5, 0.9): the fixed precondition of noise refuses it, and no option moves that
+_B_REFUSAL = (
+    "coefficient a_2(s) varies with the counting variable (relative deviation 0.000206 at "
+    "s = 0.5); the truncated noise formula needs the counted bath to own its transitions "
+    "exclusively"
+)
+
+
 class TestNoise:
     def test_preset_a_with_verify(self, capsys):
         code, out, _ = run(
@@ -338,7 +346,7 @@ class TestNoise:
             capsys, "noise", "--preset", "B", "--e21", "0.5", "--betaH", "0.9"
         )
         assert code == 3
-        assert "noise-formula-inapplicable" in err
+        assert err == f"error (noise-formula-inapplicable): {_B_REFUSAL}\n"
 
     def test_json_error_is_machine_parsable(self, capsys):
         code, out, _ = run(
@@ -349,35 +357,7 @@ class TestNoise:
         data = json.loads(out)
         assert data["error"]["code"] == "noise-formula-inapplicable"
         assert data["error"]["exit"] == 3
-
-    def test_tolerance_override(self, capsys):
-        # an absurdly loose precondition lets preset B through
-        code, out, _ = run(
-            capsys, "noise", "--preset", "B", "--e21", "0.5", "--betaH", "0.9",
-            "--tol", "noise_precondition=1.0",
-        )
-        assert code == 0
-
-    @pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf"])
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_bad_tolerance_refused(self, capsys, value, fmt):
-        code, out, err = run(
-            capsys, "noise", "--preset", "A", "--e21", "0.5", "--betaH", "0.9",
-            "--tol", f"noise_precondition={value}", "--format", fmt,
-        )
-        assert code == 2
-        text = json.loads(out)["error"]["message"] if fmt == "json" else err
-        assert "tolerance 'noise_precondition' must be a finite number >= 0" in text
-        assert repr(value) in text
-
-    def test_zero_tolerance_accepted(self, capsys):
-        # preset A meets the precondition exactly, so a zero tolerance passes
-        code, out, _ = run(
-            capsys, "noise", "--preset", "A", "--e21", "0.5", "--betaH", "0.9",
-            "--tol", "noise_precondition=0", "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out)["noise"] > 0
+        assert data["error"]["message"] == _B_REFUSAL
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_verify_with_zero_current(self, capsys, tmp_path, fmt):
@@ -665,9 +645,8 @@ class TestCheckCommand:
         assert "FAIL sign-equivalence: 3 violations\n" in out
 
     def test_tolerance_defaults_are_pinned(self):
-        # noise's precondition, then each check's tolerance in table order
-        assert list(cli._TOL_DEFAULTS.items()) == [
-            ("noise_precondition", 1e-10),
+        # each check's tolerance in table order, and nothing else
+        pinned = [
             ("detailed_balance", 1e-12),
             ("oracle_equivalence", 1e-10),
             ("conservation", 1e-12),
@@ -675,12 +654,18 @@ class TestCheckCommand:
             ("decomposition", 1e-10),
             ("cop", 1e-10),
         ]
+        assert list(cli._TOL_DEFAULTS.items()) == pinned
+        assert [row[2] for row in oracle.INVARIANTS if row[2]] == pinned
 
 
 class TestArgumentRefusals:
     @pytest.mark.parametrize(
         "tol, message",
-        [("bogus", "--tol expects name=value, got 'bogus'"), ("nope=1", "unknown tolerance 'nope'")],
+        [
+            ("bogus", "--tol expects name=value, got 'bogus'"),
+            ("nope=1", "unknown tolerance 'nope'"),
+            ("noise_precondition=1", "unknown tolerance 'noise_precondition'"),
+        ],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_bad_tol_refused(self, capsys, tol, message, fmt):
@@ -798,12 +783,13 @@ class TestUnwritableOutput:
 
 
 class TestTolScope:
-    """``--tol`` exists only where a tolerance is read: noise and check."""
+    """``--tol`` exists only where a tolerance is read: check."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             _UNWRITABLE_COMMANDS["current"],
+            ["noise", "--preset", "B", "--e21", "0.5", "--betaH", "0.9"],
             ["decompose", "--preset", "A", "--e21", "0.5", "--betaH", "0.9"],
             ["cop", "--preset", "A", "--e21", "0.5", "--betaH", "0.9"],
             _UNWRITABLE_COMMANDS["scan"],
@@ -852,6 +838,7 @@ class TestParserReuse:
         assert run(capsys, "current", *point)[0] == 0
         assert run(capsys, "check", "--trials", "10", "--tol", "symmetry=1e-9")[0] == 0
         assert run(capsys, "noise", *point)[0] == 0
+        assert run(capsys, "check", "--trials", "10")[0] == 0
         assert seen == [["symmetry=1e-9"], None]
 
     @pytest.mark.parametrize("command", ["current", "decompose", "noise"])

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from qarfcs.analytic import decompose, sb_current
-from qarfcs.errors import NoiseNotApplicableError
+from qarfcs.errors import ContinuationError, NoiseNotApplicableError
 from qarfcs.fcs import adjugate_derivative, cgf, charpoly, heat_current, noise, numeric_cumulants
 from qarfcs.liouvillian import build_counting_family
 from qarfcs.model import (
@@ -40,6 +40,8 @@ U = Fraction(2) ** -53
 C = 8
 # the finite-difference floor of numeric_cumulants' S, relative
 NUMERIC_S_RTOL = Fraction(1, 10**8)
+# the bound on cgf far from s = 0 on cold families, relative to |G|
+COLD_CGF_RTOL = Fraction(1, 10**7)
 
 
 def _pairs():
@@ -340,3 +342,79 @@ def test_cgf_is_the_perron_root_within_c_u():
         f"cgf vs the exact Perron root: every value within {float(worst):g} u * max|L(s)| "
         f"over {count} (family, s) pairs ({elapsed:.2f}s)"
     )
+
+
+def _ladder(n, hot_pair, beta_c):
+    """Unit-gap ladder of n levels: C on every rung, H (beta 0.5) on ``hot_pair``,
+    W (beta 0.1) on every other rung from (2, 3)."""
+    sd = OhmicSpectralDensity()
+    rungs = [(i, i + 1) for i in range(n - 1)]
+    return QarModel(
+        system=SystemSpec(tuple(float(e) for e in range(n))),
+        baths=(
+            BathSpec("C", beta_c, dict.fromkeys(rungs, 1e-3), sd),
+            BathSpec("H", 0.5, {hot_pair: 1e-3}, sd),
+            BathSpec("W", 0.1, dict.fromkeys(rungs[1::2], 1e-3), sd),
+        ),
+        cold_index=0,
+    )
+
+
+def _cold_cgf_families():
+    """(family, s targets): unit ladders of N = 3..5 with H on (1, 2) or (1, N), and A-D at
+    (0.5, 0.9), each at beta_C = 10, 40, 100 and counted at every bath, at +-window,
+    +-window / 2 and +-window / 10."""
+    for beta_c in (10.0, 40.0, 100.0):
+        models = [_ladder(n, hot, beta_c) for n in (3, 4, 5) for hot in ((0, 1), (0, n - 1))]
+        models += [preset(pid, 0.5, 0.9, beta_c=beta_c) for pid in "ABCD"]
+        for model in models:
+            for bath in range(model.n_baths):
+                family = build_counting_family(model, bath)
+                window = 4.0 * max(family.betas)
+                scaled = [window * f for f in (1.0, 0.5, 0.1)]
+                yield family, np.array(scaled + [-x for x in scaled])
+
+
+def test_cgf_on_cold_families_within_its_bound_or_refused():
+    # far from s = 0 the entries of L(s) span many decades; each answered value must lie
+    # in a proved bracket of COLD_CGF_RTOL * |G| around the exact Perron root of the same
+    # long-double L(s). The bracket's proof is conservative, so the width stated has
+    # margin; the smallest width proved is printed
+    widths = [COLD_CGF_RTOL * Fraction(2) ** -e for e in range(10, -1, -1)]
+    t0 = time.perf_counter()
+    worst, answered, refused = Fraction(0), 0, 0
+    for family, s in _cold_cgf_families():
+        for s_k, l_s in zip(s.tolist(), family.dressed_stack(s)[0]):
+            try:
+                g = Fraction(cgf(family, s_k))
+            except ContinuationError:
+                refused += 1
+                continue
+            coeffs = faddeev_leverrier(exact_matrix(l_s))[0]
+            c = next((c for c in widths if perron_bracket(coeffs, g, c * abs(g))), None)
+            assert c is not None, (family, s_k, float(g))
+            worst = max(worst, c)
+            answered += 1
+    elapsed = time.perf_counter() - t0
+    assert answered + refused == 540 and answered >= 500
+    print(
+        f"cgf on cold families: {answered} values within {float(worst):.3g} |G| of the exact "
+        f"Perron root, {refused} refused ({elapsed:.2f}s)"
+    )
+
+
+def test_cgf_near_s_zero_keeps_the_row_replaced_determinant():
+    # a target with |s| max|dE| <= 4 takes the row-replaced a_N also in a call whose other
+    # targets take the recursion's: the bits of its lone call, where every target is near
+    mixed = 0
+    for family, s in _cold_cgf_families():
+        near = np.array([1e-4, 0.5, 4.0, -1e-4, -0.5, -4.0]) / max(
+            abs(de) for *_, de in family.dressed
+        )
+        try:
+            got = cgf(family, np.concatenate([s, near]))
+        except ContinuationError:
+            continue
+        assert got[s.size:].tolist() == [cgf(family, x) for x in near.tolist()]
+        mixed += 1
+    assert mixed >= 40

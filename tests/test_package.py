@@ -83,8 +83,22 @@ def test_public_parameter_lists_are_pinned():
     assert _parameters(qarfcs.random_connected_model) == [
         ("rng", _NO_DEFAULT), ("n_levels", None), ("n_baths", None), ("topology", "tree"),
     ]
-    assert _parameters(qarfcs.noise) == [
-        ("model", _NO_DEFAULT), ("bath", _NO_DEFAULT), ("precondition_rtol", 1e-10),
+    # noise refuses by one fixed rule, which no caller can move
+    assert _parameters(qarfcs.noise) == [("model", _NO_DEFAULT), ("bath", _NO_DEFAULT)]
+    for func in (qarfcs.heat_current, qarfcs.direct_current):
+        assert _parameters(func) == [("model", _NO_DEFAULT), ("bath", _NO_DEFAULT)]
+    for func in (qarfcs.cooling_condition, qarfcs.conservation_residual):
+        assert _parameters(func) == [("model", _NO_DEFAULT)]
+    assert _parameters(qarfcs.steady_state) == [("l0", _NO_DEFAULT), ("replace_row", 0)]
+    assert _parameters(qarfcs.fluctuation_symmetry_check) == [
+        ("model", _NO_DEFAULT), ("s_samples", _NO_DEFAULT),
+    ]
+    assert _parameters(qarfcs.grid_scan) == [
+        ("preset_id", _NO_DEFAULT), ("n_e21", 101), ("n_betaH", 101), ("overrides", None),
+        ("e21_axis", None), ("betaH_axis", None),
+    ]
+    assert _parameters(qarfcs.line_scan) == [
+        ("preset_ids", _NO_DEFAULT), ("betaH", _NO_DEFAULT), ("n_e21", 201), ("overrides", None),
     ]
     # numerator units only; the CLI's --current-units divides by the normalization
     assert _parameters(qarfcs.decompose) == [("model", _NO_DEFAULT)]
