@@ -260,20 +260,16 @@ def _target_polynomials(family: CountingFamily, s: np.ndarray) -> tuple[np.ndarr
     col_sums = np.zeros(stack.shape[:-1], dtype=stack.dtype)
     np.add.at(col_sums, (slice(None), cols), corrections)
     max_de = max((abs(de) for *_, de in family.dressed), default=0.0)
-    if max(map(abs, s.tolist())) * max_de <= _ROW_REPLACED_REACH:
+    with np.errstate(over="ignore", invalid="ignore"):
         coeffs = charpoly(stack).monic()
-        coeffs[:, -1] = _row_replaced_det(stack, col_sums)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = charpoly(stack).monic()
-        outside = ~np.all(np.abs(stack) <= np.finfo(float).max, axis=(-2, -1))
-        bad = np.flatnonzero(outside | ~np.all(np.isfinite(coeffs), axis=-1))
-        if bad.size:
-            k = bad[0]
-            what = "an entry of L(s) is" if outside[k] else "the coefficients of L(s) are"
-            raise ContinuationError(f"{what} beyond double range at s = {s[k]:.6g}")
-        near = np.flatnonzero(np.abs(s) * max_de <= _ROW_REPLACED_REACH)
-        coeffs[near, -1] = _row_replaced_det(stack[near], col_sums[near])
+        row_replaced = _row_replaced_det(stack, col_sums)
+    double_max = np.finfo(float).max
+    if not (np.abs(stack).max() <= double_max and np.isfinite(coeffs).all()):
+        inside = np.all(np.abs(stack) <= double_max, axis=(-2, -1))
+        k = np.argmin(inside & np.all(np.isfinite(coeffs), axis=-1))
+        what = "the coefficients of L(s) are" if inside[k] else "an entry of L(s) is"
+        raise ContinuationError(f"{what} beyond double range at s = {s[k]:.6g}")
+    np.copyto(coeffs[:, -1], row_replaced, where=np.abs(s) * max_de <= _ROW_REPLACED_REACH)
     n = coeffs.shape[1] - 1
     scaled = np.abs(coeffs[:, 1:])
     scaled[:, -1] /= 2.0

@@ -1,10 +1,12 @@
 """The fast path against the exact rational references of ``tests.exact``."""
 
 import functools
+import re
 import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from qarfcs.analytic import decompose, sb_current
 from qarfcs.errors import ContinuationError, NoiseNotApplicableError
@@ -396,11 +398,39 @@ def test_cgf_on_cold_families_within_its_bound_or_refused():
             worst = max(worst, c)
             answered += 1
     elapsed = time.perf_counter() - t0
-    assert answered + refused == 540 and answered >= 500
+    # 31 refused when this bound was set: 20 out of double range before any solve, 11 by Newton
+    assert answered + refused == 540 and refused <= 31
     print(
         f"cgf on cold families: {answered} values within {float(worst):.3g} |G| of the exact "
         f"Perron root, {refused} refused ({elapsed:.2f}s)"
     )
+
+
+@pytest.mark.parametrize(
+    ("bath", "what"),
+    [(1, "an entry of L(s) is"), (0, "the coefficients of L(s) are")],
+    ids=["entry", "coefficients"],
+)
+def test_cgf_refuses_a_target_beyond_double_range(bath, what):
+    # the 3-level unit ladder with H on (1, 3) at beta_C = 100, s = -400: counted at H
+    # (dE = 2) an entry of L(s) grows like exp(800) and overflows a double; counted at C
+    # (dE = 1) every entry fits, but a coefficient, a product of two of them, does not
+    family = build_counting_family(_ladder(3, (0, 2), 100.0), bath)
+    with pytest.raises(ContinuationError, match=rf"^{re.escape(what)} beyond double range at s = -400$"):
+        cgf(family, -400.0)
+
+
+def test_cgf_refuses_out_of_range_targets_before_any_solve():
+    # on the 5-level unit ladder with H on (1, 5) at beta_C = 100, counted at W, s = 40
+    # stalls Newton and s = 400 has coefficients beyond double range: the range refusal
+    # comes first although its target comes second
+    family = build_counting_family(_ladder(5, (0, 4), 100.0), 2)
+    with pytest.raises(ContinuationError, match=r"^Newton did not converge at s = 40 "):
+        cgf(family, 40.0)
+    with pytest.raises(
+        ContinuationError, match=r"^the coefficients of L\(s\) are beyond double range at s = 400$"
+    ):
+        cgf(family, np.array([40.0, 400.0]))
 
 
 def test_cgf_near_s_zero_keeps_the_row_replaced_determinant():
