@@ -71,9 +71,13 @@ def _bath_index(model, label: str | None) -> int:
     labels = [b.label for b in model.baths]
     if label in labels:
         return labels.index(label)
-    upper = [x.upper() for x in labels]
-    if label.upper() in upper:
-        return upper.index(label.upper())
+    matches = [x for x in labels if x.upper() == label.upper()]
+    if len(matches) > 1:
+        raise ValidationError(
+            f"bath {label!r} matches {matches} only case-insensitively; give one of them exactly"
+        )
+    if matches:
+        return labels.index(matches[0])
     raise ValidationError(f"no bath labelled {label!r}; model has {labels}")
 
 

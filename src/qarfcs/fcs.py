@@ -220,30 +220,21 @@ def _current_and_noise(family: CountingFamily) -> tuple[float, float]:
     ) * current**2 + 0.0
 
 
-def _row_replaced_det(stack: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
-    """(-1)^N det of every matrix of ``stack`` with its last row set to ``col_sums``.
-
-    This is a_N(s) = (-1)^N det(L(s)) with det(L(0)) dropped analytically:
-    adding every row to the last turns it into 1^T L(s) = 1^T L(0) plus the
-    column sums of the k * expm1(s * dE) corrections, and 1^T L(0) = 0 exactly.
-    So no O(1) cancellation buries the small-s behaviour, and a family with
-    nothing counted gives a zero row, so a_N = 0.
-    """
-    m = stack.astype(float)
-    m[:, -1] = col_sums
-    return (-1.0) ** m.shape[-1] * np.linalg.det(m)
-
-
 def _target_polynomials(family: CountingFamily, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """[1, a_1(s_k), ..., a_N(s_k)] of every L(s_k), shape (K, N + 1), and an upper bound on G(s_k).
 
-    One long-double stack of L(s_k) and one stacked recursion give a_1..a_N.
-    Where |s_k| max|dE| <= ``_ROW_REPLACED_REACH`` over the dressed entries,
-    a_N comes instead from one stacked row-replaced determinant of the same
-    stack, whose column sums are formed from the corrections alone, so they
-    carry no roundoff of the base generator: near s = 0 it keeps the digits
-    that the recursion's a_N loses to cancellation. Farther out the replaced
-    row outgrows the determinant by orders of magnitude and the double LU has
+    One long-double stack of L(s_k) and one stacked recursion give every
+    coefficient and the adjugate. Where |s_k| max|dE| <= ``_ROW_REPLACED_REACH``
+    over the dressed entries, a_N is instead (-1)^N det of L(s_k) with its last
+    row replaced by the column sums 1^T L(s_k), which leaves the determinant
+    unchanged; 1^T L(0) = 0 exactly, so these are the column sums of the
+    corrections alone and carry no roundoff of the base generator. The
+    cofactors of a last row do not depend on it, so this is the expansion
+    (-1)^N sum_j colsum_j adj(L(s_k))_(j, N-1) with the recursion's adjugate,
+    within 2^-50 sum_j |colsum_j adj_(j, N-1)| of the exact determinant: near
+    s = 0 it keeps the digits that the recursion's a_N loses to cancellation,
+    and a family with nothing counted gives a_N = 0. Farther out the replaced
+    row outgrows the determinant by orders of magnitude and the expansion has
     no digit left, while the recursion's a_N has all of them. A target whose
     L(s_k) has an entry beyond double range, or whose coefficients are not
     finite, raises ContinuationError, the first such target in input order.
@@ -261,8 +252,9 @@ def _target_polynomials(family: CountingFamily, s: np.ndarray) -> tuple[np.ndarr
     np.add.at(col_sums, (slice(None), cols), corrections)
     max_de = max((abs(de) for *_, de in family.dressed), default=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = charpoly(stack).monic()
-        row_replaced = _row_replaced_det(stack, col_sums)
+        cp = charpoly(stack)
+        coeffs = cp.monic()
+        row_replaced = (-1.0) ** cp.n * (col_sums * cp.adjugate[..., -1]).sum(axis=-1)
     double_max = np.finfo(float).max
     if not (np.abs(stack).max() <= double_max and np.isfinite(coeffs).all()):
         inside = np.all(np.abs(stack) <= double_max, axis=(-2, -1))
@@ -302,10 +294,10 @@ def cgf(family: CountingFamily, s: float | np.ndarray) -> float | np.ndarray:
     shape comes back, in input order; targets equal to 0 give 0.0). Every
     target is checked against the window |s| <= ``_WINDOW_FACTOR`` * max beta
     first. The polynomials of all targets come from one stacked pass (one
-    long-double stack of L(s), one stacked ``charpoly``, one stacked
-    determinant for a_N where |s dE| <= ``_ROW_REPLACED_REACH``); a target
-    that pass cannot put in double range is refused before any solve. Each
-    target is then solved alone.
+    long-double stack of L(s) and one stacked ``charpoly``, whose adjugate
+    gives a_N where |s dE| <= ``_ROW_REPLACED_REACH``); a target that pass
+    cannot put in double range is refused before any solve. Each target is
+    then solved alone.
     """
     targets = np.asarray(s, dtype=float)
     flat = targets.ravel()

@@ -72,14 +72,8 @@ def direct_current(model: QarModel, bath: int) -> float:
     """Heat current from the steady state: sum of dE * k * p over transitions.
 
     This is the textbook route (solve for p, then weigh each bath-induced jump
-    by the energy it moves); it shares no code with the adjugate pipeline. The
-    oracle solves each model object once (``_solved``): every later
-    ``direct_current`` or ``conservation_residual`` call on the same object
-    reuses its rate tables and steady state, bitwise the values of a fresh
-    solve. A model is immutable; changing a ``BathSpec.couplings`` mapping in
-    place after construction is unsupported (it already bypasses validation).
-    ``heat_current`` still builds its tables on every call, because the
-    benchmark pins its per-call rate counts.
+    by the energy it moves); it shares no code with the adjugate pipeline. It
+    reads the model's one solve, ``_solved``.
     """
     if not 0 <= bath < model.n_baths:
         raise ValidationError(f"counted bath index {bath} out of range")
@@ -93,8 +87,12 @@ def _solved(model: QarModel) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     The first oracle query of a model object solves it, and the result stays in that
     object's instance dict, as ``functools.cached_property`` keeps a value on a frozen
     dataclass: no field, so not in ``==``, ``repr`` or ``model_to_dict``, and a new object
-    (``dataclasses.replace`` included) solves again. Threads that race on one object both
-    solve and keep the same bits.
+    (``dataclasses.replace`` included) solves again. Every later ``direct_current`` or
+    ``conservation_residual`` call on the object reuses it, bitwise the values of a fresh
+    solve; threads that race on one object both solve and keep the same bits. A model is
+    immutable: changing a ``BathSpec.couplings`` mapping in place after construction is
+    unsupported (it already bypasses validation). ``heat_current`` still builds its tables
+    on every call, because the benchmark pins its per-call rate counts.
     """
     solved = vars(model).get("_oracle_solution")
     if solved is None:
@@ -124,11 +122,7 @@ def _direct_current_from_populations(model: QarModel, k: np.ndarray, p: np.ndarr
 def conservation_residual(model: QarModel) -> float:
     """|sum over baths of the direct currents| (steady-state first law).
 
-    It reads the solve it shares with ``direct_current``: each model object is solved
-    once, on its first oracle query, with bitwise the values of a fresh solve. A model is
-    immutable; a ``BathSpec.couplings`` mapping changed in place after construction is
-    unsupported (it already bypasses validation). ``heat_current`` still builds its tables
-    on every call, because the benchmark pins its per-call rate counts.
+    It reads the model's one solve, ``_solved``, which it shares with ``direct_current``.
     """
     tables, p = _solved(model)
     return abs(math.fsum(_direct_current_from_populations(model, k, p) for k in tables))

@@ -3,6 +3,15 @@
 Every grid point is an independent model evaluation written by index, so
 results are deterministic regardless of evaluation order. Negative currents
 are kept in the data; masking is the consumer's choice.
+
+Tolerance policy, the ``tolerance_policy = scale-relative`` header line of a
+grid CSV. The cooling mask is the exact sign of each point's cooling
+certificate, ``value > 0.0`` with no tolerance; it shares its sign with the
+current, since a_(N-1)(0) > 0. The current's error on the given rates is
+bounded relative to the gross flux at the cold bath (the sum of |dE k p|
+over its transitions), not to |J|: within 8 u of it, u = 2^-53. So near a
+window edge, where |J| falls below that bound, a point's sign is not
+certified.
 """
 
 from __future__ import annotations

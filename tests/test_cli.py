@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -92,6 +93,29 @@ class TestCurrent:
         code, out, _ = run(capsys, *argv, "--bath", "c")
         assert code == 0 and json.loads(out)["bath"] == "C"
         assert out == run(capsys, *argv, "--bath", "C")[1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bath_label_matching_two_baths_case_insensitively_exit_2(self, capsys, tmp_path, fmt):
+        # "Cold" and "COLD" both match "cold" case-insensitively: refused, not the first taken
+        model = make_spin_boson()
+        cold, hot = (dataclasses.replace(b, label=x) for b, x in zip(model.baths, ("Cold", "COLD")))
+        path = tmp_path / "two.json"
+        save_model(QarModel(model.system, (cold, hot), model.cold_index), path)
+        argv = ["current", "--model", str(path), "--format", fmt]
+        code, out, err = run(capsys, *argv, "--bath", "cold")
+        assert code == 2
+        message = (
+            "bath 'cold' matches ['Cold', 'COLD'] only case-insensitively; give one of them exactly"
+        )
+        if fmt == "json":
+            assert json.loads(out)["error"] == {"code": "validation", "exit": 2, "message": message}
+        else:
+            assert out == "" and err == f"error (validation): {message}\n"
+        # an exact label still wins
+        for label in ("Cold", "COLD"):
+            code, out, _ = run(capsys, *argv, "--bath", label)
+            counted = json.loads(out)["bath"] if fmt == "json" else out.split("\n")[0]
+            assert code == 0 and counted == (label if fmt == "json" else f"bath = {label}")
 
     def test_validation_error_exit_code(self, capsys):
         code, _, err = run(
@@ -594,12 +618,12 @@ class TestCheckCommand:
 
     # sha256 of stdout at --trials 10, so every row's detail string is pinned
     _DIGESTS = {
-        ("1234", "csv", ()): "b3a22927f373fb8cef8942d52dc3fea5c7010c398098527fdb064b86ca797d14",
-        ("1234", "json", ()): "2f3a053699145a7dbc118bf35827dbf08e4ba3e88664c2c5ea9987d384aee656",
-        ("7", "csv", ()): "4752411c522f4b79a8f9439a87f4259d02ef2f0751af22510c0685dc404f3e4f",
-        ("7", "json", ()): "d2b76877b928cb56317f56c8fa8cb0d527518f712c3ec74f8e19eabac19638d3",
+        ("1234", "csv", ()): "2946485ae32cd676154e3163d2695ad608993beeea8493698282cdaa67f3018d",
+        ("1234", "json", ()): "c81ff87875142d11a94b0e3e3ae568da254028a5b84127e24918af02487b6b95",
+        ("7", "csv", ()): "f5c292cf145bf0442bc4e0e5bcc21cb4c248c7611e5df76e7a4fa762b8331a05",
+        ("7", "json", ()): "75f83435aff3b4f2c4a7489424cf8c0a47e4c064810f58ab52f892894796e9b2",
         ("1234", "csv", ("--tol", "symmetry=0")):
-            "f5ae749b4533c8bf1aee8f3597bc46a171e808a29ff1d89a1758a7fa34ff605d",
+            "e6e77b04de6fd8f86addb0583c2b764324bf2b5a6ea07bf84be4ef90c8468a96",
     }
 
     @EIGHTY_BIT

@@ -10,7 +10,15 @@ import pytest
 
 from qarfcs.analytic import decompose, sb_current
 from qarfcs.errors import ContinuationError, NoiseNotApplicableError
-from qarfcs.fcs import adjugate_derivative, cgf, charpoly, heat_current, noise, numeric_cumulants
+from qarfcs.fcs import (
+    _target_polynomials,
+    adjugate_derivative,
+    cgf,
+    charpoly,
+    heat_current,
+    noise,
+    numeric_cumulants,
+)
 from qarfcs.liouvillian import build_counting_family
 from qarfcs.model import (
     BathSpec,
@@ -344,6 +352,51 @@ def test_cgf_is_the_perron_root_within_c_u():
         f"cgf vs the exact Perron root: every value within {float(worst):g} u * max|L(s)| "
         f"over {count} (family, s) pairs ({elapsed:.2f}s)"
     )
+
+
+def _near_families():
+    """A-D at three points counted at every bath, then 200 random models of N = 2..5."""
+    for pid in "ABCD":
+        for e21, beta_h in ((0.3, 0.9), (0.5, 0.5), (0.7, 0.2)):
+            model = preset(pid, e21, beta_h)
+            yield from (build_counting_family(model, b) for b in range(model.n_baths))
+    rng = np.random.default_rng(20261028)
+    for k in range(200):
+        model = random_connected_model(rng, n_levels=2 + k % 4, topology=("tree", "any")[k % 2])
+        yield build_counting_family(model, k % model.n_baths)
+
+
+def test_near_a_n_within_c_u_of_the_exact_row_replaced_determinant():
+    # near s = 0 a_N is (-1)^N det of L(s) with its last row replaced by the column sums
+    # of the corrections, taken as a cofactor expansion along that row. Against the exact
+    # det of that long-double matrix, scaled by u * sum_j |colsum_j adj_(j, N-1)|: the
+    # rounding of the expansion's terms and of the adjugate they use
+    reach = np.array([1e-8, 1e-4, 0.01, 0.5, 2.0, 4.0])
+    t0 = time.perf_counter()
+    worst, count = Fraction(0), 0
+    for family in _near_families():
+        s = np.concatenate([reach, -reach]) / max(abs(de) for *_, de in family.dressed)
+        a_n = _target_polynomials(family, s)[0][:, -1].tolist()
+        stack, corrections = family.dressed_stack(s)
+        cols = [col for _, col, _, _ in family.dressed]
+        for got, l_s, corr in zip(a_n, stack, corrections):
+            col_sums = np.zeros(family.n, dtype=corr.dtype)
+            np.add.at(col_sums, cols, corr)
+            m = exact_matrix([*l_s[:-1], col_sums])
+            coeffs, adj, _ = faddeev_leverrier(m)
+            scale = sum(abs(x * row[-1]) for x, row in zip(m[-1], adj))
+            err = abs(Fraction(got) - coeffs[-1])
+            assert scale or not err
+            if err:
+                worst = max(worst, err / (U * scale))
+            count += 1
+    elapsed = time.perf_counter() - t0
+    assert count == 12 * (4 * 3 * 3 + 200)
+    print(
+        f"near-target a_N vs the exact row-replaced determinant: worst {float(worst):.2f} u "
+        f"of sum_j |colsum_j adj_(j, N-1)| over {count} (family, s) pairs ({elapsed:.2f}s)"
+    )
+    assert worst <= C
 
 
 def _ladder(n, hot_pair, beta_c):

@@ -644,6 +644,12 @@ class TestAdjugateDerivative:
         fam = build_counting_family(m, 2)
         assert np.count_nonzero(adjugate_derivative(fam)) == 0
 
+    def test_one_level_family_is_zero(self):
+        # the adjugate of a 1x1 L(s) is [[1]] for every s
+        fam = CountingFamily(base=np.zeros((1, 1)), energies=(0.0,), betas=(1.0,))
+        dadj = adjugate_derivative(fam)
+        assert dadj.shape == (1, 1) and dadj.tolist() == [[0.0]]
+
 
 def entrywise_trace_product(a, b):
     """tr(a @ b) as fsum over the entry pairs where both factors are nonzero."""
