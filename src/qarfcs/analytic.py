@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CopUndefinedError, TopologyError, ValidationError
+from .errors import CopUndefinedError, TopologyError
 # charpoly is unused here; perfbench/test_perfbench.py asserts analytic.charpoly is fcs.charpoly
 from .fcs import charpoly, heat_current  # noqa: F401
-from .model import IDEAL_PAIRS, Pair, QarModel, bose_occupation, rate, rate_table
+from .model import IDEAL_PAIRS, Pair, QarModel, _check_ordering, bose_occupation, rate, rate_table
 
 
 def sb_current(
@@ -41,15 +41,6 @@ def sb_noise(
     j = omega0 * gamma_c * gamma_h * (n_c - n_h) / den
     num = omega0**2 * gamma_c * gamma_h * ((1.0 + n_c) * n_h + (1.0 + n_h) * n_c)
     return (num - 2.0 * j * j) / den
-
-
-def _check_ordering(e21: float, e31: float, beta_c: float, beta_h: float, beta_w: float) -> None:
-    if not 0.0 < e21 < e31:
-        raise ValidationError(f"need 0 < E21 < E31, got E21={e21}, E31={e31}")
-    if not beta_w < beta_h < beta_c:
-        raise ValidationError(
-            f"need beta_w < beta_h < beta_c, got {beta_w}, {beta_h}, {beta_c}"
-        )
 
 
 def ideal_cooling(

@@ -30,7 +30,8 @@ class TopologyError(QarError):
 
 
 class ContinuationError(QarError):
-    """Newton solve for the Perron root G(s) did not converge."""
+    """Newton solve for the Perron root G(s) did not converge, or ``cgf`` refused a target
+    whose L(s) or characteristic polynomial leaves the double range."""
 
     code = 5
     code_name = "continuation"

@@ -117,19 +117,13 @@ def adjugate_derivative(family: CountingFamily) -> np.ndarray:
     return _faddeev_leverrier(family.base.astype(ld), family.d1.astype(ld)).astype(float)
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """tr(a @ b) by compensated summation over the products at b's nonzero entries.
-
-    ``a`` may be a stack (..., N, N); each of its matrices gets its own exactly
-    rounded ``fsum`` over Python-float products, and a 2-D ``a`` returns a float.
-    The products where a is zero are +-0.0 and leave every sum unchanged.
-    """
-    nonzero = [
-        (i, j, x) for i, row in enumerate(b.tolist()) for j, x in enumerate(row) if x != 0.0
-    ]
-    stack = a.reshape(-1, *b.shape).tolist()
-    sums = [math.fsum(m[j][i] * x for i, j, x in nonzero) for m in stack]
-    return sums[0] if a.ndim == 2 else np.array(sums).reshape(a.shape[:-2])
+def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """tr(a @ b) of (N, N) matrices: one exactly rounded ``fsum`` of the Python-float products
+    at b's nonzero entries (where a is zero, a product is +-0.0 and leaves the sum unchanged)."""
+    a = a.tolist()
+    return math.fsum(
+        a[j][i] * x for i, row in enumerate(b.tolist()) for j, x in enumerate(row) if x != 0.0
+    )
 
 
 def _base_charpoly(family: CountingFamily) -> CharPoly:

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
-from .model import QarModel, rate_table
+from .model import QarModel, _bath_index, rate_table
 
 # the extended precision of the Faddeev-LeVerrier recursion and of L(s)
 WORKING_DTYPE = np.longdouble
@@ -105,8 +104,7 @@ def build_counting_family(model: QarModel, counted_bath: int) -> CountingFamily:
     L(s) is assembled as L(0) plus k * expm1(s * dE) corrections, which makes
     L(0) bitwise equal to the bare generator.
     """
-    if not 0 <= counted_bath < model.n_baths:
-        raise ValidationError(f"counted bath index {counted_bath} out of range")
+    counted_bath = _bath_index(counted_bath, model.baths, "counted bath index")
     base = build_generator(model)
     energies = model.system.energies
     k = rate_table(model, counted_bath).tolist()

@@ -160,6 +160,16 @@ class BathSpec:
         return self.couplings.get(_normalize_pair((i, j)), 0.0)
 
 
+def _bath_index(index, baths, what: str, name: str | None = None) -> int:
+    """``index`` as an int if an int or numpy integer, never a bool, indexing ``baths``; else a
+    ValidationError that ``name`` (default ``what``) is no integer or ``what`` is out of range."""
+    if type(index) is not int and not isinstance(index, np.integer):
+        raise ValidationError(f"{name or what} must be an integer, got {index!r}")
+    if not 0 <= index < len(baths):
+        raise ValidationError(f"{what} {index} out of range")
+    return int(index)
+
+
 def _unreached(n: int, pairs) -> list[int]:
     """Levels 0..n-1 that no chain of the coupled ``pairs`` joins to level 0, ascending."""
     reached = {0}
@@ -188,11 +198,8 @@ class QarModel:
         object.__setattr__(self, "baths", tuple(self.baths))
         if not self.baths:
             raise ValidationError("at least one bath is required")
-        if type(self.cold_index) is not int and not isinstance(self.cold_index, np.integer):
-            raise ValidationError(f"field 'cold_index' must be an integer, got {self.cold_index!r}")
-        object.__setattr__(self, "cold_index", int(self.cold_index))
-        if not 0 <= self.cold_index < len(self.baths):
-            raise ValidationError(f"cold bath index {self.cold_index} out of range")
+        cold = _bath_index(self.cold_index, self.baths, "cold bath index", "field 'cold_index'")
+        object.__setattr__(self, "cold_index", cold)
         labels = [bath.label for bath in self.baths]
         if len(set(labels)) < len(labels):
             raise ValidationError(f"bath labels must be unique, got {labels}")
@@ -275,6 +282,14 @@ _PRESET_NOTES = {
 }
 
 
+def _check_ordering(e21: float, e31: float, beta_c: float, beta_h: float, beta_w: float) -> None:
+    """Refuse a three-level machine unless 0 < E21 < E31 and beta_w < beta_h < beta_c."""
+    if not 0.0 < e21 < e31:
+        raise ValidationError(f"need 0 < E21 < E31, got E21={e21}, E31={e31}")
+    if not beta_w < beta_h < beta_c:
+        raise ValidationError(f"need beta_w < beta_h < beta_c, got {beta_w}, {beta_h}, {beta_c}")
+
+
 def preset(
     model_id: str,
     e21: float,
@@ -295,12 +310,7 @@ def preset(
     model_id = model_id.upper()
     if model_id not in PRESET_IDS:
         raise ValidationError(f"unknown preset {model_id!r}; choose from {PRESET_IDS}")
-    if not 0.0 < e21 < e31:
-        raise ValidationError(f"need 0 < E21 < E31={e31}, got E21={e21}")
-    if not beta_w < beta_h < beta_c:
-        raise ValidationError(
-            f"need beta_w < beta_h < beta_c, got {beta_w}, {beta_h}, {beta_c}"
-        )
+    _check_ordering(e21, e31, beta_c, beta_h, beta_w)
     couplings = [{pair: gamma} for pair in IDEAL_PAIRS]
     if model_id == "B":
         weak = dict.fromkeys(IDEAL_PAIRS, gamma / 50.0)

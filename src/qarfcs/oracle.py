@@ -20,7 +20,8 @@ from .errors import TopologyError, ValidationError
 from .fcs import cgf, charpoly, cooling_condition, heat_current
 from .liouvillian import build_counting_family, build_generator, generator_from_tables
 from .model import (
-    IDEAL_PAIRS, BathSpec, OhmicSpectralDensity, QarModel, SystemSpec, _unreached, rate_table,
+    IDEAL_PAIRS, BathSpec, OhmicSpectralDensity, QarModel, SystemSpec, _bath_index, _unreached,
+    rate_table,
 )
 
 
@@ -32,21 +33,17 @@ class SteadyState:
     residual: float
 
 
-def steady_state(l0: np.ndarray, *, replace_row: int = 0) -> SteadyState:
+def steady_state(l0: np.ndarray) -> SteadyState:
     """Unique steady state from a row-replacement solve.
 
-    One row of L(0) is swapped for the normalization constraint sum(p) = 1;
+    The first row of L(0) is swapped for the normalization constraint sum(p) = 1;
     a single iterative-refinement step with a compensated residual brings the
     solution to working precision. Disconnected generators (rank < N-1) fail.
     """
     l0 = np.asarray(l0, dtype=float)
-    n = l0.shape[0]
-    if not 0 <= replace_row < n:
-        raise ValidationError(f"replace_row {replace_row} out of range")
     a = l0.copy()
-    a[replace_row, :] = 1.0
-    b = [0.0] * n
-    b[replace_row] = 1.0
+    a[0, :] = 1.0
+    b = [1.0] + [0.0] * (l0.shape[0] - 1)
     try:
         p = np.linalg.solve(a, b)
         p_list = p.tolist()
@@ -75,48 +72,32 @@ def direct_current(model: QarModel, bath: int) -> float:
     by the energy it moves); it shares no code with the adjugate pipeline. It
     reads the model's one solve, ``_solved``.
     """
-    if not 0 <= bath < model.n_baths:
-        raise ValidationError(f"counted bath index {bath} out of range")
-    tables, p = _solved(model)
-    return _direct_current_from_populations(model, tables[bath], p)
+    bath = _bath_index(bath, model.baths, "counted bath index")
+    return _solved(model)[bath]
 
 
-def _solved(model: QarModel) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Every bath's rate table and the steady-state populations of ``model``, all read-only.
+def _solved(model: QarModel) -> tuple[float, ...]:
+    """The direct current of every bath of ``model``, a tuple of floats kept on the object.
 
-    The first oracle query of a model object solves it, and the result stays in that
-    object's instance dict, as ``functools.cached_property`` keeps a value on a frozen
-    dataclass: no field, so not in ``==``, ``repr`` or ``model_to_dict``, and a new object
-    (``dataclasses.replace`` included) solves again. Every later ``direct_current`` or
-    ``conservation_residual`` call on the object reuses it, bitwise the values of a fresh
-    solve; threads that race on one object both solve and keep the same bits. A model is
-    immutable: changing a ``BathSpec.couplings`` mapping in place after construction is
-    unsupported (it already bypasses validation). ``heat_current`` still builds its tables
-    on every call, because the benchmark pins its per-call rate counts.
+    Bath mu's current is one ``math.fsum`` of (E_j - E_i) k_ij p_i over the nonzero entries
+    k_ij of its rate table, p the steady state. The first oracle query of a model object
+    computes them into its instance dict, as ``functools.cached_property`` does on a frozen
+    dataclass: not a field, so not in ``==``, ``repr`` or ``model_to_dict``. A new object
+    (``dataclasses.replace`` included) solves again, to the same bits, as do racing threads.
+    Changing a ``BathSpec.couplings`` mapping in place is unsupported. ``heat_current``
+    still builds its tables on every call, because the benchmark pins its rate counts.
     """
     solved = vars(model).get("_oracle_solution")
     if solved is None:
-        tables = tuple(rate_table(model, b) for b in range(model.n_baths))
-        p = steady_state(generator_from_tables(tables)).populations
-        for a in (*tables, p):
-            a.flags.writeable = False
-        solved = vars(model)["_oracle_solution"] = (tables, p)
+        tables = [rate_table(model, b) for b in range(model.n_baths)]
+        p = steady_state(generator_from_tables(tables)).populations.tolist()
+        e = model.system.energies
+        solved = vars(model)["_oracle_solution"] = tuple(
+            math.fsum((e[j] - e[i]) * kij * p[i] for i, row in enumerate(k.tolist())
+                      for j, kij in enumerate(row) if kij != 0.0)
+            for k in tables
+        )
     return solved
-
-
-def _direct_current_from_populations(model: QarModel, k: np.ndarray, p: np.ndarray) -> float:
-    k, p = k.tolist(), p.tolist()
-    energies = model.system.energies
-    n = model.n_levels
-    terms = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            de = energies[j] - energies[i]
-            if k[i][j] != 0.0:
-                terms.append(de * k[i][j] * p[i])
-            if k[j][i] != 0.0:
-                terms.append(-de * k[j][i] * p[j])
-    return math.fsum(terms)
 
 
 def conservation_residual(model: QarModel) -> float:
@@ -124,18 +105,16 @@ def conservation_residual(model: QarModel) -> float:
 
     It reads the model's one solve, ``_solved``, which it shares with ``direct_current``.
     """
-    tables, p = _solved(model)
-    return abs(math.fsum(_direct_current_from_populations(model, k, p) for k in tables))
+    return abs(math.fsum(_solved(model)))
 
 
 def fluctuation_symmetry_check(model: QarModel, s_samples) -> float:
-    """Max deviation of G(s) from G((beta_C - beta_H) - s) for two-bath models.
+    """Max |G(s) - G(s* - s)| over the largest |G| of the call (0.0 if every G is 0).
 
-    The symmetry point beta_cold - beta_other follows from the similarity
-    L(s* - s) ~ L(s)^T under the diagonal conjugation exp(beta_other * E);
-    it holds for any two-bath coupling pattern but has no single-field analog
-    for three or more baths, so those are refused. Both sides of every pair
-    come from one ``cgf`` call, which solves each target alone.
+    Two-bath models only: s* = beta_cold - beta_other follows from the similarity L(s* - s)
+    ~ L(s)^T under the diagonal conjugation exp(beta_other * E); it holds for any two-bath
+    coupling pattern but has no single-field analog for three or more baths, so those are
+    refused. Both sides of every pair come from one ``cgf`` call, which solves each alone.
     """
     if model.n_baths != 2:
         raise TopologyError(
@@ -147,7 +126,8 @@ def fluctuation_symmetry_check(model: QarModel, s_samples) -> float:
     family = build_counting_family(model, cold)
     s = np.asarray(s_samples, dtype=float).ravel()
     g = cgf(family, np.concatenate([s, s_star - s]))
-    return float(np.max(np.abs(g[: s.size] - g[s.size :]), initial=0.0))
+    dev, scale = (float(np.max(np.abs(x), initial=0.0)) for x in (g[: s.size] - g[s.size :], g))
+    return dev / scale if scale else 0.0
 
 
 def _random_tree(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:

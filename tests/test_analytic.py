@@ -164,6 +164,32 @@ class TestTiedHotAndWorkBetas:
         assert str(info.value) == "need beta_w < beta_h < beta_c, got 0.5, 0.5, 1.0"
 
 
+class TestOneOrderingRule:
+    @pytest.mark.parametrize(
+        "calls, message",
+        [
+            (
+                [lambda: preset("A", 1.2, 0.9), lambda: ideal_cooling(1.2, 1.0, 1.0, 0.9, 0.1)],
+                "need 0 < E21 < E31, got E21=1.2, E31=1.0",
+            ),
+            (
+                [
+                    lambda: preset("A", 0.4, 0.5, beta_w=0.5),
+                    lambda: ideal_cooling(0.4, 1.0, 1.0, 0.5, 0.5),
+                    lambda: cop(make_tied_machine()),
+                ],
+                "need beta_w < beta_h < beta_c, got 0.5, 0.5, 1.0",
+            ),
+        ],
+        ids=["energies", "betas"],
+    )
+    def test_preset_ideal_cooling_and_cop_share_the_message(self, calls, message):
+        for call in calls:
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == message
+
+
 class TestCycleConditions:
     def test_thresholds_at_reference_point(self):
         # betaH = 0.9: cond21 iff E21 <= 8/9, cond32 iff E21 >= 1/9

@@ -616,14 +616,15 @@ class TestCheckCommand:
         assert data["failed"] == []
         assert len(data["results"]) == 8
 
-    # sha256 of stdout at --trials 10, so every row's detail string is pinned
+    # sha256 of stdout at --trials 10, so every row's detail string is pinned; recorded
+    # once the fluctuation-symmetry row became relative to the largest |G|
     _DIGESTS = {
-        ("1234", "csv", ()): "2946485ae32cd676154e3163d2695ad608993beeea8493698282cdaa67f3018d",
-        ("1234", "json", ()): "c81ff87875142d11a94b0e3e3ae568da254028a5b84127e24918af02487b6b95",
-        ("7", "csv", ()): "f5c292cf145bf0442bc4e0e5bcc21cb4c248c7611e5df76e7a4fa762b8331a05",
-        ("7", "json", ()): "75f83435aff3b4f2c4a7489424cf8c0a47e4c064810f58ab52f892894796e9b2",
+        ("1234", "csv", ()): "9cad1341f06cf6610e3a6e5a58f874c442cec8a38baa5cc35543340fa4eb3421",
+        ("1234", "json", ()): "5be25723bb80f827758e8cb4f2886ceae97000979308054a642e0bf479f79208",
+        ("7", "csv", ()): "fb248e841252bbf6880b1bf7a200014b9de7b1a722c98a0afecd69198a8c7092",
+        ("7", "json", ()): "98046092039eecde7aa38b69b8f23adef6d183ef5e4bc474127409ff9ea4dd3e",
         ("1234", "csv", ("--tol", "symmetry=0")):
-            "e6e77b04de6fd8f86addb0583c2b764324bf2b5a6ea07bf84be4ef90c8468a96",
+            "fb37e4823a78f983c75b8fc3d99e263558b56eb8032cbc73b66ee3e1ed51db49",
     }
 
     @EIGHTY_BIT
@@ -659,6 +660,21 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", "--trials", "3", "--format", "json")
         assert code == 1
         assert json.loads(out)["failed"] == [row]
+
+    def test_symmetry_row_fails_a_relative_1e8_spoil(self, capsys, monkeypatch):
+        # |G| stays below 1e-2 on these models, so a relative 1e-8 error on one side is an
+        # absolute one below the default tolerance 1e-10; the row compares the ratio
+        real = oracle.cgf
+
+        def spoiled(family, s):
+            g = real(family, s)
+            g[g.size // 2 :] *= 1.0 + 1e-8
+            return g
+
+        monkeypatch.setattr(oracle, "cgf", spoiled)
+        code, out, _ = run(capsys, "check", "--trials", "3", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["failed"] == ["fluctuation-symmetry"]
 
     def test_sign_row_counts_a_verdict_other_than_value_positive(self, capsys, monkeypatch):
         # one violation per model: the verdict disagrees with value > 0, the sign does not

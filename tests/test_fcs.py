@@ -684,20 +684,9 @@ class TestTraceProduct:
             for a, b in ((adj, fam.d1), (adj, fam.d2), (dadj, fam.d1)):
                 assert _trace_product(a, b).hex() == entrywise_trace_product(a, b).hex()
 
-    def test_stack_matches_per_matrix(self, rng):
-        for n in range(1, 6):
-            stack = rng.normal(size=(2, 3, n, n))
-            stack[rng.random(stack.shape) < 0.3] = 0.0
-            b = rng.normal(size=(n, n))
-            b[rng.random((n, n)) < 0.4] = 0.0
-            got = _trace_product(stack, b)
-            assert got.shape == (2, 3)
-            for idx in np.ndindex(2, 3):
-                assert got[idx] == _trace_product(stack[idx], b)
-
     def test_zero_b_gives_zero(self):
-        assert _trace_product(np.ones((3, 3)), np.zeros((3, 3))) == 0.0
-        assert np.array_equal(_trace_product(np.ones((4, 3, 3)), np.zeros((3, 3))), np.zeros(4))
+        got = _trace_product(np.ones((3, 3)), np.zeros((3, 3)))
+        assert type(got) is float and got.hex() == "0x0.0p+0"
 
 
 class TestCgf:

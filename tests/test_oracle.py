@@ -9,7 +9,7 @@ import pytest
 
 from qarfcs import oracle as oracle_module
 from qarfcs.errors import TopologyError, ValidationError
-from qarfcs.fcs import cgf, heat_current
+from qarfcs.fcs import cgf, heat_current, noise
 from qarfcs.liouvillian import build_counting_family, build_generator
 from qarfcs.model import (
     BathSpec,
@@ -60,14 +60,6 @@ class TestSteadyState:
             assert np.all(ss.populations >= -1e-14)
             assert abs(ss.populations.sum() - 1.0) <= 1e-12
 
-    def test_row_replacement_independence(self, rng):
-        for _ in range(20):
-            m = random_connected_model(rng)
-            l0 = build_generator(m)
-            p0 = steady_state(l0, replace_row=0).populations
-            p1 = steady_state(l0, replace_row=l0.shape[0] - 1).populations
-            assert np.max(np.abs(p0 - p1)) <= 1e-12
-
     def test_degenerate_generator_rejected(self):
         # two disconnected blocks: rank N-2, no unique kernel
         l0 = np.array(
@@ -81,17 +73,14 @@ class TestSteadyState:
         with pytest.raises(ValidationError):
             steady_state(l0)
 
-    def test_replace_row_validation(self):
-        with pytest.raises(ValidationError):
-            steady_state(np.zeros((2, 2)), replace_row=5)
-
     @pytest.mark.parametrize("row", [0, 2])
     def test_nan_in_replaced_row_rejected(self, row):
-        # the solve never sees the replaced row, so only L(0) p shows the NaN
+        # row 0 is the replaced row, which the solve never sees, so only L(0) p shows its
+        # NaN; row 2's NaN reaches the solve, and p and L(0) p show it
         l0 = build_generator(preset("A", 0.5, 0.9))
         l0[row, 1] = np.nan
         with pytest.raises(ValidationError, match="residual"):
-            steady_state(l0, replace_row=row)
+            steady_state(l0)
 
 
 class TestDirectCurrent:
@@ -138,6 +127,20 @@ class TestDirectCurrent:
             heat_current(m, bath)
         with pytest.raises(ValidationError, match=message):
             direct_current(m, bath)
+
+    @pytest.mark.parametrize("func", [heat_current, noise, direct_current])
+    @pytest.mark.parametrize("bath", [True, 1.0], ids=["bool", "float"])
+    def test_bath_index_must_be_an_integer(self, func, bath):
+        # True used to count bath 1, and 1.0 to raise a bare TypeError
+        with pytest.raises(ValidationError) as info:
+            func(preset("A", 0.5, 0.9), bath)
+        assert str(info.value) == f"counted bath index must be an integer, got {bath!r}"
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("func", [heat_current, noise, direct_current])
+    def test_numpy_integer_bath_keeps_the_bits(self, func):
+        got, want = (func(preset("A", 0.5, 0.9), bath) for bath in (np.int64(1), 1))
+        assert type(got) is float and got.hex() == want.hex()
 
 
 class TestConservation:
@@ -220,10 +223,11 @@ class TestRateTablesOncePerModel:
         fresh = dataclasses.replace(m)
         assert m == fresh and fresh == m
         assert dataclasses.replace(m) == model_from_dict(model_to_dict(m))
-        tables, p = oracle_module._solved(m)
-        for a in (*tables, p):
-            with pytest.raises(ValueError):
-                a[0] = 1.0
+        # the kept value is the currents alone, immutable floats: no table or population
+        kept = oracle_module._solved(m)
+        assert type(kept) is tuple and [type(j) for j in kept] == [float] * m.n_baths
+        assert vars(m)["_oracle_solution"] is kept
+        assert kept == (direct_current(fresh, 0), direct_current(fresh, 1))
 
     def test_every_call_order_gives_a_fresh_models_bits(self, rng):
         def query(m, q):  # q is a bath index, or None for the conservation residual
@@ -427,6 +431,33 @@ class TestFluctuationSymmetry:
     def test_three_baths_refused(self):
         with pytest.raises(TopologyError):
             fluctuation_symmetry_check(preset("A", 0.5, 0.9), [0.1])
+
+    def test_relative_to_the_largest_g(self, monkeypatch, spin_boson):
+        # a relative 1e-8 error on one side; |G| stays below 1e-2 here, so the absolute
+        # deviation stays below the default tolerance 1e-10 that the ratio exceeds
+        real, largest = oracle_module.cgf, []
+
+        def spoiled(family, s):
+            g = real(family, s)
+            largest.append(np.max(np.abs(g)))
+            g[g.size // 2 :] *= 1.0 + 1e-8
+            return g
+
+        monkeypatch.setattr(oracle_module, "cgf", spoiled)
+        dev = fluctuation_symmetry_check(spin_boson, [-0.4, -0.1, 0.2, 0.6])
+        assert 0.0 < largest[0] < 1e-2
+        assert 1e-10 < dev <= 1e-8 * (1.0 + 1e-12)
+
+    def test_zero_when_every_g_is_zero(self):
+        # nothing counted: G(s) = 0 at every s, and at no s at all
+        sd = OhmicSpectralDensity()
+        m = QarModel(
+            SystemSpec((0.0, 0.3)),
+            (BathSpec("C", 1.0, {(0, 1): 0.0}, sd), BathSpec("H", 0.5, {(0, 1): 1e-3}, sd)),
+            0,
+        )
+        assert fluctuation_symmetry_check(m, [0.1, 0.3]) == 0.0
+        assert fluctuation_symmetry_check(make_spin_boson(), []) == 0.0
 
 
 class TestRandomModelGenerator:

@@ -89,7 +89,10 @@ def test_public_parameter_lists_are_pinned():
         assert _parameters(func) == [("model", _NO_DEFAULT), ("bath", _NO_DEFAULT)]
     for func in (qarfcs.cooling_condition, qarfcs.conservation_residual):
         assert _parameters(func) == [("model", _NO_DEFAULT)]
-    assert _parameters(qarfcs.steady_state) == [("l0", _NO_DEFAULT), ("replace_row", 0)]
+    assert _parameters(qarfcs.steady_state) == [("l0", _NO_DEFAULT)]
+    assert _parameters(qarfcs.build_counting_family) == [
+        ("model", _NO_DEFAULT), ("counted_bath", _NO_DEFAULT),
+    ]
     assert _parameters(qarfcs.fluctuation_symmetry_check) == [
         ("model", _NO_DEFAULT), ("s_samples", _NO_DEFAULT),
     ]
