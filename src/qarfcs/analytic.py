@@ -38,7 +38,7 @@ def sb_noise(
     n_c = bose_occupation(omega0, beta_c)
     n_h = bose_occupation(omega0, beta_h)
     den = gamma_c * (1.0 + 2.0 * n_c) + gamma_h * (1.0 + 2.0 * n_h)
-    j = omega0 * gamma_c * gamma_h * (n_c - n_h) / den
+    j = sb_current(omega0, gamma_c, gamma_h, beta_c, beta_h)
     num = omega0**2 * gamma_c * gamma_h * ((1.0 + n_c) * n_h + (1.0 + n_h) * n_c)
     return (num - 2.0 * j * j) / den
 
@@ -156,9 +156,6 @@ class Decomposition:
     normalization: float
     reconstruction_residual: float
     magnitude: float
-
-    def part_sum(self) -> float:
-        return math.fsum(list(self.cycles.values()) + list(self.leaks.values()))
 
 
 def decompose(model: QarModel) -> Decomposition:

@@ -27,7 +27,7 @@ from .fcs import (  # charpoly: unused, but perfbench's binding test asserts cli
     _current_and_noise, _current_from_family, charpoly, cooling_condition, numeric_cumulants,
 )
 from .liouvillian import build_counting_family
-from .model import PRESET_DEFAULTS, PRESET_IDS, load_model, preset, preset_note
+from .model import PRESET_DEFAULTS, PRESET_IDS, PRESET_NOTES, load_model, preset
 from .oracle import FOLDS, INVARIANTS, random_connected_model
 
 _TOL_DEFAULTS = dict(row[2] for row in INVARIANTS if row[2])  # (--tol name, default) of a row
@@ -325,9 +325,7 @@ def _cmd_cop(args) -> int:
 
 
 def _cmd_presets(args) -> int:
-    payload = {pid: preset_note(pid) for pid in PRESET_IDS}
-    lines = [f"{pid}: {preset_note(pid)}" for pid in PRESET_IDS]
-    _emit(payload, args, lines)
+    _emit(PRESET_NOTES, args, [f"{pid}: {note}" for pid, note in PRESET_NOTES.items()])
     return 0
 
 
@@ -336,6 +334,8 @@ def _cmd_check(args) -> int:
     seeded generator; rows that share a measure take it once per model."""
     if args.trials < 1:
         raise ValidationError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be at least 0, got {args.seed}")
     tols = _parse_tols(args.tol)
     rng = np.random.default_rng(args.seed)
     draw = functools.partial(random_connected_model, rng)

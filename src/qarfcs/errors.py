@@ -38,7 +38,8 @@ class ContinuationError(QarError):
 
 
 class ConsistencyError(QarError):
-    """Internal invariant broke (e.g. a_{N-1}(0) <= 0): generator is bad."""
+    """The certificate cannot be trusted: a_{N-1}(0) <= 0, so the generator is bad, or the
+    trace's rate products underflow below 2^-1022, where their rounding may exceed u."""
 
     code = 6
     code_name = "internal-consistency"

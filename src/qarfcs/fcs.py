@@ -63,13 +63,16 @@ class CharPoly:
 
 
 def _faddeev_leverrier(m: np.ndarray, dm: np.ndarray | None = None):
-    """([a_1, ..., a_N], adj(M)) of a long-double (..., N, N) ``m``, N >= 2; d adj(M) with ``dm``.
+    """([a_1, ..., a_N], adj(M)) of a long-double (..., N, N) ``m``; d adj(M) with ``dm``.
 
     M_1 = M, M_(k+1) = M (M_k + a_k I), a_k = -tr(M_k) / k, and adj(M) is
     (-1)^(N-1) (M_(N-1) + a_(N-1) I). A tangent ``dm`` is carried alongside,
-    dM_(k+1) = dM (M_k + a_k I) + M (dM_k + da_k I), up to step N-1.
+    dM_(k+1) = dM (M_k + a_k I) + M (dM_k + da_k I), up to step N-1. N = 1 has
+    no step: a_1 = -M, adj(M) = I and d adj(M) = 0.
     """
     n = m.shape[-1]
+    if n == 1:
+        return np.zeros_like(dm) if dm is not None else ([m[..., 0, 0] / -1], np.ones_like(m))
     ident = _identity(n, WORKING_DTYPE)
     coeffs = []
     mk, dmk = m, dm
@@ -97,8 +100,6 @@ def charpoly(m: np.ndarray) -> CharPoly:
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"charpoly needs a square matrix, got shape {m.shape}")
-    if m.shape[-1] == 1:
-        return CharPoly(coeffs=np.negative(m[..., 0]).astype(float), adjugate=np.ones(m.shape))
     coeffs, adj = _faddeev_leverrier(m.astype(WORKING_DTYPE))
     coeffs = np.array(coeffs, dtype=float)  # (N, ...): move the coefficient axis last
     return CharPoly(coeffs.transpose((*range(1, coeffs.ndim), 0)), adj.astype(float))
@@ -111,19 +112,24 @@ def adjugate_derivative(family: CountingFamily) -> np.ndarray:
     tangent of each step is propagated alongside the primal, seeded with the
     family's exact d1 matrix, so no step size enters.
     """
-    if family.n == 1:
-        return np.zeros((1, 1))
     ld = WORKING_DTYPE
     return _faddeev_leverrier(family.base.astype(ld), family.d1.astype(ld)).astype(float)
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """tr(a @ b) of (N, N) matrices: one exactly rounded ``fsum`` of the Python-float products
-    at b's nonzero entries (where a is zero, a product is +-0.0 and leaves the sum unchanged)."""
-    a = a.tolist()
-    return math.fsum(
-        a[j][i] * x for i, row in enumerate(b.tolist()) for j, x in enumerate(row) if x != 0.0
-    )
+    """tr(a @ b) of (N, N) matrices: one exactly rounded ``fsum`` of the M Python-float products
+    of two nonzero entries. A product below 2^-1022 errs by up to 2^-1075, so where their gross
+    sum of |products| is below M 2^-1022 that may exceed u of it: ConsistencyError is raised."""
+    rows = a.tolist()
+    terms = [rows[j][i] * x for i, row in enumerate(b.tolist()) for j, x in enumerate(row)
+             if x and rows[j][i]]
+    total, gross = math.fsum(terms), sum(map(abs, terms))
+    if gross < len(terms) * 2.0**-1022:
+        raise ConsistencyError(
+            f"the trace's {len(terms)} rate products underflow (gross {gross:.3g} < "
+            f"{len(terms)} * 2^-1022), so their rounding may exceed u of the gross flux"
+        )
+    return total
 
 
 def _base_charpoly(family: CountingFamily) -> CharPoly:

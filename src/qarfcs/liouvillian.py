@@ -74,10 +74,6 @@ class CountingFamily:
         object.__setattr__(self, "d2", d2)
 
     @property
-    def n(self) -> int:
-        return self.base.shape[0]
-
-    @property
     def energy_span(self) -> float:
         return max(self.energies) - min(self.energies)
 

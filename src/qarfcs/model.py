@@ -108,11 +108,14 @@ class SystemSpec:
         return len(self.energies)
 
 
+def _is_integer(x) -> bool:
+    """True for an int or a numpy integer, never for a bool."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
 def _normalize_pair(pair: Pair) -> Pair:
     i, j = pair[0], pair[1]
-    if (type(i), type(j)) != (int, int) and not all(  # numpy ints pass, bools do not
-        type(x) is int or isinstance(x, np.integer) for x in (i, j)
-    ):
+    if not (_is_integer(i) and _is_integer(j)):
         raise ValidationError(f"coupling pair {pair!r} must join two integer levels")
     i, j = int(i), int(j)
     if i == j:
@@ -156,14 +159,11 @@ class BathSpec:
             norm[key] = g
         object.__setattr__(self, "couplings", norm)
 
-    def coupling(self, i: int, j: int) -> float:
-        return self.couplings.get(_normalize_pair((i, j)), 0.0)
-
 
 def _bath_index(index, baths, what: str, name: str | None = None) -> int:
-    """``index`` as an int if an int or numpy integer, never a bool, indexing ``baths``; else a
-    ValidationError that ``name`` (default ``what``) is no integer or ``what`` is out of range."""
-    if type(index) is not int and not isinstance(index, np.integer):
+    """``index`` as an int if ``_is_integer`` and indexing ``baths``; else a ValidationError
+    that ``name`` (default ``what``) is no integer or ``what`` is out of range."""
+    if not _is_integer(index):
         raise ValidationError(f"{name or what} must be an integer, got {index!r}")
     if not 0 <= index < len(baths):
         raise ValidationError(f"{what} {index} out of range")
@@ -256,9 +256,7 @@ def rate_table(model: QarModel, bath: int) -> np.ndarray:
     n = model.n_levels
     k = np.zeros((n, n))
     b = model.baths[bath]
-    for (i, j), g in b.couplings.items():
-        if g == 0.0:
-            continue
+    for i, j in b.couplings:  # ``rate`` gives 0.0 for a zero gamma
         k[i, j] = rate(model, i, j, bath)
         k[j, i] = rate(model, j, i, bath)
     return k
@@ -273,7 +271,7 @@ IDEAL_PAIRS: tuple[Pair, Pair, Pair] = ((0, 1), (0, 2), (1, 2))
 # this order
 PRESET_DEFAULTS = {"e31": 1.0, "beta_c": 1.0, "beta_w": 0.1, "omega_c": 10.0, "gamma": 1e-3}
 
-_PRESET_NOTES = {
+PRESET_NOTES = {
     "A": "ideal three-level refrigerator: C on 1-2, H on 1-3, W on 2-3",
     "B": "ideal couplings plus weak (gamma/50) couplings of every bath to "
     "the remaining transitions",
@@ -326,10 +324,6 @@ def preset(
         ),
         cold_index=0,
     )
-
-
-def preset_note(model_id: str) -> str:
-    return _PRESET_NOTES[model_id.upper()]
 
 
 def _field(raw, key: str, convert, where: str, default=None):

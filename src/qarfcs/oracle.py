@@ -20,8 +20,8 @@ from .errors import TopologyError, ValidationError
 from .fcs import cgf, charpoly, cooling_condition, heat_current
 from .liouvillian import build_counting_family, build_generator, generator_from_tables
 from .model import (
-    IDEAL_PAIRS, BathSpec, OhmicSpectralDensity, QarModel, SystemSpec, _bath_index, _unreached,
-    rate_table,
+    IDEAL_PAIRS, BathSpec, OhmicSpectralDensity, QarModel, SystemSpec, _bath_index, _is_integer,
+    _unreached, rate_table,
 )
 
 
@@ -178,14 +178,16 @@ def random_connected_model(
     """
     if topology not in ("tree", "any"):
         raise ValidationError(f"unknown topology {topology!r}")
+    if not all(count is None or _is_integer(count) for count in (n_levels, n_baths)):
+        raise ValidationError(f"pinned counts must be integers, got {n_levels=}, {n_baths=}")
     # three accepted betas block at most 1.8 of the 1.9-wide range, so a
     # fourth always fits; a fifth may never
     if n_baths is not None and not 1 <= n_baths <= 4:
         raise ValidationError(f"need 1 to 4 baths, got {n_baths}")
+    if n_levels is not None and n_levels < 2:
+        raise ValidationError(f"need at least 2 levels, got {n_levels}")
     n = int(rng.integers(2, 6)) if n_levels is None else int(n_levels)
     nb = int(rng.choice((2, 3, 4))) if n_baths is None else int(n_baths)
-    if n < 2:
-        raise ValidationError("need at least 2 levels")
     span = rng.uniform(0.25, 0.4)
     raw = rng.uniform(0.7, 1.0, size=n - 1)
     gaps = raw / raw.sum() * span
@@ -270,11 +272,11 @@ def current_agreement(model: QarModel) -> dict[str, float]:
 
 
 def sign_agreement(model: QarModel) -> dict[str, int]:
-    """violations (0-2): cooling is not value > 0; value and J_C differ in sign."""
-    value, cooling = cooling_condition(model)
-    j_cold = heat_current(model, model.cold_index)
-    flipped = value != 0.0 and math.copysign(1.0, value) != math.copysign(1.0, j_cold)
-    return {"violations": int(cooling != (value > 0.0)) + int(flipped)}
+    """violations (0 or 1): the verdict is not J_C > 0, where |J_C| > 1e-10 max|J|, J direct."""
+    currents = _solved(model)
+    j_cold = currents[model.cold_index]
+    decided = abs(j_cold) > 1e-10 * max(map(abs, currents))
+    return {"violations": int(decided and cooling_condition(model)[1] != (j_cold > 0.0))}
 
 
 def exchange_symmetry(model: QarModel, n_samples: int = 8) -> dict[str, float]:

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ValidationError
 from .fcs import _current_from_family
 from .liouvillian import build_counting_family
-from .model import PRESET_DEFAULTS, PRESET_IDS, QarModel, preset
+from .model import PRESET_DEFAULTS, PRESET_IDS, QarModel, _is_integer, preset
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,14 +73,19 @@ def _merged_params(overrides: dict | None) -> dict:
 
 
 def _axis(values, n: int, lo: float, hi: float) -> np.ndarray:
-    """An explicit axis as 1-D floats with at least one point, else n >= 2 points on [lo, hi]."""
+    """An explicit axis as strictly increasing 1-D floats with at least one point, else an
+    integer n >= 2 points on [lo, hi], decreasing where bad parameters put hi below lo."""
     if values is None:
+        if not _is_integer(n):
+            raise ValidationError(f"grid needs an integer number of points per axis, got {n!r}")
         if n < 2:
             raise ValidationError("grid needs at least 2 points per axis")
         return np.linspace(lo, hi, n)
     axis = np.asarray(values, dtype=float)
     if axis.ndim != 1 or axis.size == 0:
         raise ValidationError(f"a scan axis must be 1-D with at least 1 point, got {axis.shape}")
+    if np.any(np.diff(axis) <= 0):
+        raise ValidationError("scan axes must be strictly increasing")
     return axis
 
 
@@ -101,8 +106,6 @@ def grid_scan(
     e31, beta_c, beta_w = params["e31"], params["beta_c"], params["beta_w"]
     ax_e21 = _axis(e21_axis, n_e21, 0.01 * e31, 0.99 * e31)
     ax_bh = _axis(betaH_axis, n_betaH, beta_w + 0.01, beta_c - 0.01)
-    if np.any(np.diff(ax_e21) <= 0) or np.any(np.diff(ax_bh) <= 0):
-        raise ValidationError("scan axes must be strictly increasing")
 
     def point(e21: float, bh: float) -> QarModel:
         try:
@@ -126,14 +129,7 @@ def grid_scan(
             j_cold, value, _ = _current_from_family(family)
             current[i, j] = j_cold
             mask[i, j] = value > 0.0
-    return ScanGrid(
-        preset_id=preset_id,
-        e21_axis=ax_e21,
-        betaH_axis=ax_bh,
-        current=current,
-        cooling_mask=mask,
-        params=params,
-    )
+    return ScanGrid(preset_id, ax_e21, ax_bh, current, mask, params)
 
 
 def line_scan(

@@ -154,7 +154,7 @@ def test_criterion_04_sign_equivalence(ensemble):
     t0 = time.perf_counter()
     violations = 0
     for model in ensemble:
-        # counts a verdict other than value > 0 and a value whose sign is not J_C's
+        # counts a cooling verdict that is not the sign of the direct cold current
         violations += sign_agreement(model)["violations"]
     elapsed = time.perf_counter() - t0
     assert violations == 0
@@ -247,7 +247,7 @@ def test_criterion_08_decomposition():
                 model = preset(pid, float(e21), float(bh))
                 dec = decompose(model)
                 worst_resid = max(
-                    worst_resid, abs(dec.part_sum() - dec.total) / dec.magnitude
+                    worst_resid, dec.reconstruction_residual / dec.magnitude
                 )
                 worst_leak = max(
                     worst_leak, max(v / dec.magnitude for v in dec.leaks.values())

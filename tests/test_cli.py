@@ -12,6 +12,8 @@ from qarfcs.cli import build_parser, main
 from qarfcs.fcs import charpoly, cooling_condition, heat_current, noise
 from qarfcs.liouvillian import build_counting_family, build_generator
 from qarfcs.model import (
+    PRESET_IDS,
+    PRESET_NOTES,
     BathSpec,
     OhmicSpectralDensity,
     QarModel,
@@ -29,6 +31,18 @@ def run(capsys, *argv):
 
 
 class TestCurrent:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_underflowing_rates_refused(self, capsys, fmt):
+        # the trace reads 0.0 here, although the direct current (2.5e-152) cools
+        code, out, err = run(capsys, "current", "--preset", "A", "--e21", "0.3", "--betaH", "0.9",
+                             "--gamma", "1e-150", "--format", fmt)
+        assert code == 6
+        if fmt == "json":
+            error = json.loads(out)["error"]
+            assert error["code"] == "internal-consistency" and "underflow" in error["message"]
+        else:
+            assert out == "" and err.startswith("error (internal-consistency): the trace's")
+
     def test_inside_window(self, capsys):
         code, out, _ = run(
             capsys, "current", "--preset", "A", "--e21", "0.5", "--betaH", "0.9"
@@ -427,6 +441,15 @@ class TestScanCommands:
         run(capsys, "scan", "--preset", "D", "--resolution", "7x7", "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_scan_names_the_first_bad_point_of_a_default_axis(self, capsys, tmp_path):
+        # beta_W = 2 reverses the default beta_H axis; its first point is refused
+        out_path = tmp_path / "scan.csv"
+        argv = ["scan", "--preset", "A", "--betaW", "2", "--out", str(out_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err == ("error (validation): grid point (e21=0.01, betaH=2.01): "
+                       "need beta_w < beta_h < beta_c, got 2.0, 2.01, 1.0\n")
+
     def test_scan_bad_resolution(self, capsys):
         code, _, err = run(capsys, "scan", "--preset", "A", "--resolution", "9")
         assert code == 2
@@ -598,6 +621,14 @@ class TestCheckCommand:
         text = json.loads(out)["error"]["message"] if fmt == "json" else err
         assert f"--trials must be at least 1, got {trials}" in text
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_seed_refused(self, capsys, fmt):
+        # numpy's generator refuses a negative seed with a ValueError traceback
+        code, out, err = run(capsys, "check", "--seed", "-1", "--format", fmt)
+        assert code == 2
+        text = json.loads(out)["error"]["message"] if fmt == "json" else err
+        assert "--seed must be at least 0, got -1" in text
+
     @pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf", "1e999", ""])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_bad_tolerance_refused(self, capsys, value, fmt):
@@ -677,9 +708,21 @@ class TestCheckCommand:
         assert json.loads(out)["failed"] == ["fluctuation-symmetry"]
 
     def test_sign_row_counts_a_verdict_other_than_value_positive(self, capsys, monkeypatch):
-        # one violation per model: the verdict disagrees with value > 0, the sign does not
+        # one violation per model: the flipped verdict disagrees with the direct cold current
         real = oracle.cooling_condition
         monkeypatch.setattr(oracle, "cooling_condition", lambda m: (real(m)[0], real(m)[0] <= 0.0))
+        code, out, _ = run(capsys, "check", "--trials", "3")
+        assert code == 1
+        assert "FAIL sign-equivalence: 3 violations\n" in out
+
+    def test_sign_row_fails_when_the_direct_cold_current_flips(self, capsys, monkeypatch):
+        # the verdict is held against the oracle's direct current, not against itself
+        real = oracle._solved
+
+        def flipped(model):
+            return tuple(-j if b == model.cold_index else j for b, j in enumerate(real(model)))
+
+        monkeypatch.setattr(oracle, "_solved", flipped)
         code, out, _ = run(capsys, "check", "--trials", "3")
         assert code == 1
         assert "FAIL sign-equivalence: 3 violations\n" in out
@@ -738,6 +781,11 @@ class TestPresetsCommand:
         assert code == 0
         for pid in "ABCD":
             assert f"{pid}:" in out
+
+    def test_json_is_the_notes_dict(self, capsys):
+        code, out, _ = run(capsys, "presets", "--format", "json")
+        assert code == 0 and json.loads(out) == PRESET_NOTES
+        assert list(PRESET_NOTES) == list(PRESET_IDS)
 
 
 class TestOutputFiles:

@@ -188,7 +188,7 @@ def test_charpoly_and_adjugate_derivative_within_c_u_of_the_exact_recursion():
     count, sizes = 0, set()
     for model, bath in _pairs():
         family = build_counting_family(model, bath)
-        n = family.n
+        n = family.base.shape[0]
         m, dm = exact_matrix(family.base), exact_matrix(family.d1)
         coeffs, adj, dadj = faddeev_leverrier(m, dm)
         scale_coeffs, scale_adj, scale_dadj = faddeev_leverrier(_abs(m), _abs(dm), sign=1)
@@ -380,7 +380,7 @@ def test_near_a_n_within_c_u_of_the_exact_row_replaced_determinant():
         stack, corrections = family.dressed_stack(s)
         cols = [col for _, col, _, _ in family.dressed]
         for got, l_s, corr in zip(a_n, stack, corrections):
-            col_sums = np.zeros(family.n, dtype=corr.dtype)
+            col_sums = np.zeros(family.base.shape[0], dtype=corr.dtype)
             np.add.at(col_sums, cols, corr)
             m = exact_matrix([*l_s[:-1], col_sums])
             coeffs, adj, _ = faddeev_leverrier(m)

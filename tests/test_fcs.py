@@ -34,7 +34,7 @@ from qarfcs.model import (
     rate,
     spectral_value,
 )
-from qarfcs.oracle import random_connected_model
+from qarfcs.oracle import direct_current, random_connected_model
 from tests.conftest import EIGHTY_BIT, make_spin_boson
 
 
@@ -225,6 +225,21 @@ class TestCharPoly:
                 assert single.n == n
                 assert np.array_equal(cp.coeffs[idx], single.coeffs)
                 assert np.array_equal(cp.adjugate[idx], single.adjugate)
+
+    def test_one_by_one_is_minus_m_with_unit_adjugate(self):
+        # the recursion takes no step at N = 1: a_1 = -m and adj = 1, in any stack and dtype
+        cases = [([[0.0]], "-0x0.0p+0"), ([[-0.0]], "0x0.0p+0"),
+                 ([[2.5]], "-0x1.4000000000000p+1"), (np.array([[3]]), "-0x1.8000000000000p+1")]
+        for m, a_1 in cases:
+            cp = charpoly(m)
+            assert cp.coeffs.dtype == cp.adjugate.dtype == np.float64
+            assert [c.hex() for c in cp.coeffs.tolist()] == [a_1]
+            assert cp.adjugate.tolist() == [[1.0]]
+        for shape in ((2, 1, 1), (2, 3, 1, 1)):
+            m = np.arange(float(np.prod(shape))).reshape(shape)
+            cp = charpoly(m)
+            assert cp.coeffs.shape == shape[:-1] and cp.adjugate.shape == shape
+            assert np.array_equal(cp.coeffs, -m[..., 0]) and np.all(cp.adjugate == 1.0)
 
     def test_stack_monic(self, rng):
         cp = charpoly(rng.normal(size=(4, 3, 3)))
@@ -688,6 +703,51 @@ class TestTraceProduct:
         got = _trace_product(np.ones((3, 3)), np.zeros((3, 3)))
         assert type(got) is float and got.hex() == "0x0.0p+0"
 
+    def test_underflowing_products_are_refused(self):
+        # two products of nonzero factors, each 1e-320 < 2 * 2^-1022
+        a = np.diag([1e-160, 1e-160])
+        with pytest.raises(ConsistencyError, match=r"^the trace's 2 rate products underflow"):
+            _trace_product(a, np.full((2, 2), 1e-160))
+
+    def test_a_zero_factor_is_no_underflow(self):
+        # a product that is 0 because a factor is exactly 0 carries no rounding
+        assert _trace_product(np.zeros((2, 2)), np.full((2, 2), 1e-300)).hex() == "0x0.0p+0"
+        tiny = 2.0**-1022  # one product, exactly at the bound: accepted
+        assert _trace_product(np.diag([1.0, 0.0]), np.full((2, 2), tiny)) == tiny
+
+
+def _three_level_leaky(gamma):
+    """C on 1-2 and 2-3, H on 1-3 and 1-2, every coupling ``gamma``."""
+    baths = (BathSpec("C", 1.0, {(0, 1): gamma, (1, 2): gamma}),
+             BathSpec("H", 0.5, {(0, 2): gamma, (0, 1): gamma}))
+    return QarModel(SystemSpec((0.0, 0.4, 1.0)), baths, 0)
+
+
+class TestRateUnderflow:
+    """Rates so small that the trace's degree-N products leave the normal range are refused."""
+
+    def test_refused_where_the_direct_current_cools(self):
+        m = preset("A", 0.3, 0.9, gamma=1e-150)
+        assert direct_current(m, 0) > 0.0  # 2.5e-152: the point cools, the trace reads 0.0
+        for call in (heat_current, lambda m, b: cooling_condition(m), noise):
+            with pytest.raises(ConsistencyError, match="rate products underflow"):
+                call(m, 0)
+
+    def test_three_level_model_refused_once_digits_go(self):
+        # J lost 1.3e-9 relative at gamma = 1e-105 and read exactly 0.0 from 1e-110
+        m = _three_level_leaky(1e-100)
+        assert heat_current(m, 0) == pytest.approx(direct_current(m, 0), rel=1e-13)
+        for gamma in (1e-105, 1e-110):
+            with pytest.raises(ConsistencyError, match="rate products underflow"):
+                heat_current(_three_level_leaky(gamma), 0)
+
+    @EIGHTY_BIT
+    def test_small_rates_in_range_keep_their_bits(self):
+        m = preset("A", 0.3, 0.9, gamma=1e-90)
+        assert heat_current(m, 0).hex() == "0x1.a9149bc639c9fp-305"
+        assert cooling_condition(m)[0].hex() == "0x1.7d46256737f20p-897"
+        assert noise(m, 0).hex() == "0x1.e387a477332adp-305"
+
 
 class TestCgf:
     def test_zero_at_origin(self, rng):
@@ -709,6 +769,15 @@ class TestCgf:
             h = 1e-4
             j_num = (cgf(fam, h) - cgf(fam, -h)) / (2 * h)
             assert j_num == pytest.approx(j, rel=1e-6)
+
+    def test_derivative_underflow_on_the_first_step_is_refused(self):
+        # with every rate near 1e-200, p' underflows to 0 at Newton's start and the solve stops
+        fam = build_counting_family(_three_level_leaky(1e-150), 0)
+        assert cgf(fam, 0.5) == pytest.approx(1.73e-151, rel=1e-2)
+        fam = build_counting_family(_three_level_leaky(1e-200), 0)
+        with pytest.raises(ContinuationError, match=r"^Newton did not converge at s = 0\.5 "
+                           r"\(last step nan, root estimate 1\.73e-201\)$"):
+            cgf(fam, 0.5)
 
     def test_window_guard(self, spin_boson):
         fam = build_counting_family(spin_boson, 0)

@@ -173,7 +173,7 @@ class TestCountingFamily:
             m = random_connected_model(rng)
             for bath in range(m.n_baths):
                 fam = build_counting_family(m, bath)
-                n = fam.n
+                n = fam.base.shape[0]
                 d1_fd = np.zeros((n, n))
                 d2_fd = np.zeros((n, n))
                 for row, col, kk, de in fam.dressed:

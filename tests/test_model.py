@@ -9,6 +9,7 @@ from qarfcs.errors import ValidationError
 from qarfcs.fcs import heat_current
 from qarfcs.model import (
     BathSpec,
+    _is_integer,
     OhmicSpectralDensity,
     QarModel,
     SystemSpec,
@@ -242,6 +243,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"must join distinct levels, got \(1, 1\)"):
             BathSpec("C", 1.0, {(1, 1): 1e-3})
 
+    def test_one_integer_rule(self):
+        # pairs and bath indices take an int or a numpy integer, never a bool
+        for x in (0, -3, 7, np.int64(2), np.uint8(1)):
+            assert _is_integer(x)
+        for x in (True, np.bool_(True), 1.0, np.float64(1.0), "1", None):
+            assert not _is_integer(x)
+
     def test_random_model_needs_two_levels(self):
         with pytest.raises(ValidationError, match="need at least 2 levels"):
             random_connected_model(np.random.default_rng(0), n_levels=1)
@@ -359,13 +367,13 @@ class TestPresets:
 
     def test_preset_c_hot_leak(self):
         m = preset("C", 0.5, 0.9)
-        assert m.baths[1].coupling(0, 1) == pytest.approx(1e-3)
-        assert m.baths[2].coupling(0, 1) == 0.0
+        assert m.baths[1].couplings.get((0, 1), 0.0) == pytest.approx(1e-3)
+        assert m.baths[2].couplings.get((0, 1), 0.0) == 0.0
 
     def test_preset_d_work_leak(self):
         m = preset("D", 0.5, 0.9)
-        assert m.baths[2].coupling(0, 1) == pytest.approx(1e-3)
-        assert m.baths[1].coupling(0, 1) == 0.0
+        assert m.baths[2].couplings.get((0, 1), 0.0) == pytest.approx(1e-3)
+        assert m.baths[1].couplings.get((0, 1), 0.0) == 0.0
 
     def test_preset_domain_errors(self):
         with pytest.raises(ValidationError):

@@ -461,6 +461,24 @@ class TestFluctuationSymmetry:
 
 
 class TestRandomModelGenerator:
+    @pytest.mark.parametrize(
+        "pinned",
+        [{"n_levels": 2.7}, {"n_levels": True}, {"n_baths": 2.5}, {"n_baths": np.float64(3.0)}],
+        ids=repr,
+    )
+    def test_non_integer_counts_refused_before_any_draw(self, pinned):
+        # 2.7 levels built 2, 2.5 baths built 2, and True levels read as 1
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match=r"^pinned counts must be integers, got "):
+            random_connected_model(rng, **pinned)
+        assert rng.bit_generator.state == state
+
+    def test_numpy_integer_counts_accepted(self):
+        rng = np.random.default_rng(3)
+        m = random_connected_model(rng, n_levels=np.int64(4), n_baths=np.int8(2))
+        assert (m.n_levels, m.n_baths) == (4, 2)
+
     def test_deterministic_given_seed(self):
         a = random_connected_model(np.random.default_rng(7))
         b = random_connected_model(np.random.default_rng(7))
@@ -528,6 +546,15 @@ class TestInvariantTable:
         if name in ("ideal-cycle-term", "cop-bound"):
             return preset("A", 0.3, 0.6)
         return random_connected_model(rng)
+
+    def test_sign_row_reads_the_direct_cold_current(self, monkeypatch):
+        m = preset("A", 0.3, 0.9)  # cools
+        assert oracle_module.sign_agreement(m) == {"violations": 0}
+        monkeypatch.setattr(oracle_module, "_solved", lambda model: (-1e-3, 6e-4, 4e-4))
+        assert oracle_module.sign_agreement(m) == {"violations": 1}
+        # a cold current within 1e-10 of the largest decides no sign
+        monkeypatch.setattr(oracle_module, "_solved", lambda model: (-1e-14, 1e-3, -1e-3))
+        assert oracle_module.sign_agreement(m) == {"violations": 0}
 
     def test_rows_in_check_order(self):
         assert [row[0] for row in oracle_module.INVARIANTS] == [

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -122,6 +123,16 @@ class TestGridScan:
         with pytest.raises(ValidationError, match="^grid needs at least 2 points per axis$"):
             grid_scan("A", 5, 1, e21_axis=[0.5])
 
+    @pytest.mark.parametrize("n", [3.5, np.float64(3.0), True, "3"], ids=repr)
+    def test_non_integer_counts_refused(self, n):
+        # np.linspace raised a bare TypeError on 3.5, and took a bool as 1
+        with pytest.raises(ValidationError, match=r"^grid needs an integer number of points "
+                           rf"per axis, got {re.escape(repr(n))}$"):
+            grid_scan("A", n, 3)
+        with pytest.raises(ValidationError, match="integer number of points"):
+            grid_scan("A", 3, n)
+        assert grid_scan("A", np.int64(3), np.int8(2)).current.shape == (3, 2)
+
     @pytest.mark.parametrize(
         "axes", [{"e21_axis": [0.5, 0.4]}, {"betaH_axis": [0.3, 0.6, 0.6]}]
     )
@@ -150,6 +161,11 @@ class TestLineScan:
     def test_a_interior_maximum(self, lines):
         idx = int(np.argmax(lines.currents["A"]))
         assert 0 < idx < len(lines.e21_axis) - 1
+
+    def test_non_integer_count_refused(self):
+        # a line is column 0 of a one-column grid, whose default E21 axis refuses 2.5
+        with pytest.raises(ValidationError, match=r"integer number of points per axis, got 2\.5$"):
+            line_scan(["A"], 0.9, 2.5)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -506,6 +522,28 @@ class TestMatchesPerPointLoop:
         )
         assert isinstance(expected, tuple) and expected[0] is ValidationError
         assert got == expected
+
+    @pytest.mark.parametrize(
+        "overrides", [{"beta_w": 2.0}, {"e31": -1.0}, {"beta_c": 0.105}], ids=lambda o: str(o)
+    )
+    @pytest.mark.parametrize("pid", ["A", "B", "C", "D"])
+    def test_same_error_on_default_axes(self, pid, overrides):
+        # parameters that reverse a default axis are refused at its first point, never as an
+        # axis the caller did not give
+        params = {**PRESET_DEFAULTS, **overrides}
+        e21_axis = np.linspace(0.01 * params["e31"], 0.99 * params["e31"], 5)
+        bh_axis = np.linspace(params["beta_w"] + 0.01, params["beta_c"] - 0.01, 4)
+        expected = _outcome(lambda: _per_point_grid(pid, e21_axis, bh_axis, params))
+        assert isinstance(expected, tuple) and expected[0] is ValidationError
+        assert _outcome(lambda: grid_scan(pid, 5, 4, overrides)) == expected
+        expected = _outcome(lambda: _per_point_grid(pid, e21_axis, [0.9], params))
+        assert isinstance(expected, tuple) and expected[0] is ValidationError
+        assert _outcome(lambda: line_scan([pid], 0.9, 5, overrides)) == expected
+
+    def test_reversed_default_axis_names_its_first_point(self):
+        with pytest.raises(ValidationError, match=r"^grid point \(e21=0\.01, betaH=2\.01\): "
+                           r"need beta_w < beta_h < beta_c, got 2\.0, 2\.01, 1\.0$"):
+            grid_scan("A", 5, 5, {"beta_w": 2.0})
 
     @pytest.mark.parametrize("seed", range(40))
     def test_same_outcome_on_random_axes(self, seed):
