@@ -540,11 +540,6 @@ class TestMatchesPerPointLoop:
         assert isinstance(expected, tuple) and expected[0] is ValidationError
         assert _outcome(lambda: line_scan([pid], 0.9, 5, overrides)) == expected
 
-    def test_reversed_default_axis_names_its_first_point(self):
-        with pytest.raises(ValidationError, match=r"^grid point \(e21=0\.01, betaH=2\.01\): "
-                           r"need beta_w < beta_h < beta_c, got 2\.0, 2\.01, 1\.0$"):
-            grid_scan("A", 5, 5, {"beta_w": 2.0})
-
     @pytest.mark.parametrize("seed", range(40))
     def test_same_outcome_on_random_axes(self, seed):
         # axes straddling both E21 bounds and both beta_H bounds, in any mix
