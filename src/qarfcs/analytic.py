@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import CopUndefinedError, TopologyError
 # charpoly is unused here; perfbench/test_perfbench.py asserts analytic.charpoly is fcs.charpoly
-from .fcs import charpoly, heat_current  # noqa: F401
+from .fcs import _checked_fsum, charpoly, heat_current  # noqa: F401
 from .model import IDEAL_PAIRS, Pair, QarModel, _check_ordering, bose_occupation, rate, rate_table
 
 
@@ -186,16 +186,18 @@ def decompose(model: QarModel) -> Decomposition:
     k = [rate_table(model, b).tolist() for b in baths]
     kc, e, beta = k[cold], model.system.energies, [b.beta for b in model.baths]
     big_k = [[math.fsum(t[x][y] for t in k) for y in range(3)] for x in range(3)]
+    # only the numerator takes the floor: every part errs on the scale of its pair's gross flux
     tau = [
-        math.fsum([big_k[j][i] * big_k[m][i], big_k[j][m] * big_k[m][i], big_k[m][j] * big_k[j][i]])
+        _checked_fsum([big_k[j][i] * big_k[m][i], big_k[j][m] * big_k[m][i],
+                       big_k[m][j] * big_k[j][i]], "a tree sum", floor=False)
         for i, j, m in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     ]
-    cycles, leaks, numerator, magnitude = {}, {}, [], 0.0
-    for i, j in [(i, j) for i in range(3) for j in range(i + 1, 3) if kc[i][j] or kc[j][i]]:
-        m, de = 3 - i - j, e[j] - e[i]
-        up, down = de * kc[i][j] * tau[i], de * kc[j][i] * tau[j]
-        numerator += [up, -down]
-        magnitude = max(magnitude, up + down)
+    pairs = [(i, j, e[j] - e[i]) for i in range(3) for j in range(i + 1, 3) if kc[i][j] or kc[j][i]]
+    flows = [(de * kc[i][j] * tau[i], de * kc[j][i] * tau[j]) for i, j, de in pairs]
+    total = _checked_fsum([x for up, down in flows for x in (up, -down)], "the decomposition")
+    cycles, leaks, magnitude = {}, {}, max([0.0] + [up + down for up, down in flows])
+    for i, j, de in pairs:
+        m = 3 - i - j
         w = big_k[m][i] + big_k[m][j]
         # (baths besides C, forward product, reverse product, affinity)
         fluxes = [({mu}, w * kc[i][j] * k[mu][j][i], w * kc[j][i] * k[mu][i][j],
@@ -209,9 +211,8 @@ def decompose(model: QarModel) -> Decomposition:
             flux = rev * math.expm1(-a) if a >= 0.0 else -fwd * math.expm1(a)
             (cycle if len(through) == 2 else share[min(through)]).append(flux)
         # + 0.0: a vanishing affinity gives 0.0, not -0.0
-        cycles[(i, j)] = de * math.fsum(cycle) + 0.0
-        leaks.update({(model.baths[b].label, (i, j)): de * math.fsum(ts) + 0.0
-                      for b, ts in share.items()})
-    total = math.fsum(numerator)
+        cycles[(i, j)] = de * _checked_fsum(cycle, "a cycle part", floor=False) + 0.0
+        leaks.update({(model.baths[b].label, (i, j)): de * _checked_fsum(ts, "a leak", floor=False)
+                      + 0.0 for b, ts in share.items()})
     parts = math.fsum([*cycles.values(), *leaks.values()])
     return Decomposition(cycles, leaks, total, math.fsum(tau), abs(parts - total), magnitude)

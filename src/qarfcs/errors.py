@@ -38,8 +38,9 @@ class ContinuationError(QarError):
 
 
 class ConsistencyError(QarError):
-    """The certificate cannot be trusted: a_{N-1}(0) <= 0, so the generator is bad, or the
-    trace's rate products underflow below 2^-1022, where their rounding may exceed u."""
+    """The certificate cannot be trusted: a_{N-1}(0) is not positive and finite, or the rate
+    products of a trace or of ``decompose`` leave double range (overflow, or underflow below
+    2^-1022, where their rounding may exceed u)."""
 
     code = 6
     code_name = "internal-consistency"

@@ -98,8 +98,8 @@ def charpoly(m: np.ndarray) -> CharPoly:
     those of one call per matrix.
     """
     m = np.asarray(m)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValidationError(f"charpoly needs a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise ValidationError(f"charpoly needs a nonempty square matrix, got shape {m.shape}")
     coeffs, adj = _faddeev_leverrier(m.astype(WORKING_DTYPE))
     coeffs = np.array(coeffs, dtype=float)  # (N, ...): move the coefficient axis last
     return CharPoly(coeffs.transpose((*range(1, coeffs.ndim), 0)), adj.astype(float))
@@ -110,36 +110,48 @@ def adjugate_derivative(family: CountingFamily) -> np.ndarray:
 
     Forward-mode differentiation of the Faddeev-LeVerrier recursion: the
     tangent of each step is propagated alongside the primal, seeded with the
-    family's exact d1 matrix, so no step size enters.
+    exact dL/ds at s = 0 (dE * k at each dressed entry), so no step size enters.
     """
     ld = WORKING_DTYPE
-    return _faddeev_leverrier(family.base.astype(ld), family.d1.astype(ld)).astype(float)
+    d1 = np.zeros(family.base.shape, dtype=ld)
+    for row, col, k, de in family.dressed:
+        d1[row, col] += de * k
+    return _faddeev_leverrier(family.base.astype(ld), d1).astype(float)
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """tr(a @ b) of (N, N) matrices: one exactly rounded ``fsum`` of the M Python-float products
-    of two nonzero entries. A product below 2^-1022 errs by up to 2^-1075, so where their gross
-    sum of |products| is below M 2^-1022 that may exceed u of it: ConsistencyError is raised."""
-    rows = a.tolist()
-    terms = [rows[j][i] * x for i, row in enumerate(b.tolist()) for j, x in enumerate(row)
-             if x and rows[j][i]]
-    total, gross = math.fsum(terms), sum(map(abs, terms))
-    if gross < len(terms) * 2.0**-1022:
+def _checked_fsum(terms: list[float], what: str, floor: bool = True) -> float:
+    """Exactly rounded sum of M rate products, each of nonzero factors, refused unless their
+    gross sum of |products| is finite and, with ``floor``, at least M 2^-1022: a product below
+    2^-1022 errs by up to 2^-1075, which may then exceed u of the gross."""
+    gross = sum(map(abs, terms))
+    if not gross < math.inf:
+        raise ConsistencyError(f"{what}'s {len(terms)} rate products overflow (gross {gross})")
+    if floor and gross < len(terms) * 2.0**-1022:
         raise ConsistencyError(
-            f"the trace's {len(terms)} rate products underflow (gross {gross:.3g} < "
+            f"{what}'s {len(terms)} rate products underflow (gross {gross:.3g} < "
             f"{len(terms)} * 2^-1022), so their rounding may exceed u of the gross flux"
         )
-    return total
+    return math.fsum(terms)
+
+
+def _trace_product(a: np.ndarray, family: CountingFamily, order: int) -> float:
+    """tr(a @ d^order L/ds^order) at s = 0: the ``_checked_fsum`` of a[col, row] dE^order k over
+    the dressed transitions (row, col, k, dE), where both factors are nonzero."""
+    rows = a.tolist()
+    pairs = [(rows[col][row], de * k if order == 1 else de * de * k)
+             for row, col, k, de in family.dressed]
+    return _checked_fsum([y * x for y, x in pairs if x and y], "the trace")
 
 
 def _base_charpoly(family: CountingFamily) -> CharPoly:
-    """charpoly of L(0), refused unless a_(N-1)(0) > 0."""
-    cp = charpoly(family.base)
+    """charpoly of L(0), refused unless a_(N-1)(0) is positive and finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a_N may leave double range
+        cp = charpoly(family.base)
     a_pen = cp.coefficient(cp.n - 1)
-    if a_pen <= 0.0:
+    if not 0.0 < a_pen < math.inf:
         raise ConsistencyError(
-            f"a_(N-1)(0) = {a_pen:.3g} is not positive; the generator does not "
-            "describe a relaxing connected model"
+            f"a_(N-1)(0) = {a_pen:.3g} is not positive and finite; the generator does not "
+            "describe a relaxing connected model in double range"
         )
     return cp
 
@@ -149,7 +161,7 @@ def _current_from_family(family: CountingFamily, cp: CharPoly | None = None):
     cp = cp or _base_charpoly(family)
     n = cp.n
     # + 0.0 turns the -0.0 of a model without current into +0.0
-    value = (-1.0) ** (n + 1) * _trace_product(cp.adjugate, family.d1) + 0.0
+    value = (-1.0) ** (n + 1) * _trace_product(cp.adjugate, family, 1) + 0.0
     return value / cp.coefficient(n - 1), value, cp
 
 
@@ -174,26 +186,22 @@ _NOISE_PRECOND_RTOL = 1e-10
 
 
 def _check_noise_precondition(family: CountingFamily, cp0: CharPoly) -> None:
-    """The truncated noise formula needs a_{N-1}(s), a_{N-2}(s) constant in s.
-
-    ``cp0`` is the characteristic polynomial of L(0).
-    """
+    """The truncated noise formula needs a_{N-1}(s), a_{N-2}(s) constant in s; ``cp0`` is L(0)'s."""
     n = cp0.n
     samples = np.array(_NOISE_PRECOND_SAMPLES) / family.energy_span
     stack, _ = family.dressed_stack(samples)
-    for j in (n - 1, n - 2):
-        ref = cp0.coefficient(j)
-        if j == 0:
-            continue  # monic coefficient, constant by definition
-        for s, l_s in zip(samples.tolist(), stack):
-            dev = abs(charpoly(l_s).coefficient(j) - ref)
-            if dev > _NOISE_PRECOND_RTOL * abs(ref):
-                raise NoiseNotApplicableError(
-                    f"coefficient a_{j}(s) varies with the counting variable "
-                    f"(relative deviation {dev / abs(ref):.3g} at s = {s:.3g}); "
-                    "the truncated noise formula needs the counted bath to own "
-                    "its transitions exclusively"
-                )
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _base_charpoly
+        for j in (n - 1, n - 2)[: n - 1]:  # a_0 = 1 is constant by definition
+            ref = cp0.coefficient(j)
+            for s, l_s in zip(samples.tolist(), stack):
+                dev = abs(charpoly(l_s).coefficient(j) - ref)
+                if dev > _NOISE_PRECOND_RTOL * abs(ref):
+                    raise NoiseNotApplicableError(
+                        f"coefficient a_{j}(s) varies with the counting variable "
+                        f"(relative deviation {dev / abs(ref):.3g} at s = {s:.3g}); "
+                        "the truncated noise formula needs the counted bath to own "
+                        "its transitions exclusively"
+                    )
 
 
 def noise(model: QarModel, bath: int) -> float:
@@ -213,7 +221,7 @@ def _current_and_noise(family: CountingFamily) -> tuple[float, float]:
     n = cp.n
     a_pen = cp.coefficient(n - 1)
     dadj = adjugate_derivative(family)
-    traces = _trace_product(dadj, family.d1) + _trace_product(cp.adjugate, family.d2)
+    traces = _trace_product(dadj, family, 1) + _trace_product(cp.adjugate, family, 2)
     # + 0.0 as in _current_from_family
     return current, (-1.0) ** (n + 1) / a_pen * traces - 2.0 * (
         cp.coefficient(n - 2) / a_pen

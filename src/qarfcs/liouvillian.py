@@ -10,7 +10,7 @@ into the system counts positive.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,28 +50,15 @@ class CountingFamily:
 
     ``dressed`` lists every directed transition the counted bath drives as
     (row, col, rate k, signed energy dE) and is the only counted data: L(s)
-    is ``base`` plus k * expm1(s * dE) at each (row, col). ``d1`` and ``d2``
-    are derived from it once: the exact first and second derivative matrices
-    of L(s) at s = 0, dE*k and dE^2*k at each dressed entry (never by
-    differencing). An empty ``dressed`` is a family with only its base
-    generator, so L(s) = base for every s.
+    is ``base`` plus k * expm1(s * dE) at each (row, col), so d^n L/ds^n at
+    s = 0 is dE^n * k there and zero elsewhere. An empty ``dressed`` is a
+    family with only its base generator, so L(s) = base for every s.
     """
 
     base: np.ndarray
     energies: tuple[float, ...]
     betas: tuple[float, ...]
     dressed: tuple[tuple[int, int, float, float], ...] = ()
-    d1: np.ndarray = field(init=False, repr=False)
-    d2: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        d1 = np.zeros(self.base.shape)
-        d2 = np.zeros(self.base.shape)
-        for row, col, k, de in self.dressed:
-            d1[row, col] += de * k
-            d2[row, col] += de * de * k
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
 
     @property
     def energy_span(self) -> float:

@@ -14,7 +14,7 @@ from qarfcs.analytic import (
     sb_current,
     sb_noise,
 )
-from qarfcs.errors import CopUndefinedError, TopologyError, ValidationError
+from qarfcs.errors import ConsistencyError, CopUndefinedError, TopologyError, ValidationError
 from qarfcs.fcs import charpoly, cooling_condition, heat_current, noise
 from qarfcs.liouvillian import build_generator
 from qarfcs.model import (
@@ -26,7 +26,7 @@ from qarfcs.model import (
     rate_table,
     spectral_value,
 )
-from qarfcs.oracle import random_connected_model
+from qarfcs.oracle import direct_current, random_connected_model
 from tests.conftest import make_spin_boson, make_tied_machine
 
 
@@ -576,6 +576,39 @@ class TestDecompose:
         assert dec.total == pytest.approx(dec.normalization * heat_current(m, 0), rel=1e-12)
         assert dec.cycles[(0, 1)] == pytest.approx(dec.total, rel=1e-12)
         assert all(v == 0.0 for v in dec.leaks.values())
+
+    @pytest.mark.parametrize("gamma, message", [
+        (1e-150, r"^the decomposition's 2 rate products underflow"),
+        (1e150, r"^the decomposition's 2 rate products overflow \(gross inf\)$"),
+        # tree products in range whose sum is not: a bare OverflowError from fsum before
+        (10**153.5, r"^a tree sum's 3 rate products overflow \(gross inf\)$"),
+        (1e200, r"^a tree sum's 3 rate products overflow \(gross inf\)$"),
+    ], ids=["1e-150", "1e150", "10^153.5", "1e200"])
+    def test_rate_products_out_of_double_range_are_refused(self, gamma, message):
+        m = preset("A", 0.3, 0.9, gamma=gamma)
+        assert 0.0 < direct_current(m, 0) < math.inf
+        with pytest.raises(ConsistencyError, match=message):
+            decompose(m)
+
+    def test_cycle_fluxes_out_of_double_range_are_refused(self):
+        # at a small gap the numerator dE k tau stays in range while its fluxes, which
+        # dE does not scale, overflow; the cycle part read inf before
+        assert math.isfinite(decompose(preset("A", 0.01, 0.5, gamma=1e102)).total)
+        with pytest.raises(ConsistencyError, match=r"^a cycle part's 2 rate products overflow"):
+            decompose(preset("A", 0.01, 0.5, gamma=10**102.5))
+
+    def test_rates_at_both_ends_of_range_keep_their_bits(self):
+        # decompose runs in double only, so these hold in every long-double configuration
+        assert _fields_hex(decompose(preset("A", 0.3, 0.9, gamma=1e-90))) == (
+            "0x1.7d46256737f20p-897", "0x1.cb3c6e0402bf4p-593", "0x1.8c03d5aaecdb0p-894",
+            "0x0.0p+0", {(0, 1): "0x1.7d46256737f20p-897"},
+            {("H", (0, 1)): "0x0.0p+0", ("W", (0, 1)): "0x0.0p+0"},
+        )
+        assert _fields_hex(decompose(preset("A", 0.3, 0.9, gamma=1e100))) == (
+            "0x1.0d6ad172dcc74p+997", "0x1.212b375915377p+670", "0x1.17d5655fbfd32p+1000",
+            "0x1.0000000000000p+946", {(0, 1): "0x1.0d6ad172dcc76p+997"},
+            {("H", (0, 1)): "0x0.0p+0", ("W", (0, 1)): "0x0.0p+0"},
+        )
 
     @pytest.mark.parametrize("key", sorted(_DECOMPOSE_GOLDEN), ids="{0[0]}-{0[1]}-{0[2]}".format)
     def test_golden_bits(self, key):

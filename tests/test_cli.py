@@ -43,6 +43,28 @@ class TestCurrent:
         else:
             assert out == "" and err.startswith("error (internal-consistency): the trace's")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command, gamma, message", [
+        ("current", "1e150", "the trace's 2 rate products overflow (gross inf)"),
+        ("current", "1e200", "a_(N-1)(0) = inf is not positive and finite"),
+        ("noise", "1e150", "the trace's 2 rate products overflow (gross inf)"),
+        ("cop", "1e150", "the trace's 2 rate products overflow (gross inf)"),
+        ("decompose", "1e150", "the decomposition's 2 rate products overflow (gross inf)"),
+        ("decompose", "1e-150", "the decomposition's 2 rate products underflow"),
+    ], ids=["current-1e150", "current-1e200", "noise-1e150", "cop-1e150", "decompose-1e150",
+            "decompose-1e-150"])
+    def test_rates_out_of_double_range_refused(self, capsys, fmt, command, gamma, message):
+        # each printed a traceback, or decompose a silent 0.0, while the direct current answers
+        code, out, err = run(capsys, command, "--preset", "A", "--e21", "0.3", "--betaH", "0.9",
+                             "--gamma", gamma, "--format", fmt)
+        assert code == 6
+        if fmt == "json":
+            error = json.loads(out)["error"]
+            assert error["code"] == "internal-consistency"
+            assert error["message"].startswith(message)
+        else:
+            assert out == "" and err.startswith(f"error (internal-consistency): {message}")
+
     def test_inside_window(self, capsys):
         code, out, _ = run(
             capsys, "current", "--preset", "A", "--e21", "0.5", "--betaH", "0.9"
@@ -449,6 +471,18 @@ class TestScanCommands:
         assert code == 2 and out == "" and not out_path.exists()
         assert err == ("error (validation): grid point (e21=0.01, betaH=2.01): "
                        "need beta_w < beta_h < beta_c, got 2.0, 2.01, 1.0\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scan_with_rates_beyond_double_range_writes_nothing(self, capsys, tmp_path, fmt):
+        out_path = tmp_path / f"scan.{fmt}"
+        code, out, err = run(capsys, "scan", "--preset", "A", "--gamma", "1e150",
+                             "--resolution", "3x3", "--format", fmt, "--out", str(out_path))
+        assert code == 6 and not out_path.exists()
+        message = "the trace's 2 rate products overflow (gross inf)"
+        if fmt == "json":
+            assert json.loads(out)["error"]["message"] == message
+        else:
+            assert out == "" and err == f"error (internal-consistency): {message}\n"
 
     def test_scan_bad_resolution(self, capsys):
         code, _, err = run(capsys, "scan", "--preset", "A", "--resolution", "9")

@@ -189,7 +189,10 @@ def test_charpoly_and_adjugate_derivative_within_c_u_of_the_exact_recursion():
     for model, bath in _pairs():
         family = build_counting_family(model, bath)
         n = family.base.shape[0]
-        m, dm = exact_matrix(family.base), exact_matrix(family.d1)
+        d1 = np.zeros(family.base.shape)  # dL/ds at s = 0: the double dE * k per transition
+        for row, col, k, de in family.dressed:
+            d1[row, col] += de * k
+        m, dm = exact_matrix(family.base), exact_matrix(d1)
         coeffs, adj, dadj = faddeev_leverrier(m, dm)
         scale_coeffs, scale_adj, scale_dadj = faddeev_leverrier(_abs(m), _abs(dm), sign=1)
         cp = charpoly(family.base)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qarfcs.errors import (
 from qarfcs import fcs as fcs_module
 from qarfcs.fcs import (
     CharPoly,
+    _checked_fsum,
     _target_polynomials,
     _trace_product,
     adjugate_derivative,
@@ -240,6 +242,13 @@ class TestCharPoly:
             cp = charpoly(m)
             assert cp.coeffs.shape == shape[:-1] and cp.adjugate.shape == shape
             assert np.array_equal(cp.coeffs, -m[..., 0]) and np.all(cp.adjugate == 1.0)
+
+    def test_empty_matrix_refused_and_empty_stack_kept(self):
+        for shape in ((0, 0), (3, 0, 0)):
+            with pytest.raises(ValidationError, match=re.escape(f"got shape {shape}")):
+                charpoly(np.zeros(shape))
+        cp = charpoly(np.zeros((0, 3, 3)))
+        assert cp.coeffs.shape == (0, 3) and cp.adjugate.shape == (0, 3, 3)
 
     def test_stack_monic(self, rng):
         cp = charpoly(rng.normal(size=(4, 3, 3)))
@@ -677,43 +686,121 @@ def entrywise_trace_product(a, b):
     )
 
 
+def dense_derivative(family, order):
+    """d^order L/ds^order at s = 0 as a dense matrix, built as the family's fields once were."""
+    d = np.zeros(family.base.shape)
+    for row, col, k, de in family.dressed:
+        d[row, col] += de * k if order == 1 else de * de * k
+    return d
+
+
+def random_family(rng, n):
+    """A family with random transitions at distinct off-diagonal entries, some with dE = 0."""
+    entries = [(r, c) for r in range(n) for c in range(n) if r != c]
+    picked = rng.permutation(len(entries))[: int(rng.integers(0, len(entries) + 1))]
+    dressed = tuple(
+        (*entries[i], float(rng.uniform(0.1, 2.0) * 10.0 ** rng.integers(-20, 5)),
+         float(rng.normal() * 10.0 ** rng.integers(-3, 2) * (rng.random() > 0.2)))
+        for i in picked.tolist()
+    )
+    return CountingFamily(np.zeros((n, n)), tuple(range(n)), (1.0,), dressed)
+
+
+def with_signed_zeros(rng, a):
+    """A copy of ``a`` with random entries set to 0.0 and to -0.0."""
+    a = a.copy()
+    a[rng.random(a.shape) < 0.3] = 0.0
+    a[rng.random(a.shape) < 0.1] = -0.0
+    return a
+
+
 class TestTraceProduct:
+    """_trace_product sums over the dressed transitions; the reference is the entrywise
+    trace against the dense derivative matrix built from the same transitions."""
+
     def test_bitwise_entrywise_on_random_pairs_with_zeros(self, rng):
         for _ in range(2000):
             n = int(rng.integers(1, 6))
-            a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-20, 5, size=(n, n))
-            b = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-20, 5, size=(n, n))
-            a[rng.random((n, n)) < 0.3] = 0.0
-            a[rng.random((n, n)) < 0.1] = -0.0
-            b[rng.random((n, n)) < 0.4] = 0.0
-            got = _trace_product(a, b)
-            assert type(got) is float
-            assert got.hex() == entrywise_trace_product(a, b).hex()
+            fam = random_family(rng, n)
+            a = with_signed_zeros(rng, rng.normal(size=(n, n)) * 10.0 ** rng.integers(-20, 5, (n, n)))
+            for order in (1, 2):
+                got = _trace_product(a, fam, order)
+                assert type(got) is float
+                assert got.hex() == entrywise_trace_product(a, dense_derivative(fam, order)).hex()
 
     @pytest.mark.parametrize("pid", ["A", "B", "C", "D"])
-    def test_bitwise_entrywise_on_presets(self, pid):
+    def test_bitwise_entrywise_on_presets(self, pid, rng):
         for e21, beta_h in ((0.3, 0.9), (0.5, 0.5), (0.1, 0.2)):
             fam = build_counting_family(preset(pid, e21, beta_h), 0)
             adj = charpoly(fam.base).adjugate
             dadj = adjugate_derivative(fam)
-            for a, b in ((adj, fam.d1), (adj, fam.d2), (dadj, fam.d1)):
-                assert _trace_product(a, b).hex() == entrywise_trace_product(a, b).hex()
+            for a in (adj, dadj, with_signed_zeros(rng, rng.normal(size=adj.shape))):
+                for order in (1, 2):
+                    want = entrywise_trace_product(a, dense_derivative(fam, order))
+                    assert _trace_product(a, fam, order).hex() == want.hex()
+
+    def test_bitwise_entrywise_on_random_models(self, rng):
+        count = 0
+        for topology in ("tree", "any"):
+            for _ in range(110):
+                m = random_connected_model(rng, topology=topology)
+                for bath in range(m.n_baths):
+                    fam = build_counting_family(m, bath)
+                    adj = charpoly(fam.base).adjugate
+                    noisy = with_signed_zeros(rng, rng.normal(size=adj.shape))
+                    for a in (adj, adjugate_derivative(fam), noisy):
+                        for order in (1, 2):
+                            want = entrywise_trace_product(a, dense_derivative(fam, order))
+                            assert _trace_product(a, fam, order).hex() == want.hex()
+                count += 1
+        assert count >= 200
 
     def test_zero_b_gives_zero(self):
-        got = _trace_product(np.ones((3, 3)), np.zeros((3, 3)))
-        assert type(got) is float and got.hex() == "0x0.0p+0"
+        # no transitions, or transitions without energy, have a zero derivative
+        for dressed in ((), ((0, 1, 0.3, 0.0), (1, 0, 0.2, 0.0))):
+            fam = CountingFamily(np.zeros((3, 3)), (0.0, 1.0, 2.0), (1.0,), dressed)
+            for order in (1, 2):
+                got = _trace_product(np.ones((3, 3)), fam, order)
+                assert type(got) is float and got.hex() == "0x0.0p+0"
 
     def test_underflowing_products_are_refused(self):
         # two products of nonzero factors, each 1e-320 < 2 * 2^-1022
-        a = np.diag([1e-160, 1e-160])
-        with pytest.raises(ConsistencyError, match=r"^the trace's 2 rate products underflow"):
-            _trace_product(a, np.full((2, 2), 1e-160))
+        fam = CountingFamily(np.zeros((2, 2)), (0.0, 1.0), (1.0,),
+                             ((0, 1, 1e-160, 1.0), (1, 0, 1e-160, -1.0)))
+        for order in (1, 2):
+            with pytest.raises(ConsistencyError, match=r"^the trace's 2 rate products underflow"):
+                _trace_product(np.full((2, 2), 1e-160), fam, order)
 
     def test_a_zero_factor_is_no_underflow(self):
         # a product that is 0 because a factor is exactly 0 carries no rounding
-        assert _trace_product(np.zeros((2, 2)), np.full((2, 2), 1e-300)).hex() == "0x0.0p+0"
+        fam = CountingFamily(np.zeros((2, 2)), (0.0, 1.0), (1.0,),
+                             ((0, 1, 1e-300, 1.0), (1, 0, 1e-300, -1.0)))
+        assert _trace_product(np.zeros((2, 2)), fam, 1).hex() == "0x0.0p+0"
         tiny = 2.0**-1022  # one product, exactly at the bound: accepted
-        assert _trace_product(np.diag([1.0, 0.0]), np.full((2, 2), tiny)) == tiny
+        fam = CountingFamily(np.zeros((2, 2)), (0.0, 1.0), (1.0,), ((0, 1, tiny, 1.0),))
+        assert _trace_product(np.array([[0.0, 0.0], [1.0, 0.0]]), fam, 1) == tiny
+
+    def test_products_beyond_double_range_are_refused(self):
+        fam = CountingFamily(np.zeros((2, 2)), (0.0, 1.0), (1.0,),
+                             ((0, 1, 1e200, 1.0), (1, 0, 1e200, -1.0)))
+        with pytest.raises(ConsistencyError, match=r"^the trace's 2 rate products overflow \(gross inf\)$"):
+            _trace_product(np.full((2, 2), 1e200), fam, 1)
+
+
+class TestCheckedSum:
+    def test_floor_applies_only_when_asked(self):
+        terms = [1e-320, -1e-320]
+        with pytest.raises(ConsistencyError, match=r"^the x's 2 rate products underflow"):
+            _checked_fsum(terms, "the x")
+        assert _checked_fsum(terms, "the x", floor=False) == 0.0
+        assert _checked_fsum([], "the x") == 0.0
+
+    @pytest.mark.parametrize("floor", [True, False])
+    def test_overflow_and_nan_are_refused_with_or_without_the_floor(self, floor):
+        # a finite sum whose gross leaves double range would also make fsum raise OverflowError
+        for terms in ([1e308, 1e308, -1e308], [math.inf, -math.inf], [math.nan, 1.0]):
+            with pytest.raises(ConsistencyError, match=r"^the x's \d rate products overflow"):
+                _checked_fsum(terms, "the x", floor=floor)
 
 
 def _three_level_leaky(gamma):
@@ -724,7 +811,7 @@ def _three_level_leaky(gamma):
 
 
 class TestRateUnderflow:
-    """Rates so small that the trace's degree-N products leave the normal range are refused."""
+    """Rates whose trace products leave double range, below or above, are refused."""
 
     def test_refused_where_the_direct_current_cools(self):
         m = preset("A", 0.3, 0.9, gamma=1e-150)
@@ -747,6 +834,26 @@ class TestRateUnderflow:
         assert heat_current(m, 0).hex() == "0x1.a9149bc639c9fp-305"
         assert cooling_condition(m)[0].hex() == "0x1.7d46256737f20p-897"
         assert noise(m, 0).hex() == "0x1.e387a477332adp-305"
+
+    @EIGHTY_BIT
+    def test_large_rates_in_range_keep_their_bits(self):
+        m = preset("A", 0.3, 0.9, gamma=1e100)
+        assert heat_current(m, 0).hex() == "0x1.dd072e8e0ddfdp+326"
+        assert cooling_condition(m)[0].hex() == "0x1.0d6ad172dcc74p+997"
+        assert noise(m, 0).hex() == "0x1.0f4f65a5acf84p+327"
+
+    @pytest.mark.parametrize("gamma, message", [
+        (1e150, r"^the trace's 2 rate products overflow \(gross inf\)$"),
+        (1e200, r"^a_\(N-1\)\(0\) = inf is not positive and finite"),
+    ], ids=["1e150", "1e200"])
+    def test_large_rates_refused_where_the_direct_current_answers(self, gamma, message):
+        # the trace's products, or a_(N-1)(0) itself, leave double range; no numpy warning
+        # escapes (warnings are errors here) and no bare ValueError from fsum
+        m = preset("A", 0.3, 0.9, gamma=gamma)
+        assert 0.0 < direct_current(m, 0) < math.inf
+        for call in (heat_current, lambda m, b: cooling_condition(m), noise):
+            with pytest.raises(ConsistencyError, match=message):
+                call(m, 0)
 
 
 class TestCgf:

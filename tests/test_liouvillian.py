@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qarfcs.fcs import _trace_product, adjugate_derivative, charpoly
 from qarfcs.liouvillian import (
     build_counting_family,
     build_generator,
@@ -12,6 +13,12 @@ from qarfcs.liouvillian import (
 from qarfcs.model import preset, rate, rate_table
 from qarfcs.oracle import random_connected_model
 from tests.conftest import make_spin_boson
+
+
+def derivative_entries(family, order):
+    """{(row, col): d^order L/ds^order at s = 0} over the family's transitions, zeros dropped."""
+    d = {(row, col): de * k if order == 1 else de * de * k for row, col, k, de in family.dressed}
+    return {key: x for key, x in d.items() if x}
 
 
 class TestBareGenerator:
@@ -144,47 +151,41 @@ class TestCountingFamily:
         m = preset("A", 0.5, 0.9)
         fam = build_counting_family(m, 0)
         kc_u, kc_d = rate(m, 0, 1, 0), rate(m, 1, 0, 0)
-        expected = np.zeros((3, 3))
-        expected[1, 0] = 0.5 * kc_u
-        expected[0, 1] = -0.5 * kc_d
-        assert np.array_equal(fam.d1, expected)
-        assert np.count_nonzero(fam.d1) == 2
+        assert derivative_entries(fam, 1) == {(1, 0): 0.5 * kc_u, (0, 1): -0.5 * kc_d}
 
     def test_d2_signs_positive(self):
         m = preset("A", 0.5, 0.9)
         fam = build_counting_family(m, 0)
-        assert np.all(fam.d2 >= 0.0)
-        assert fam.d2[1, 0] == pytest.approx(0.25 * rate(m, 0, 1, 0), rel=1e-14)
-        assert fam.d2[0, 1] == pytest.approx(0.25 * rate(m, 1, 0, 0), rel=1e-14)
+        d2 = derivative_entries(fam, 2)
+        assert sorted(d2) == [(0, 1), (1, 0)] and all(x > 0.0 for x in d2.values())
+        assert d2[1, 0] == pytest.approx(0.25 * rate(m, 0, 1, 0), rel=1e-14)
+        assert d2[0, 1] == pytest.approx(0.25 * rate(m, 1, 0, 0), rel=1e-14)
 
     def test_spin_boson_d1(self, spin_boson):
         fam = build_counting_family(spin_boson, 0)
-        assert fam.d1[1, 0] == pytest.approx(rate(spin_boson, 0, 1, 0), rel=1e-14)
-        assert fam.d1[0, 1] == pytest.approx(-rate(spin_boson, 1, 0, 0), rel=1e-14)
+        d1 = derivative_entries(fam, 1)
+        assert sorted(d1) == [(0, 1), (1, 0)]
+        assert d1[1, 0] == pytest.approx(rate(spin_boson, 0, 1, 0), rel=1e-14)
+        assert d1[0, 1] == pytest.approx(-rate(spin_boson, 1, 0, 0), rel=1e-14)
 
     def test_d1_d2_match_finite_differences(self, rng):
-        # the second difference divides by h^2 = 1e-10, which no machine
-        # precision survives, so the step oracle runs in mpmath
-        from mpmath import mp, mpf
-
-        mp.dps = 40
-        h = mpf(1) / 10**5
+        # the traces over the transitions against traces of central differences of the
+        # dressed_stack corrections, which carry no rounding of the base generator
+        h = 1e-4
         for _ in range(20):
             m = random_connected_model(rng)
             for bath in range(m.n_baths):
                 fam = build_counting_family(m, bath)
-                n = fam.base.shape[0]
-                d1_fd = np.zeros((n, n))
-                d2_fd = np.zeros((n, n))
-                for row, col, kk, de in fam.dressed:
-                    up = mpf(float(kk)) * mp.expm1(h * mpf(float(de)))
-                    dn = mpf(float(kk)) * mp.expm1(-h * mpf(float(de)))
-                    d1_fd[row, col] += float((up - dn) / (2 * h))
-                    d2_fd[row, col] += float((up + dn) / h**2)
-                scale1 = max(np.max(np.abs(fam.d1)), 1e-300)
-                scale2 = max(np.max(np.abs(fam.d2)), 1e-300)
-                assert np.max(np.abs(d1_fd - fam.d1)) <= 1e-8 * scale1
-                assert np.max(np.abs(d2_fd - fam.d2)) <= 1e-8 * scale2
+                _, (up, zero, dn) = fam.dressed_stack(np.array([h, 0.0, -h]))
+                diffs = {1: (up - dn) / (2 * h), 2: (up - 2 * zero + dn) / (h * h)}
+                adj = charpoly(fam.base).adjugate
+                for a in (adj, adjugate_derivative(fam)):
+                    for order, fd in diffs.items():
+                        terms = [a[col, row] * float(x)
+                                 for (row, col, _, _), x in zip(fam.dressed, fd)]
+                        gross = max(math.fsum(map(abs, terms)), 1e-300)
+                        got = _trace_product(a, fam, order)
+                        assert abs(got - math.fsum(terms)) <= 1e-8 * gross
 
     def test_extended_evaluator_matches_double(self):
         m = preset("C", 0.3, 0.7)
@@ -237,5 +238,5 @@ class TestCountingFamily:
             cold_index=0,
         )
         fam = build_counting_family(m3, 2)
-        assert np.count_nonzero(fam.d1) == 0
-        assert np.count_nonzero(fam.d2) == 0
+        assert fam.dressed == ()
+        assert derivative_entries(fam, 1) == derivative_entries(fam, 2) == {}

@@ -111,7 +111,7 @@ def test_report_and_family_fields_are_pinned():
     def names(cls):
         return [f.name for f in dataclasses.fields(cls)]
 
-    assert names(qarfcs.CountingFamily) == ["base", "energies", "betas", "dressed", "d1", "d2"]
+    assert names(qarfcs.CountingFamily) == ["base", "energies", "betas", "dressed"]
     # one L(s) builder
     methods = [name for name, _ in inspect.getmembers(qarfcs.CountingFamily, inspect.isfunction)]
     assert [name for name in methods if not name.startswith("__")] == ["dressed_stack"]
