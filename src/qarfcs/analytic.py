@@ -185,7 +185,8 @@ def decompose(model: QarModel) -> Decomposition:
     cold, baths = model.cold_index, range(model.n_baths)
     k = [rate_table(model, b).tolist() for b in baths]
     kc, e, beta = k[cold], model.system.energies, [b.beta for b in model.baths]
-    big_k = [[math.fsum(t[x][y] for t in k) for y in range(3)] for x in range(3)]
+    big_k = [[_checked_fsum([t[x][y] for t in k], "a total rate", floor=False) for y in range(3)]
+             for x in range(3)]
     # only the numerator takes the floor: every part errs on the scale of its pair's gross flux
     tau = [
         _checked_fsum([big_k[j][i] * big_k[m][i], big_k[j][m] * big_k[m][i],

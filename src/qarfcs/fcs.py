@@ -143,11 +143,24 @@ def _trace_product(a: np.ndarray, family: CountingFamily, order: int) -> float:
     return _checked_fsum([y * x for y, x in pairs if x and y], "the trace")
 
 
-def _base_charpoly(family: CountingFamily) -> CharPoly:
-    """charpoly of L(0), refused unless a_(N-1)(0) is positive and finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a_N may leave double range
-        cp = charpoly(family.base)
+def _check_finite_generator(l0: np.ndarray) -> None:
+    if not np.isfinite(l0).all():
+        raise ConsistencyError(
+            "L(0) has an entry that is not finite: the rates or their sums leave double range"
+        )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a_N may leave double range
+def _base_charpoly(l0: np.ndarray) -> CharPoly:
+    """charpoly of L(0), refused unless L(0) is finite and a_(N-1)(0) positive and finite.
+
+    From N = 3 on, a non-finite entry of L(0) reaches the diagonal of M_2 and, through a_k I,
+    of every later M_k, so a_(N-1) is not finite either: L(0) itself is read only where
+    a_(N-1) fails, or below N = 3."""
+    cp = charpoly(l0)
     a_pen = cp.coefficient(cp.n - 1)
+    if cp.n < 3 or not 0.0 < a_pen < math.inf:
+        _check_finite_generator(l0)
     if not 0.0 < a_pen < math.inf:
         raise ConsistencyError(
             f"a_(N-1)(0) = {a_pen:.3g} is not positive and finite; the generator does not "
@@ -156,13 +169,18 @@ def _base_charpoly(family: CountingFamily) -> CharPoly:
     return cp
 
 
-def _current_from_family(family: CountingFamily, cp: CharPoly | None = None):
-    """(current, its sign-certificate numerator, ``cp`` or ``_base_charpoly(family)``)."""
-    cp = cp or _base_charpoly(family)
+def _signed_current(trace: float, cp: CharPoly) -> tuple[float, float]:
+    """(current, its sign-certificate numerator) from tr(adj(L(0)) dL/ds) and L(0)'s ``cp``."""
     n = cp.n
     # + 0.0 turns the -0.0 of a model without current into +0.0
-    value = (-1.0) ** (n + 1) * _trace_product(cp.adjugate, family, 1) + 0.0
-    return value / cp.coefficient(n - 1), value, cp
+    value = (-1.0) ** (n + 1) * trace + 0.0
+    return value / cp.coefficient(n - 1), value
+
+
+def _current_from_family(family: CountingFamily, cp: CharPoly | None = None):
+    """(current, its sign-certificate numerator, ``cp`` or ``_base_charpoly(family.base)``)."""
+    cp = cp or _base_charpoly(family.base)
+    return (*_signed_current(_trace_product(cp.adjugate, family, 1), cp), cp)
 
 
 def heat_current(model: QarModel, bath: int) -> float:
@@ -215,7 +233,7 @@ def noise(model: QarModel, bath: int) -> float:
 
 def _current_and_noise(family: CountingFamily) -> tuple[float, float]:
     """(current, noise) of one counting family; ``noise`` and ``qarfcs noise`` share it."""
-    cp = _base_charpoly(family)
+    cp = _base_charpoly(family.base)
     _check_noise_precondition(family, cp)
     current, _, _ = _current_from_family(family, cp)
     n = cp.n

@@ -33,6 +33,8 @@ def build_generator(model: QarModel) -> np.ndarray:
     return generator_from_tables([rate_table(model, b) for b in range(model.n_baths)])
 
 
+# rates or sums beyond double range give inf or nan entries, which L(0)'s users refuse
+@np.errstate(over="ignore", invalid="ignore")
 def generator_from_tables(tables: np.ndarray | list[np.ndarray]) -> np.ndarray:
     """L(0) = sum_mu (K_mu^T - diag(K_mu 1)) from rate tables stacked on axis -3.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analytic import _ideal_machine, cop, decompose
 from .errors import TopologyError, ValidationError
-from .fcs import cgf, charpoly, cooling_condition, heat_current
+from .fcs import _check_finite_generator, cgf, charpoly, cooling_condition, heat_current
 from .liouvillian import build_counting_family, build_generator, generator_from_tables
 from .model import (
     IDEAL_PAIRS, BathSpec, OhmicSpectralDensity, QarModel, SystemSpec, _bath_index, _is_integer,
@@ -38,9 +38,11 @@ def steady_state(l0: np.ndarray) -> SteadyState:
 
     The first row of L(0) is swapped for the normalization constraint sum(p) = 1;
     a single iterative-refinement step with a compensated residual brings the
-    solution to working precision. Disconnected generators (rank < N-1) fail.
+    solution to working precision. Disconnected generators (rank < N-1) fail, and an
+    L(0) with an entry out of double range is refused before the solve.
     """
     l0 = np.asarray(l0, dtype=float)
+    _check_finite_generator(l0)
     a = l0.copy()
     a[0, :] = 1.0
     b = [1.0] + [0.0] * (l0.shape[0] - 1)

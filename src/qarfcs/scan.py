@@ -1,8 +1,10 @@
 """Parameter sweeps over (E21, beta_H): cooling-window grids and line cuts.
 
-Every grid point is an independent model evaluation written by index, so
-results are deterministic regardless of evaluation order. Negative currents
-are kept in the data; masking is the consumer's choice.
+A grid is evaluated one E21 row at a time: the row's rate tables and
+generators are stacked, and each point's characteristic polynomial and trace
+are then taken alone, bitwise those of a per-point evaluation. Errors are
+raised in row-major order. Negative currents are kept in the data; masking is
+the consumer's choice.
 
 Tolerance policy, the ``tolerance_policy = scale-relative`` header line of a
 grid CSV. The cooling mask is the exact sign of each point's cooling
@@ -23,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .fcs import _current_from_family
-from .liouvillian import build_counting_family
-from .model import PRESET_DEFAULTS, PRESET_IDS, QarModel, _is_integer, preset
+from .fcs import _base_charpoly, _checked_fsum, _signed_current
+from .liouvillian import generator_from_tables
+from .model import PRESET_DEFAULTS, PRESET_IDS, QarModel, _is_integer, preset, rate_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,13 +124,31 @@ def grid_scan(
     levels = [point(e21, bhs[0]).system for e21 in e21s]
     current = np.empty((len(ax_e21), len(ax_bh)))
     mask = np.empty((len(ax_e21), len(ax_bh)), dtype=bool)
+    # One E21 row at a time. Per column, every bath's rate table and then the cold one again,
+    # as build_counting_family takes it and perfbench pins it; whatever a point raises there is
+    # raised after the points before it in row-major order.
+    nb, n = len(baths[0]), levels[0].n_levels
+    tables = np.empty((len(bhs), nb + 1, n, n))
     for i, system in enumerate(levels):
+        failure, stop = None, len(bhs)
         for j, bath_set in enumerate(baths):
-            # cold current and cooling certificate share one counting family
-            family = build_counting_family(QarModel(system, bath_set, 0), 0)
-            j_cold, value, _ = _current_from_family(family)
-            current[i, j] = j_cold
+            try:
+                model = QarModel(system, bath_set, 0)
+                tables[j] = [rate_table(model, b) for b in (*range(nb), 0)]
+            except Exception as exc:
+                failure, stop = exc, j
+                break
+        l0 = generator_from_tables(tables[:stop, :nb])
+        de = [ej - ei for ei in system.energies for ej in system.energies]
+        # the cold current and its certificate from _trace_product's terms adj[i, j] (dE k)[i, j]
+        for j, k_row in enumerate(tables[:stop, nb].reshape(stop, n * n).tolist()):
+            cp = _base_charpoly(l0[j])
+            terms = [y * x for y, d, k in zip(cp.adjugate.ravel().tolist(), de, k_row)
+                     if (x := d * k) and y]
+            current[i, j], value = _signed_current(_checked_fsum(terms, "the trace"), cp)
             mask[i, j] = value > 0.0
+        if failure is not None:
+            raise failure
     return ScanGrid(preset_id, ax_e21, ax_bh, current, mask, params)
 
 

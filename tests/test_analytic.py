@@ -590,6 +590,13 @@ class TestDecompose:
         with pytest.raises(ConsistencyError, match=message):
             decompose(m)
 
+    @pytest.mark.parametrize("pid", ["A", "B", "C", "D"])
+    def test_total_rates_out_of_double_range_are_refused(self, pid):
+        # C's total rates overflowed inside fsum, a bare OverflowError
+        with pytest.raises(ConsistencyError,
+                           match=r"^a total rate's 3 rate products overflow \(gross inf\)$"):
+            decompose(preset(pid, 0.3, 0.9, gamma=1e308))
+
     def test_cycle_fluxes_out_of_double_range_are_refused(self):
         # at a small gap the numerator dE k tau stays in range while its fluxes, which
         # dE does not scale, overflow; the cycle part read inf before

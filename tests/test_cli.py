@@ -51,8 +51,11 @@ class TestCurrent:
         ("cop", "1e150", "the trace's 2 rate products overflow (gross inf)"),
         ("decompose", "1e150", "the decomposition's 2 rate products overflow (gross inf)"),
         ("decompose", "1e-150", "the decomposition's 2 rate products underflow"),
+        ("current", "1e308", "L(0) has an entry that is not finite"),
+        ("noise", "1e308", "L(0) has an entry that is not finite"),
+        ("decompose", "1e308", "a total rate's 3 rate products overflow (gross inf)"),
     ], ids=["current-1e150", "current-1e200", "noise-1e150", "cop-1e150", "decompose-1e150",
-            "decompose-1e-150"])
+            "decompose-1e-150", "current-1e308", "noise-1e308", "decompose-1e308"])
     def test_rates_out_of_double_range_refused(self, capsys, fmt, command, gamma, message):
         # each printed a traceback, or decompose a silent 0.0, while the direct current answers
         code, out, err = run(capsys, command, "--preset", "A", "--e21", "0.3", "--betaH", "0.9",
@@ -479,6 +482,19 @@ class TestScanCommands:
                              "--resolution", "3x3", "--format", fmt, "--out", str(out_path))
         assert code == 6 and not out_path.exists()
         message = "the trace's 2 rate products overflow (gross inf)"
+        if fmt == "json":
+            assert json.loads(out)["error"]["message"] == message
+        else:
+            assert out == "" and err == f"error (internal-consistency): {message}\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scan_with_a_generator_beyond_double_range_writes_nothing(self, capsys, tmp_path, fmt):
+        # numpy warned from the generator's rate sums before the refusal
+        out_path = tmp_path / f"scan.{fmt}"
+        code, out, err = run(capsys, "scan", "--preset", "A", "--gamma", "1e308",
+                             "--resolution", "3x3", "--format", fmt, "--out", str(out_path))
+        assert code == 6 and not out_path.exists()
+        message = "L(0) has an entry that is not finite: the rates or their sums leave double range"
         if fmt == "json":
             assert json.loads(out)["error"]["message"] == message
         else:

@@ -856,6 +856,33 @@ class TestRateUnderflow:
                 call(m, 0)
 
 
+    @pytest.mark.parametrize("pid", ["A", "B", "C", "D"])
+    def test_rates_at_the_top_of_double_range_refused_at_l0(self, pid):
+        # L(0)'s rate sums overflow, or meet inf * 0; numpy's RuntimeWarning escaped before
+        m = preset(pid, 0.3, 0.9, gamma=1e308)
+        for call in (heat_current, lambda m, b: cooling_condition(m), noise, direct_current):
+            with pytest.raises(ConsistencyError, match=r"^L\(0\) has an entry that is not finite"):
+                call(m, 0)
+
+
+class TestBaseCharpoly:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_entry_refused(self, rng, n, bad):
+        # from N = 3 on a_(N-1) is then not finite, zero entries or not, so L(0) is read only
+        # where a_(N-1) fails, or below N = 3
+        for row in range(n):
+            for col in range(n):
+                l0 = rng.uniform(-1.0, 1.0, (n, n))
+                l0[rng.random((n, n)) < 0.4] = 0.0
+                l0[row, col] = bad
+                if n >= 3:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        assert not math.isfinite(charpoly(l0).coefficient(n - 1))
+                with pytest.raises(ConsistencyError, match=r"^L\(0\) has an entry that is not"):
+                    fcs_module._base_charpoly(l0)
+
+
 class TestCgf:
     def test_zero_at_origin(self, rng):
         for _ in range(5):

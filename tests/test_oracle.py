@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qarfcs import oracle as oracle_module
-from qarfcs.errors import TopologyError, ValidationError
+from qarfcs.errors import ConsistencyError, TopologyError, ValidationError
 from qarfcs.fcs import cgf, heat_current, noise
 from qarfcs.liouvillian import build_counting_family, build_generator
 from qarfcs.model import (
@@ -75,11 +75,11 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("row", [0, 2])
     def test_nan_in_replaced_row_rejected(self, row):
-        # row 0 is the replaced row, which the solve never sees, so only L(0) p shows its
-        # NaN; row 2's NaN reaches the solve, and p and L(0) p show it
+        # row 0 is the replaced row, which the solve never sees; a NaN in any row is refused
+        # before the solve
         l0 = build_generator(preset("A", 0.5, 0.9))
         l0[row, 1] = np.nan
-        with pytest.raises(ValidationError, match="residual"):
+        with pytest.raises(ConsistencyError, match=r"^L\(0\) has an entry that is not finite"):
             steady_state(l0)
 
 

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qarfcs import fcs, model
+from qarfcs import fcs, liouvillian, model
 from qarfcs import scan as scan_mod
 from qarfcs.analytic import ideal_cooling
-from qarfcs.errors import ValidationError
+from qarfcs.errors import ConsistencyError, QarError, ValidationError
 from qarfcs.fcs import _current_from_family, heat_current
 from qarfcs.liouvillian import build_counting_family
 from qarfcs.model import PRESET_DEFAULTS, preset
@@ -459,6 +459,19 @@ class TestWriterMemory:
         assert peak < 48 * 301 * 301
 
 
+class TestGridScanMemory:
+    """grid_scan holds one E21 row of rate tables, not the grid's: 2.9 MB at B's 101x101."""
+
+    def test_grid_scan_is_row_bounded(self):
+        tracemalloc.start()
+        try:
+            grid_scan("B", 101, 101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 def _per_point_grid(pid, e21_axis, betaH_axis, params):
     """The per-point loop grid_scan once ran, kept as the reference: one preset per point."""
     current = np.empty((len(e21_axis), len(betaH_axis)))
@@ -540,6 +553,32 @@ class TestMatchesPerPointLoop:
         assert isinstance(expected, tuple) and expected[0] is ValidationError
         assert _outcome(lambda: line_scan([pid], 0.9, 5, overrides)) == expected
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # (0, 0)'s trace underflows before column 4's rates overflow in e^(beta omega)
+            {"beta_c": 800.0, "gamma": 1e-150},
+            {"beta_c": 800.0},
+            {"gamma": 1e150},
+            {"gamma": 1e-150},
+            {"gamma": 1e308},
+        ],
+        ids=lambda o: str(o),
+    )
+    @pytest.mark.parametrize("pid", ["A", "B", "C", "D"])
+    def test_same_refusal_past_validation(self, pid, overrides):
+        # refusals of the rates, of L(0) and of the trace: the first point in row-major order
+        # raises its own, whichever layer raises it
+        params = {**PRESET_DEFAULTS, **overrides}
+        e21_axis = np.linspace(0.01 * params["e31"], 0.99 * params["e31"], 5)
+        bh_axis = np.linspace(params["beta_w"] + 0.01, params["beta_c"] - 0.01, 5)
+        expected = _outcome(lambda: _per_point_grid(pid, e21_axis, bh_axis, params))
+        assert isinstance(expected, tuple) and issubclass(expected[0], QarError)
+        assert _outcome(lambda: grid_scan(pid, 5, 5, overrides)) == expected
+        if pid == "A":
+            assert expected[0] is (ValidationError if overrides == {"beta_c": 800.0}
+                                   else ConsistencyError)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_same_outcome_on_random_axes(self, seed):
         # axes straddling both E21 bounds and both beta_H bounds, in any mix
@@ -599,6 +638,16 @@ class TestCallContract:
             "charpoly": points,
             "preset": 5 + 4,
         }
+
+    @pytest.mark.parametrize("pid", ["A", "B", "C", "D"])
+    def test_one_generator_per_row(self, monkeypatch, pid):
+        # each E21 row's generators come from one stacked call; no counting family is built
+        counts = _count_calls(
+            monkeypatch,
+            [liouvillian.generator_from_tables, liouvillian.build_counting_family],
+        )
+        grid_scan(pid, 5, 4)
+        assert counts == {"generator_from_tables": 5}
 
     def test_line_builds_one_preset_per_point(self, monkeypatch):
         counts = _count_calls(monkeypatch, [model.preset])
