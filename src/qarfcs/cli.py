@@ -24,7 +24,8 @@ from . import scan as scan_mod
 from .analytic import cop, decompose
 from .errors import QarError, ValidationError
 from .fcs import (  # charpoly: unused, but perfbench's binding test asserts cli binds it
-    _current_and_noise, _current_from_family, charpoly, cooling_condition, numeric_cumulants,
+    _base_charpoly, _current_and_noise, _current_from_family, charpoly, cooling_condition,
+    numeric_cumulants,
 )
 from .liouvillian import build_counting_family
 from .model import PRESET_DEFAULTS, PRESET_IDS, PRESET_NOTES, load_model, preset
@@ -205,7 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_current(args) -> int:
     model = _model_from_args(args)
     bath = _bath_index(model, args.bath)
-    current, value, cp = _current_from_family(build_counting_family(model, bath))
+    family = build_counting_family(model, bath)
+    cp = _base_charpoly(family.base)
+    current, value = _current_from_family(family.dressed, cp)
     if bath != model.cold_index:
         value, _ = cooling_condition(model)
     label = model.baths[bath].label

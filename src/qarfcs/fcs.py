@@ -100,6 +100,8 @@ def charpoly(m: np.ndarray) -> CharPoly:
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValidationError(f"charpoly needs a nonempty square matrix, got shape {m.shape}")
+    if m.dtype.kind not in "biuf":
+        raise ValidationError(f"charpoly needs a real matrix, got dtype {m.dtype}")
     coeffs, adj = _faddeev_leverrier(m.astype(WORKING_DTYPE))
     coeffs = np.array(coeffs, dtype=float)  # (N, ...): move the coefficient axis last
     return CharPoly(coeffs.transpose((*range(1, coeffs.ndim), 0)), adj.astype(float))
@@ -134,13 +136,13 @@ def _checked_fsum(terms: list[float], what: str, floor: bool = True) -> float:
     return math.fsum(terms)
 
 
-def _trace_product(a: np.ndarray, family: CountingFamily, order: int) -> float:
+def _trace_product(a: np.ndarray, transitions, order: int) -> float:
     """tr(a @ d^order L/ds^order) at s = 0: the ``_checked_fsum`` of a[col, row] dE^order k over
-    the dressed transitions (row, col, k, dE), where both factors are nonzero."""
+    the counted transitions (row, col, k, dE), where both factors are nonzero."""
     rows = a.tolist()
-    pairs = [(rows[col][row], de * k if order == 1 else de * de * k)
-             for row, col, k, de in family.dressed]
-    return _checked_fsum([y * x for y, x in pairs if x and y], "the trace")
+    terms = [y * x for row, col, k, de in transitions
+             if (x := de * k if order == 1 else de * de * k) and (y := rows[col][row])]
+    return _checked_fsum(terms, "the trace")
 
 
 def _check_finite_generator(l0: np.ndarray) -> None:
@@ -169,23 +171,19 @@ def _base_charpoly(l0: np.ndarray) -> CharPoly:
     return cp
 
 
-def _signed_current(trace: float, cp: CharPoly) -> tuple[float, float]:
-    """(current, its sign-certificate numerator) from tr(adj(L(0)) dL/ds) and L(0)'s ``cp``."""
+def _current_from_family(transitions, cp: CharPoly) -> tuple[float, float]:
+    """(current, its sign-certificate numerator) from L(0)'s ``cp`` and the counted transitions
+    (row, col, k, dE): the one place every s = 0 current and certificate is formed."""
     n = cp.n
     # + 0.0 turns the -0.0 of a model without current into +0.0
-    value = (-1.0) ** (n + 1) * trace + 0.0
+    value = (-1.0) ** (n + 1) * _trace_product(cp.adjugate, transitions, 1) + 0.0
     return value / cp.coefficient(n - 1), value
-
-
-def _current_from_family(family: CountingFamily, cp: CharPoly | None = None):
-    """(current, its sign-certificate numerator, ``cp`` or ``_base_charpoly(family.base)``)."""
-    cp = cp or _base_charpoly(family.base)
-    return (*_signed_current(_trace_product(cp.adjugate, family, 1), cp), cp)
 
 
 def heat_current(model: QarModel, bath: int) -> float:
     """Mean heat current from one bath into the system (positive = absorbed)."""
-    return _current_from_family(build_counting_family(model, bath))[0]
+    family = build_counting_family(model, bath)
+    return _current_from_family(family.dressed, _base_charpoly(family.base))[0]
 
 
 def cooling_condition(model: QarModel) -> tuple[float, bool]:
@@ -194,7 +192,8 @@ def cooling_condition(model: QarModel) -> tuple[float, bool]:
     Returns the trace expression (-1)^(N+1) tr(adj(L(0)) dL/ds) counted at the
     cold bath; it shares its sign with the cold current because a_{N-1}(0) > 0.
     """
-    _, value, _ = _current_from_family(build_counting_family(model, model.cold_index))
+    family = build_counting_family(model, model.cold_index)
+    _, value = _current_from_family(family.dressed, _base_charpoly(family.base))
     return value, value > 0.0
 
 
@@ -235,11 +234,11 @@ def _current_and_noise(family: CountingFamily) -> tuple[float, float]:
     """(current, noise) of one counting family; ``noise`` and ``qarfcs noise`` share it."""
     cp = _base_charpoly(family.base)
     _check_noise_precondition(family, cp)
-    current, _, _ = _current_from_family(family, cp)
+    current, _ = _current_from_family(family.dressed, cp)
     n = cp.n
     a_pen = cp.coefficient(n - 1)
-    dadj = adjugate_derivative(family)
-    traces = _trace_product(dadj, family, 1) + _trace_product(cp.adjugate, family, 2)
+    dadj, dressed = adjugate_derivative(family), family.dressed
+    traces = _trace_product(dadj, dressed, 1) + _trace_product(cp.adjugate, dressed, 2)
     # + 0.0 as in _current_from_family
     return current, (-1.0) ** (n + 1) / a_pen * traces - 2.0 * (
         cp.coefficient(n - 2) / a_pen

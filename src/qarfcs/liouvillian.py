@@ -83,6 +83,13 @@ class CountingFamily:
         return out, corrections
 
 
+def _counted_transitions(k_rows: list[list[float]], energies) -> list[tuple]:
+    """(row, col, rate k, signed energy dE) of L for each nonzero off-diagonal k_rows[i][j], the
+    rate i -> j, in row-major order; the heat absorbed on i -> j is energies[j] - energies[i]."""
+    return [(j, i, k, ej - ei) for i, ei in enumerate(energies) for j, ej in enumerate(energies)
+            if i != j and (k := k_rows[i][j])]
+
+
 def build_counting_family(model: QarModel, counted_bath: int) -> CountingFamily:
     """Dress the counted bath's rates with exp(s * dE) factors.
 
@@ -90,21 +97,10 @@ def build_counting_family(model: QarModel, counted_bath: int) -> CountingFamily:
     L(0) bitwise equal to the bare generator.
     """
     counted_bath = _bath_index(counted_bath, model.baths, "counted bath index")
-    base = build_generator(model)
     energies = model.system.energies
-    k = rate_table(model, counted_bath).tolist()
-    n = model.n_levels
-    # (row, col, rate, signed energy) per directed counted transition; the
-    # heat absorbed on i -> j is energies[j] - energies[i]
-    dressed = [
-        (j, i, k[i][j], energies[j] - energies[i])
-        for i in range(n)
-        for j in range(n)
-        if i != j and k[i][j] != 0.0
-    ]
     return CountingFamily(
-        base=base,
+        base=build_generator(model),
         energies=tuple(energies),
         betas=tuple(b.beta for b in model.baths),
-        dressed=tuple(dressed),
+        dressed=tuple(_counted_transitions(rate_table(model, counted_bath).tolist(), energies)),
     )

@@ -264,6 +264,16 @@ def rate_table(model: QarModel, bath: int) -> np.ndarray:
 
 PRESET_IDS = ("A", "B", "C", "D")
 
+
+def _preset_id(model_id) -> str:
+    """``model_id`` upper-cased if a string naming one of ``PRESET_IDS``, else a ValidationError."""
+    if not isinstance(model_id, str):
+        raise ValidationError(f"preset id must be a string, got {model_id!r}")
+    if model_id.upper() not in PRESET_IDS:
+        raise ValidationError(f"unknown preset {model_id.upper()!r}; choose from {PRESET_IDS}")
+    return model_id.upper()
+
+
 # the ideal machine's one pair per bath, in role order cold, hot, work (every preset's bath order)
 IDEAL_PAIRS: tuple[Pair, Pair, Pair] = ((0, 1), (0, 2), (1, 2))
 
@@ -281,7 +291,11 @@ PRESET_NOTES = {
 
 
 def _check_ordering(e21: float, e31: float, beta_c: float, beta_h: float, beta_w: float) -> None:
-    """Refuse a three-level machine unless 0 < E21 < E31 and beta_w < beta_h < beta_c."""
+    """Refuse a three-level machine unless all five are real, 0 < E21 < E31 and
+    beta_w < beta_h < beta_c."""
+    names = ("e21", "e31", "beta_c", "beta_h", "beta_w")
+    for name, x in zip(names, (e21, e31, beta_c, beta_h, beta_w)):
+        _real(x, name)
     if not 0.0 < e21 < e31:
         raise ValidationError(f"need 0 < E21 < E31, got E21={e21}, E31={e31}")
     if not beta_w < beta_h < beta_c:
@@ -305,13 +319,11 @@ def preset(
     gamma/50 couplings of every bath to every other transition. C and D add a
     full-strength leak of the hot (C) or work (D) bath on the cold transition.
     """
-    model_id = model_id.upper()
-    if model_id not in PRESET_IDS:
-        raise ValidationError(f"unknown preset {model_id!r}; choose from {PRESET_IDS}")
+    model_id = _preset_id(model_id)
     _check_ordering(e21, e31, beta_c, beta_h, beta_w)
     couplings = [{pair: gamma} for pair in IDEAL_PAIRS]
     if model_id == "B":
-        weak = dict.fromkeys(IDEAL_PAIRS, gamma / 50.0)
+        weak = dict.fromkeys(IDEAL_PAIRS, _real(gamma, "gamma") / 50.0)
         couplings = [{**weak, **own} for own in couplings]
     elif model_id != "A":  # the hot (C) or work (D) bath leaks on the cold transition
         couplings[{"C": 1, "D": 2}[model_id]][IDEAL_PAIRS[0]] = gamma

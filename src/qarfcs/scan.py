@@ -1,10 +1,11 @@
 """Parameter sweeps over (E21, beta_H): cooling-window grids and line cuts.
 
 A grid is evaluated one E21 row at a time: the row's rate tables and
-generators are stacked, and each point's characteristic polynomial and trace
-are then taken alone, bitwise those of a per-point evaluation. Errors are
-raised in row-major order. Negative currents are kept in the data; masking is
-the consumer's choice.
+generators are stacked, and each point's characteristic polynomial is then
+taken alone and its current and certificate formed by the scalar path's
+``fcs._current_from_family``, bitwise those of a per-point evaluation. Errors
+are raised in row-major order. Negative currents are kept in the data;
+masking is the consumer's choice.
 
 Tolerance policy, the ``tolerance_policy = scale-relative`` header line of a
 grid CSV. The cooling mask is the exact sign of each point's cooling
@@ -25,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .fcs import _base_charpoly, _checked_fsum, _signed_current
-from .liouvillian import generator_from_tables
-from .model import PRESET_DEFAULTS, PRESET_IDS, QarModel, _is_integer, preset, rate_table
+from .fcs import _base_charpoly, _current_from_family
+from .liouvillian import _counted_transitions, generator_from_tables
+from .model import PRESET_DEFAULTS, QarModel, _is_integer, _preset_id, _real, preset, rate_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +71,7 @@ def _merged_params(overrides: dict | None) -> dict:
         unknown = set(overrides) - set(PRESET_DEFAULTS)
         if unknown:
             raise ValidationError(f"unknown scan overrides: {sorted(unknown)}")
-        params.update(overrides)
+        params.update({key: _real(x, "scan override {!r}", key) for key, x in overrides.items()})
     return params
 
 
@@ -83,7 +84,10 @@ def _axis(values, n: int, lo: float, hi: float) -> np.ndarray:
         if n < 2:
             raise ValidationError("grid needs at least 2 points per axis")
         return np.linspace(lo, hi, n)
-    axis = np.asarray(values, dtype=float)
+    try:
+        axis = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"a scan axis must hold real numbers, got {values!r}") from exc
     if axis.ndim != 1 or axis.size == 0:
         raise ValidationError(f"a scan axis must be 1-D with at least 1 point, got {axis.shape}")
     if np.any(np.diff(axis) <= 0):
@@ -101,9 +105,7 @@ def grid_scan(
     betaH_axis: np.ndarray | None = None,
 ) -> ScanGrid:
     """Cold current and cooling mask for one preset over the full window."""
-    preset_id = preset_id.upper()
-    if preset_id not in PRESET_IDS:
-        raise ValidationError(f"unknown preset {preset_id!r}")
+    preset_id = _preset_id(preset_id)
     params = _merged_params(overrides)
     e31, beta_c, beta_w = params["e31"], params["beta_c"], params["beta_w"]
     ax_e21 = _axis(e21_axis, n_e21, 0.01 * e31, 0.99 * e31)
@@ -139,13 +141,10 @@ def grid_scan(
                 failure, stop = exc, j
                 break
         l0 = generator_from_tables(tables[:stop, :nb])
-        de = [ej - ei for ei in system.energies for ej in system.energies]
-        # the cold current and its certificate from _trace_product's terms adj[i, j] (dE k)[i, j]
-        for j, k_row in enumerate(tables[:stop, nb].reshape(stop, n * n).tolist()):
+        for j, k_rows in enumerate(tables[:stop, nb].tolist()):
             cp = _base_charpoly(l0[j])
-            terms = [y * x for y, d, k in zip(cp.adjugate.ravel().tolist(), de, k_row)
-                     if (x := d * k) and y]
-            current[i, j], value = _signed_current(_checked_fsum(terms, "the trace"), cp)
+            transitions = _counted_transitions(k_rows, system.energies)
+            current[i, j], value = _current_from_family(transitions, cp)
             mask[i, j] = value > 0.0
         if failure is not None:
             raise failure
@@ -159,14 +158,14 @@ def line_scan(
     overrides: dict | None = None,
 ) -> LineScan:
     """J_C(E21) curves at fixed beta_H for a list of presets."""
-    ids = list(dict.fromkeys(p.upper() for p in preset_ids))
+    if not np.iterable(preset_ids):
+        raise ValidationError(f"line scan needs a sequence of preset ids, got {preset_ids!r}")
+    ids = list(dict.fromkeys(map(_preset_id, preset_ids)))
     if not ids:
         raise ValidationError("line scan needs at least one preset")
-    for p in ids:
-        if p not in PRESET_IDS:
-            raise ValidationError(f"unknown preset {p!r}")
-    if n_e21 < 2:
+    if _is_integer(n_e21) and n_e21 < 2:  # any other count meets the grid's integer rule
         raise ValidationError("line scan needs at least 2 points")
+    _real(betaH, "line scan betaH")
     # each curve is column 0 of a one-column grid at this beta_H
     grids = [grid_scan(pid, n_e21, overrides=overrides, betaH_axis=[betaH]) for pid in ids]
     return LineScan(

@@ -2,6 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -837,6 +841,19 @@ class TestPresetsCommand:
         assert code == 0 and json.loads(out) == PRESET_NOTES
         assert list(PRESET_NOTES) == list(PRESET_IDS)
 
+    def test_module_entry_point_runs_and_passes_the_exit_code(self):
+        # python -m qarfcs runs __main__.py, which exits with main()'s code
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def module_run(*argv):
+            return subprocess.run([sys.executable, "-m", "qarfcs", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+
+        listed = module_run("presets", "--format", "json")
+        assert listed.returncode == 0 and json.loads(listed.stdout) == PRESET_NOTES
+        refused = module_run("current", "--preset", "A")
+        assert refused.returncode == 2 and "--preset needs --e21 and --betaH" in refused.stderr
+
 
 class TestOutputFiles:
     def test_out_flag_writes_file(self, capsys, tmp_path):
@@ -874,6 +891,16 @@ class TestUnwritableOutput:
             text = err
         assert f"cannot write output file {path!r}" in text
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", ["scan", "line"])  # the commands that check early
+    def test_permission_denied_refused(self, capsys, tmp_path, monkeypatch, command):
+        # the tests may run as root, whom no mode bit stops: os.access denies instead
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        path = tmp_path / "x.out"
+        code, out, err = run(capsys, *_UNWRITABLE_COMMANDS[command], "--out", str(path))
+        assert code == 2 and out == ""
+        assert f"cannot write output file {str(path)!r}: Permission denied" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command, default", [("scan", "scan_A.csv"), ("line", "line_betaH0.9.csv")]

@@ -184,7 +184,7 @@ class TestCountingFamily:
                         terms = [a[col, row] * float(x)
                                  for (row, col, _, _), x in zip(fam.dressed, fd)]
                         gross = max(math.fsum(map(abs, terms)), 1e-300)
-                        got = _trace_product(a, fam, order)
+                        got = _trace_product(a, fam.dressed, order)
                         assert abs(got - math.fsum(terms)) <= 1e-8 * gross
 
     def test_extended_evaluator_matches_double(self):

@@ -5,6 +5,9 @@ import json
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qarfcs
 
 
@@ -118,3 +121,42 @@ def test_report_and_family_fields_are_pinned():
     assert names(qarfcs.Decomposition) == [
         "cycles", "leaks", "total", "normalization", "reconstruction_residual", "magnitude",
     ]
+
+
+# (call, the field its refusal names) for library inputs of the wrong type
+_WRONG_TYPES = {
+    "preset-id-none": (lambda: qarfcs.preset(None, 0.3, 0.9), r"^preset id must be a string"),
+    "grid-id-int": (lambda: qarfcs.grid_scan(1, 3, 3), r"^preset id must be a string, got 1$"),
+    "line-id-int": (lambda: qarfcs.line_scan([1], 0.9, 3), r"^preset id must be a string, got 1$"),
+    "preset-e21-str": (lambda: qarfcs.preset("A", "0.3", 0.9), r"^e21 must be a real number"),
+    "preset-betaH-none": (lambda: qarfcs.preset("A", 0.3, None), r"^beta_h must be a real number"),
+    "preset-gamma-str": (lambda: qarfcs.preset("B", 0.3, 0.9, gamma="1"), r"^gamma must be a"),
+    "ideal-e21-str": (lambda: qarfcs.ideal_cooling("0.3", 1.0, 1.0, 0.5, 0.1),
+                      r"^e21 must be a real number, got '0.3'$"),
+    "cycles-betaC-str": (lambda: qarfcs.cycle_conditions(0.3, 1.0, "1", 0.9, 0.1),
+                         r"^beta_c must be a real number, got '1'$"),
+    "grid-override-str": (lambda: qarfcs.grid_scan("A", 3, 3, {"e31": "1"}),
+                          r"^scan override 'e31' must be a real number, got '1'$"),
+    "grid-override-none": (lambda: qarfcs.grid_scan("A", 3, 3, {"beta_w": None}),
+                           r"^scan override 'beta_w' must be a real number, got None$"),
+    "grid-axis-str": (lambda: qarfcs.grid_scan("A", e21_axis=["a"], betaH_axis=[0.9]),
+                      r"^a scan axis must hold real numbers, got \['a'\]$"),
+    "line-count-str": (lambda: qarfcs.line_scan(["A"], 0.9, "5"),
+                       r"^grid needs an integer number of points per axis, got '5'$"),
+    "line-ids-none": (lambda: qarfcs.line_scan(None, 0.9, 3),
+                      r"^line scan needs a sequence of preset ids, got None$"),
+    "line-betaH-none": (lambda: qarfcs.line_scan(["A"], None, 3),
+                        r"^line scan betaH must be a real number, got None$"),
+    "charpoly-complex": (lambda: qarfcs.charpoly(np.eye(2) * 1j),
+                         r"^charpoly needs a real matrix, got dtype complex128$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
+def test_wrong_types_are_validation_errors(case):
+    # each is refused with exit code 2 and names its field, not a bare TypeError,
+    # AttributeError or ValueError from deeper down, nor a ComplexWarning
+    call, message = _WRONG_TYPES[case]
+    with pytest.raises(qarfcs.ValidationError, match=message) as info:
+        call()
+    assert info.value.code == 2

@@ -13,7 +13,7 @@ from qarfcs import fcs, liouvillian, model
 from qarfcs import scan as scan_mod
 from qarfcs.analytic import ideal_cooling
 from qarfcs.errors import ConsistencyError, QarError, ValidationError
-from qarfcs.fcs import _current_from_family, heat_current
+from qarfcs.fcs import _base_charpoly, _current_from_family, heat_current
 from qarfcs.liouvillian import build_counting_family
 from qarfcs.model import PRESET_DEFAULTS, preset
 from qarfcs.scan import (
@@ -485,7 +485,7 @@ def _per_point_grid(pid, e21_axis, betaH_axis, params):
                     f"grid point (e21={e21:.6g}, betaH={bh:.6g}): {exc}"
                 ) from exc
             family = build_counting_family(m, m.cold_index)
-            j_cold, value, _ = _current_from_family(family)
+            j_cold, value = _current_from_family(family.dressed, _base_charpoly(family.base))
             current[i, j] = j_cold
             mask[i, j] = value > 0.0
     return current, mask
