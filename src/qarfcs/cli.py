@@ -23,11 +23,8 @@ import numpy as np
 from . import scan as scan_mod
 from .analytic import cop, decompose
 from .errors import QarError, ValidationError
-from .fcs import (  # charpoly: unused, but perfbench's binding test asserts cli binds it
-    _base_charpoly, _current_and_noise, _current_from_family, charpoly, cooling_condition,
-    numeric_cumulants,
-)
-from .liouvillian import build_counting_family
+from .fcs import _current_and_noise, _currents, charpoly, cooling_condition, numeric_cumulants
+from .liouvillian import build_counting_family, build_generator
 from .model import PRESET_DEFAULTS, PRESET_IDS, PRESET_NOTES, load_model, preset
 from .oracle import FOLDS, INVARIANTS, random_connected_model
 
@@ -206,9 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_current(args) -> int:
     model = _model_from_args(args)
     bath = _bath_index(model, args.bath)
-    family = build_counting_family(model, bath)
-    cp = _base_charpoly(family.base)
-    current, value = _current_from_family(family.dressed, cp)
+    current, value = _currents([model], bath)[0]
     if bath != model.cold_index:
         value, _ = cooling_condition(model)
     label = model.baths[bath].label
@@ -219,7 +214,7 @@ def _cmd_current(args) -> int:
         f"cooling = {value > 0.0} (condition value {value:.17e})",
     ]
     if args.verbose:
-        payload["charpoly"] = cp.coeffs.tolist()
+        payload["charpoly"] = charpoly(build_generator(model)).coeffs.tolist()
         coeffs = ", ".join(f"a_{k + 1} = {c:.17e}" for k, c in enumerate(payload["charpoly"]))
         lines.append(f"charpoly: {coeffs}")
     _emit(payload, args, lines)

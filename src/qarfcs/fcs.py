@@ -30,8 +30,9 @@ from .errors import (
     NoiseNotApplicableError,
     ValidationError,
 )
-from .liouvillian import WORKING_DTYPE, CountingFamily, _identity, build_counting_family
-from .model import QarModel
+from .liouvillian import WORKING_DTYPE, CountingFamily, _counted_transitions, _identity
+from .liouvillian import build_counting_family, generator_from_tables
+from .model import QarModel, _bath_index, rate_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,10 +181,31 @@ def _current_from_family(transitions, cp: CharPoly) -> tuple[float, float]:
     return value / cp.coefficient(n - 1), value
 
 
+def _currents(models: list[QarModel], bath: int) -> list[tuple[float, float]]:
+    """(current, certificate numerator) of each of ``models``, all of one shape, counted at
+    ``bath``: each model's bath tables and its counted table again go into one stack, one
+    ``generator_from_tables`` call gives every L(0), and each takes its own ``_base_charpoly``.
+    A model whose tables fail raises after the models before it, as a loop over them would."""
+    bath = _bath_index(bath, models[0].baths, "counted bath index")
+    nb, n = models[0].n_baths, models[0].n_levels
+    tables, failure = np.empty((len(models), nb + 1, n, n)), None
+    for p, model in enumerate(models):
+        try:
+            tables[p] = [rate_table(model, b) for b in (*range(nb), bath)]
+        except Exception as exc:
+            failure, tables = exc, tables[:p]
+            break
+    l0 = generator_from_tables(tables[:, :nb])
+    out = [_current_from_family(_counted_transitions(k, m.system.energies), _base_charpoly(l))
+           for m, l, k in zip(models, l0, tables[:, nb].tolist())]
+    if failure is not None:
+        raise failure
+    return out
+
+
 def heat_current(model: QarModel, bath: int) -> float:
     """Mean heat current from one bath into the system (positive = absorbed)."""
-    family = build_counting_family(model, bath)
-    return _current_from_family(family.dressed, _base_charpoly(family.base))[0]
+    return _currents([model], bath)[0][0]
 
 
 def cooling_condition(model: QarModel) -> tuple[float, bool]:
@@ -192,8 +214,7 @@ def cooling_condition(model: QarModel) -> tuple[float, bool]:
     Returns the trace expression (-1)^(N+1) tr(adj(L(0)) dL/ds) counted at the
     cold bath; it shares its sign with the cold current because a_{N-1}(0) > 0.
     """
-    family = build_counting_family(model, model.cold_index)
-    _, value = _current_from_family(family.dressed, _base_charpoly(family.base))
+    value = _currents([model], model.cold_index)[0][1]
     return value, value > 0.0
 
 
@@ -301,6 +322,17 @@ _NEWTON_RTOL = 1e-12
 _MAX_NEWTON_ITER = 100
 
 
+def _real_s(s) -> np.ndarray:
+    """``s`` as a float array, refused by dtype kind unless real, as ``charpoly`` refuses."""
+    try:
+        s = np.asarray(s)
+    except ValueError as exc:  # a ragged sequence
+        raise ValidationError(f"s must be an array of real numbers: {exc}") from exc
+    if s.dtype.kind not in "biuf":
+        raise ValidationError(f"s must be real, got dtype {s.dtype}")
+    return s.astype(float)
+
+
 def cgf(family: CountingFamily, s: float | np.ndarray) -> float | np.ndarray:
     """Scaled cumulant generating function G(s) of the counted heat.
 
@@ -324,7 +356,7 @@ def cgf(family: CountingFamily, s: float | np.ndarray) -> float | np.ndarray:
     cannot put in double range is refused before any solve. Each target is
     then solved alone.
     """
-    targets = np.asarray(s, dtype=float)
+    targets = _real_s(s)
     flat = targets.ravel()
     window = _WINDOW_FACTOR * max(family.betas)
     if not np.all(np.abs(flat) <= window):

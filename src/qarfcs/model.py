@@ -114,10 +114,9 @@ def _is_integer(x) -> bool:
 
 
 def _normalize_pair(pair: Pair) -> Pair:
-    i, j = pair[0], pair[1]
-    if not (_is_integer(i) and _is_integer(j)):
+    if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_integer, pair))):
         raise ValidationError(f"coupling pair {pair!r} must join two integer levels")
-    i, j = int(i), int(j)
+    i, j = int(pair[0]), int(pair[1])
     if i == j:
         raise ValidationError(f"coupling pair must join distinct levels, got {pair}")
     return (i, j) if i < j else (j, i)
@@ -145,8 +144,15 @@ class BathSpec:
                 f"bath {self.label!r}: inverse temperature 'beta' must be positive "
                 f"and finite, got {self.beta}"
             )
+        try:
+            couplings = dict(self.couplings)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"bath {self.label!r}: field 'couplings' must map level pairs to gammas, "
+                f"got {self.couplings!r}"
+            ) from exc
         norm: dict[Pair, float] = {}
-        for pair, g in dict(self.couplings).items():
+        for pair, g in couplings.items():
             g = float(_real(g, "bath {!r}: coupling 'gamma' for pair {}", self.label, pair))
             if not (math.isfinite(g) and g >= 0.0):
                 raise ValidationError(
@@ -195,9 +201,16 @@ class QarModel:
     cold_index: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.system, SystemSpec):
+            raise ValidationError(f"field 'system' must be a SystemSpec, got {self.system!r}")
+        if not np.iterable(self.baths):
+            raise ValidationError(f"field 'baths' must be a sequence, got {self.baths!r}")
         object.__setattr__(self, "baths", tuple(self.baths))
         if not self.baths:
             raise ValidationError("at least one bath is required")
+        for k, bath in enumerate(self.baths, 1):
+            if not isinstance(bath, BathSpec):
+                raise ValidationError(f"field 'baths': bath {k} must be a BathSpec, got {bath!r}")
         cold = _bath_index(self.cold_index, self.baths, "cold bath index", "field 'cold_index'")
         object.__setattr__(self, "cold_index", cold)
         labels = [bath.label for bath in self.baths]
@@ -209,8 +222,8 @@ class QarModel:
             for (i, j), g in bath.couplings.items():
                 if not (0 <= i < n and 0 <= j < n):
                     raise ValidationError(
-                        f"bath {bath.label!r}: pair ({i}, {j}) references a "
-                        f"level outside 0..{n - 1}"
+                        f"bath {bath.label!r}: pair ({i + 1}, {j + 1}) references a "
+                        f"level outside 1..{n}"
                     )
                 if g > 0.0:
                     seen.add((i, j))
@@ -218,7 +231,7 @@ class QarModel:
         missing = _unreached(n, seen)
         if missing:
             raise ValidationError(
-                f"transition graph is disconnected: levels {missing} are not "
+                f"transition graph is disconnected: levels {[m + 1 for m in missing]} are not "
                 "reachable, so the steady state is not unique"
             )
 
@@ -424,6 +437,10 @@ def load_model(path: str | Path) -> QarModel:
         raise ValidationError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"model file {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"model file {path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"model file {path} nests too deeply to parse: {exc}") from exc
     return model_from_dict(data)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analytic import _ideal_machine, cop, decompose
 from .errors import TopologyError, ValidationError
-from .fcs import _check_finite_generator, cgf, charpoly, cooling_condition, heat_current
+from .fcs import _check_finite_generator, _real_s, cgf, charpoly, cooling_condition, heat_current
 from .liouvillian import build_counting_family, build_generator, generator_from_tables
 from .model import (
     IDEAL_PAIRS, BathSpec, OhmicSpectralDensity, QarModel, SystemSpec, _bath_index, _is_integer,
@@ -126,7 +126,7 @@ def fluctuation_symmetry_check(model: QarModel, s_samples) -> float:
     cold = model.cold_index
     s_star = model.baths[cold].beta - model.baths[1 - cold].beta
     family = build_counting_family(model, cold)
-    s = np.asarray(s_samples, dtype=float).ravel()
+    s = _real_s(s_samples).ravel()
     g = cgf(family, np.concatenate([s, s_star - s]))
     dev, scale = (float(np.max(np.abs(x), initial=0.0)) for x in (g[: s.size] - g[s.size :], g))
     return dev / scale if scale else 0.0
@@ -178,6 +178,8 @@ def random_connected_model(
     coupling graphs, whose spectra may acquire small imaginary parts at
     strong thermal driving.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"field 'rng' must be a numpy Generator, got {rng!r}")
     if topology not in ("tree", "any"):
         raise ValidationError(f"unknown topology {topology!r}")
     if not all(count is None or _is_integer(count) for count in (n_levels, n_baths)):

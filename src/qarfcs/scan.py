@@ -1,10 +1,10 @@
 """Parameter sweeps over (E21, beta_H): cooling-window grids and line cuts.
 
-A grid is evaluated one E21 row at a time: the row's rate tables and
-generators are stacked, and each point's characteristic polynomial is then
-taken alone and its current and certificate formed by the scalar path's
-``fcs._current_from_family``, bitwise those of a per-point evaluation. Errors
-are raised in row-major order. Negative currents are kept in the data;
+A grid is evaluated one E21 row at a time: the row's models go through
+``fcs._currents``, the path of the scalar ``heat_current``, which stacks their
+rate tables and generators and takes each point's characteristic polynomial
+alone, so every current and certificate is bitwise that of a per-point
+evaluation. Errors are raised in row-major order. Negative currents are kept in the data;
 masking is the consumer's choice.
 
 Tolerance policy, the ``tolerance_policy = scale-relative`` header line of a
@@ -26,9 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .fcs import _base_charpoly, _current_from_family
-from .liouvillian import _counted_transitions, generator_from_tables
-from .model import PRESET_DEFAULTS, QarModel, _is_integer, _preset_id, _real, preset, rate_table
+from .fcs import _currents
+from .model import PRESET_DEFAULTS, QarModel, _is_integer, _preset_id, _real, preset
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +75,9 @@ def _merged_params(overrides: dict | None) -> dict:
 
 
 def _axis(values, n: int, lo: float, hi: float) -> np.ndarray:
-    """An explicit axis as strictly increasing 1-D floats with at least one point, else an
-    integer n >= 2 points on [lo, hi], decreasing where bad parameters put hi below lo."""
+    """An explicit axis as 1-D floats with at least one point, its points other than NaN
+    strictly increasing, else an integer n >= 2 points on [lo, hi], decreasing where bad
+    parameters put hi below lo."""
     if values is None:
         if not _is_integer(n):
             raise ValidationError(f"grid needs an integer number of points per axis, got {n!r}")
@@ -90,7 +90,10 @@ def _axis(values, n: int, lo: float, hi: float) -> np.ndarray:
         raise ValidationError(f"a scan axis must hold real numbers, got {values!r}") from exc
     if axis.ndim != 1 or axis.size == 0:
         raise ValidationError(f"a scan axis must be 1-D with at least 1 point, got {axis.shape}")
-    if np.any(np.diff(axis) <= 0):
+    # NaN compares false with everything, so order is checked among the other points; a NaN
+    # point, like an infinite one, is a bad grid point that its preset refuses in turn
+    ordered = axis[~np.isnan(axis)]
+    if not np.all(ordered[1:] > ordered[:-1]):
         raise ValidationError("scan axes must be strictly increasing")
     return axis
 
@@ -126,28 +129,11 @@ def grid_scan(
     levels = [point(e21, bhs[0]).system for e21 in e21s]
     current = np.empty((len(ax_e21), len(ax_bh)))
     mask = np.empty((len(ax_e21), len(ax_bh)), dtype=bool)
-    # One E21 row at a time. Per column, every bath's rate table and then the cold one again,
-    # as build_counting_family takes it and perfbench pins it; whatever a point raises there is
-    # raised after the points before it in row-major order.
-    nb, n = len(baths[0]), levels[0].n_levels
-    tables = np.empty((len(bhs), nb + 1, n, n))
+    # one E21 row at a time, so memory holds one row of rate tables; these models cannot fail
     for i, system in enumerate(levels):
-        failure, stop = None, len(bhs)
-        for j, bath_set in enumerate(baths):
-            try:
-                model = QarModel(system, bath_set, 0)
-                tables[j] = [rate_table(model, b) for b in (*range(nb), 0)]
-            except Exception as exc:
-                failure, stop = exc, j
-                break
-        l0 = generator_from_tables(tables[:stop, :nb])
-        for j, k_rows in enumerate(tables[:stop, nb].tolist()):
-            cp = _base_charpoly(l0[j])
-            transitions = _counted_transitions(k_rows, system.energies)
-            current[i, j], value = _current_from_family(transitions, cp)
-            mask[i, j] = value > 0.0
-        if failure is not None:
-            raise failure
+        row = _currents([QarModel(system, bath_set, 0) for bath_set in baths], 0)
+        current[i], value = np.array(row).T
+        mask[i] = value > 0.0
     return ScanGrid(preset_id, ax_e21, ax_bh, current, mask, params)
 
 

@@ -323,10 +323,25 @@ class TestMalformedModelFile:
                 _malformed(lambda d: d.update(energies=[0.0, 0.5, math.inf])),
                 "field 'energies': level 3 is not finite, got inf",
             ),
+            # levels numbered from 1, as in the file
+            (
+                _malformed(lambda d: d.update(energies=[0.0, 0.4, 1.0, 1.5], baths=[
+                    d["baths"][0],
+                    {"label": "H", "beta": 0.5, "couplings": [{"i": 3, "j": 4, "gamma": 1e-3}]},
+                ])),
+                "transition graph is disconnected: levels [3, 4] are not reachable",
+            ),
+            (
+                _malformed(
+                    lambda d: d["baths"][0]["couplings"].append({"i": 2, "j": 5, "gamma": 1e-3})
+                ),
+                "bath 'C': pair (2, 5) references a level outside 1..3",
+            ),
         ],
         ids=["beta", "label", "i", "j", "gamma", "gamma-abc", "top-level-list", "duplicate-label",
              "gap-tol-negative", "pair-repeated", "j-fraction", "gamma-inf", "gamma-nan",
-             "beta-nan", "beta-inf", "omega-c-nan", "energy-nan", "energy-inf"],
+             "beta-nan", "beta-inf", "omega-c-nan", "energy-nan", "energy-inf",
+             "levels-unreachable", "pair-outside"],
     )
     def test_exit_2_with_bath_and_field(self, capsys, tmp_path, data, message, fmt):
         path = tmp_path / "model.json"
@@ -355,6 +370,29 @@ class TestMalformedModelFile:
             assert message in json.loads(out)["error"]["message"]
         else:
             assert err.startswith("error (validation): ") and message in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"energies": [0.0, \xff]}', "is not UTF-8 text: 'utf-8' codec can't decode"),
+            (b"[" * 100_000 + b"]" * 100_000, "nests too deeply to parse"),
+        ],
+        ids=["not-utf8", "deep-nesting"],
+    )
+    def test_unreadable_file_exits_2(self, capsys, tmp_path, content, message, fmt):
+        # a bare UnicodeDecodeError or RecursionError traceback with exit 1 used to come back
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "current", "--model", str(path), "--format", fmt)
+        assert code == 2
+        message = f"model file {path} {message}"
+        if fmt == "json":
+            error = json.loads(out)["error"]
+            assert error["code"] == "validation" and error["exit"] == 2
+            assert error["message"].startswith(message)
+        else:
+            assert err.startswith(f"error (validation): {message}")
 
     def test_good_file_still_loads(self, capsys, tmp_path):
         path = tmp_path / "model.json"

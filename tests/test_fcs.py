@@ -15,7 +15,9 @@ from qarfcs.errors import (
 from qarfcs import fcs as fcs_module
 from qarfcs.fcs import (
     CharPoly,
+    _base_charpoly,
     _checked_fsum,
+    _current_from_family,
     _target_polynomials,
     _trace_product,
     adjugate_derivative,
@@ -338,6 +340,53 @@ class TestHeatCurrent:
 
         with pytest.raises(ConsistencyError):
             _current_from_family(fam.dressed, _base_charpoly(fam.base))
+
+
+class TestCurrents:
+    """``_currents`` of a list of models against the counting-family path, model by model."""
+
+    @staticmethod
+    def _family_path(model, bath):
+        fam = build_counting_family(model, bath)
+        return _current_from_family(fam.dressed, _base_charpoly(fam.base))
+
+    def test_bitwise_the_family_path_beyond_the_grid_shapes(self):
+        # the grid stacks only N = 3, B = 3: here N 2-5, B 2-4, tree and cyclic graphs
+        rng = np.random.default_rng(3535)
+        groups: dict[tuple[int, int], list] = {}
+        for n in range(2, 6):
+            for nb in range(2, 5):
+                for topology in ("tree", "any"):
+                    groups.setdefault((n, nb), []).extend(
+                        random_connected_model(rng, n_levels=n, n_baths=nb, topology=topology)
+                        for _ in range(9)
+                    )
+        assert sum(map(len, groups.values())) >= 200
+        for (n, nb), models in groups.items():
+            for bath in range(nb):
+                got = fcs_module._currents(models, bath)
+                expected = [self._family_path(m, bath) for m in models]
+                assert [tuple(map(float.hex, x)) for x in got] == [
+                    tuple(map(float.hex, x)) for x in expected
+                ], (n, nb, bath)
+
+    def test_scalar_calls_are_the_size_1_case(self):
+        m = preset("B", 0.3, 0.9)
+        for bath in range(m.n_baths):
+            assert fcs_module._currents([m], bath) == [self._family_path(m, bath)]
+            assert heat_current(m, bath) == self._family_path(m, bath)[0]
+        assert cooling_condition(m)[0] == self._family_path(m, 0)[1]
+
+    def test_first_error_in_list_order(self):
+        # an underflowing trace (gamma 1e-150) and rates that overflow e^(beta omega)
+        # (beta_C * E21 = 900 > 709.78): the earlier model's own refusal comes back, though
+        # the later one fails while the tables are written, before any trace
+        under = preset("A", 0.3, 0.9, gamma=1e-150)
+        over = preset("A", 0.3, 0.9, beta_c=3000.0)
+        with pytest.raises(ConsistencyError, match="rate products underflow"):
+            fcs_module._currents([under, over], 0)
+        with pytest.raises(ValidationError, match="e\\^\\(beta omega\\) overflows at beta"):
+            fcs_module._currents([over, under], 0)
 
 
 class TestCoolingCondition:

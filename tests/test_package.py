@@ -123,6 +123,10 @@ def test_report_and_family_fields_are_pinned():
     ]
 
 
+_A = qarfcs.preset("A", 0.3, 0.9)
+_A_FAMILY = qarfcs.build_counting_family(_A, 0)
+_TWO_BATH = qarfcs.random_connected_model(np.random.default_rng(0), n_baths=2)
+
 # (call, the field its refusal names) for library inputs of the wrong type
 _WRONG_TYPES = {
     "preset-id-none": (lambda: qarfcs.preset(None, 0.3, 0.9), r"^preset id must be a string"),
@@ -149,6 +153,25 @@ _WRONG_TYPES = {
                         r"^line scan betaH must be a real number, got None$"),
     "charpoly-complex": (lambda: qarfcs.charpoly(np.eye(2) * 1j),
                          r"^charpoly needs a real matrix, got dtype complex128$"),
+    "bath-couplings-none": (lambda: qarfcs.BathSpec("C", 1.0, None),
+                            r"^bath 'C': field 'couplings' must map level pairs to gammas, "
+                            r"got None$"),
+    "bath-pair-short": (lambda: qarfcs.BathSpec("C", 1.0, {(0,): 1e-3}),
+                        r"^coupling pair \(0,\) must join two integer levels$"),
+    "bath-pair-int": (lambda: qarfcs.BathSpec("C", 1.0, {3: 1e-3}),
+                      r"^coupling pair 3 must join two integer levels$"),
+    "model-system-none": (lambda: qarfcs.QarModel(None, _A.baths, 0),
+                          r"^field 'system' must be a SystemSpec, got None$"),
+    "model-bath-str": (lambda: qarfcs.QarModel(_A.system, (*_A.baths[:2], "W"), 0),
+                       r"^field 'baths': bath 3 must be a BathSpec, got 'W'$"),
+    "random-rng-int": (lambda: qarfcs.random_connected_model(0),
+                       r"^field 'rng' must be a numpy Generator, got 0$"),
+    "cgf-s-str": (lambda: qarfcs.cgf(_A_FAMILY, "a"), r"^s must be real, got dtype <U1$"),
+    "cgf-s-complex": (lambda: qarfcs.cgf(_A_FAMILY, 1j), r"^s must be real, got dtype complex128$"),
+    "cgf-s-complex-array": (lambda: qarfcs.cgf(_A_FAMILY, np.array([1 + 1j])),
+                            r"^s must be real, got dtype complex128$"),
+    "symmetry-s-str": (lambda: qarfcs.fluctuation_symmetry_check(_TWO_BATH, "a"),
+                       r"^s must be real, got dtype <U1$"),
 }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import sys
 import tracemalloc
@@ -134,7 +135,15 @@ class TestGridScan:
         assert grid_scan("A", np.int64(3), np.int8(2)).current.shape == (3, 2)
 
     @pytest.mark.parametrize(
-        "axes", [{"e21_axis": [0.5, 0.4]}, {"betaH_axis": [0.3, 0.6, 0.6]}]
+        "axes",
+        [
+            {"e21_axis": [0.5, 0.4]},
+            {"betaH_axis": [0.3, 0.6, 0.6]},
+            # a NaN point does not hide the order of the others
+            {"e21_axis": [0.5, math.nan, 0.4]},
+            {"betaH_axis": [0.6, math.nan, 0.6]},
+            {"e21_axis": [math.inf, math.inf]},
+        ],
     )
     def test_non_increasing_axis_refused(self, monkeypatch, axes):
         monkeypatch.setattr(scan_mod, "preset", None)  # any model build would raise TypeError
@@ -519,6 +528,8 @@ class TestMatchesPerPointLoop:
             pytest.param([0.2, float("nan")], GOOD_BH, {}, id="nan-e21"),
             pytest.param(GOOD_E21, [0.3, float("nan")], {}, id="nan-betaH"),
             pytest.param([float("nan")], [float("nan")], {}, id="nan-both"),
+            pytest.param([0.2, math.inf], GOOD_BH, {}, id="inf-e21"),
+            pytest.param(GOOD_E21, [0.3, math.inf], {}, id="inf-betaH"),
             pytest.param(GOOD_E21, GOOD_BH, {"gamma": -1.0}, id="gamma-negative"),
             pytest.param(GOOD_E21, GOOD_BH, {"gamma": 0.0}, id="gamma-zero-disconnected"),
             pytest.param(GOOD_E21, GOOD_BH, {"gamma": float("nan")}, id="gamma-nan"),
