@@ -15,6 +15,9 @@ cancellation noise far below every tolerance used here.
 The recursion also takes a stack of matrices. The generating function G(s)
 uses that: ``cgf`` takes the polynomials of all its targets from one stacked
 pass, then finds each target's Perron root by its own Newton solve.
+
+L(0) and the counted transitions come from ``liouvillian._counted``: this
+module reads no rates.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ from .errors import (
     NoiseNotApplicableError,
     ValidationError,
 )
-from .liouvillian import WORKING_DTYPE, CountingFamily, _counted_transitions, _identity
-from .liouvillian import build_counting_family, generator_from_tables
-from .model import QarModel, _bath_index, rate_table
+from .liouvillian import WORKING_DTYPE, CountingFamily, _counted, _identity, build_counting_family
+from .model import QarModel
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,25 +184,9 @@ def _current_from_family(transitions, cp: CharPoly) -> tuple[float, float]:
 
 
 def _currents(models: list[QarModel], bath: int) -> list[tuple[float, float]]:
-    """(current, certificate numerator) of each of ``models``, all of one shape, counted at
-    ``bath``: each model's bath tables and its counted table again go into one stack, one
-    ``generator_from_tables`` call gives every L(0), and each takes its own ``_base_charpoly``.
-    A model whose tables fail raises after the models before it, as a loop over them would."""
-    bath = _bath_index(bath, models[0].baths, "counted bath index")
-    nb, n = models[0].n_baths, models[0].n_levels
-    tables, failure = np.empty((len(models), nb + 1, n, n)), None
-    for p, model in enumerate(models):
-        try:
-            tables[p] = [rate_table(model, b) for b in (*range(nb), bath)]
-        except Exception as exc:
-            failure, tables = exc, tables[:p]
-            break
-    l0 = generator_from_tables(tables[:, :nb])
-    out = [_current_from_family(_counted_transitions(k, m.system.energies), _base_charpoly(l))
-           for m, l, k in zip(models, l0, tables[:, nb].tolist())]
-    if failure is not None:
-        raise failure
-    return out
+    """(current, certificate numerator) of each of ``models``, counted at ``bath``: ``_counted``
+    gives each L(0) and its transitions in its refusal order, and each L(0) its own charpoly."""
+    return [_current_from_family(t, _base_charpoly(l0)) for l0, t in _counted(models, bath)]
 
 
 def heat_current(model: QarModel, bath: int) -> float:

@@ -5,6 +5,9 @@ L[j, i] is the total rate from level i into level j and every column of
 L(0) sums to zero. Dressing the rates of one counted bath with exp(s * dE)
 factors (s real, s = i*chi) tracks the heat that bath exchanges; heat flowing
 into the system counts positive.
+
+``_counted`` is the one assembly of L(0) and the counted transitions, for
+every s = 0 current and grid row; ``build_counting_family`` is its size-1 case.
 """
 
 from __future__ import annotations
@@ -90,17 +93,32 @@ def _counted_transitions(k_rows: list[list[float]], energies) -> list[tuple]:
             if i != j and (k := k_rows[i][j])]
 
 
+def _counted(models: list[QarModel], bath: int):
+    """Yield (L(0), counted transitions) of each of ``models``, all of one shape, counted at
+    ``bath``: each model's B bath tables and its counted table again go into one stack, and one
+    ``generator_from_tables`` call gives every L(0). A model whose tables fail raises once the
+    models before it are taken, as a loop over them would."""
+    bath = _bath_index(bath, models[0].baths, "counted bath index")
+    nb, n = models[0].n_baths, models[0].n_levels
+    tables, failure = np.empty((len(models), nb + 1, n, n)), None
+    for p, model in enumerate(models):
+        try:
+            tables[p] = [rate_table(model, b) for b in (*range(nb), bath)]
+        except Exception as exc:
+            failure, tables = exc, tables[:p]
+            break
+    for m, l0, k in zip(models, generator_from_tables(tables[:, :nb]), tables[:, nb].tolist()):
+        yield l0, _counted_transitions(k, m.system.energies)
+    if failure is not None:
+        raise failure
+
+
 def build_counting_family(model: QarModel, counted_bath: int) -> CountingFamily:
-    """Dress the counted bath's rates with exp(s * dE) factors.
+    """Dress the counted bath's rates with exp(s * dE) factors: the size-1 case of ``_counted``.
 
     L(s) is assembled as L(0) plus k * expm1(s * dE) corrections, which makes
     L(0) bitwise equal to the bare generator.
     """
-    counted_bath = _bath_index(counted_bath, model.baths, "counted bath index")
-    energies = model.system.energies
-    return CountingFamily(
-        base=build_generator(model),
-        energies=tuple(energies),
-        betas=tuple(b.beta for b in model.baths),
-        dressed=tuple(_counted_transitions(rate_table(model, counted_bath).tolist(), energies)),
-    )
+    base, dressed = next(_counted([model], counted_bath))
+    betas = tuple(b.beta for b in model.baths)
+    return CountingFamily(base, model.system.energies, betas, tuple(dressed))

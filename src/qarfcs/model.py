@@ -113,12 +113,22 @@ def _is_integer(x) -> bool:
     return type(x) is int or isinstance(x, np.integer)
 
 
+def _is_pair(pair) -> bool:
+    return isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_integer, pair))
+
+
+def _pair_name(pair) -> str:
+    """A pair of integer levels numbered from 1, as model files number them, in every
+    message; any other key as it was given."""
+    return f"({pair[0] + 1}, {pair[1] + 1})" if _is_pair(pair) else repr(pair)
+
+
 def _normalize_pair(pair: Pair) -> Pair:
-    if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_integer, pair))):
+    if not _is_pair(pair):
         raise ValidationError(f"coupling pair {pair!r} must join two integer levels")
     i, j = int(pair[0]), int(pair[1])
     if i == j:
-        raise ValidationError(f"coupling pair must join distinct levels, got {pair}")
+        raise ValidationError(f"coupling pair must join distinct levels, got {_pair_name(pair)}")
     return (i, j) if i < j else (j, i)
 
 
@@ -127,7 +137,8 @@ class BathSpec:
     """One thermal reservoir: inverse temperature plus per-transition couplings.
 
     ``couplings`` maps unordered 0-based level pairs (i, j), i < j, to the
-    dimensionless strength gamma >= 0; absent pairs mean zero.
+    dimensionless strength gamma >= 0; absent pairs mean zero. Messages number
+    the levels from 1, as model files do.
     """
 
     label: str
@@ -153,15 +164,16 @@ class BathSpec:
             ) from exc
         norm: dict[Pair, float] = {}
         for pair, g in couplings.items():
-            g = float(_real(g, "bath {!r}: coupling 'gamma' for pair {}", self.label, pair))
+            name = _pair_name(pair)
+            g = float(_real(g, "bath {!r}: coupling 'gamma' for pair {}", self.label, name))
             if not (math.isfinite(g) and g >= 0.0):
                 raise ValidationError(
-                    f"bath {self.label!r}: coupling 'gamma' for pair {pair} must be "
+                    f"bath {self.label!r}: coupling 'gamma' for pair {name} must be "
                     f"nonnegative and finite, got {g}"
                 )
             key = _normalize_pair(pair)
             if key in norm:
-                raise ValidationError(f"bath {self.label!r}: pair {pair} repeats a coupling")
+                raise ValidationError(f"bath {self.label!r}: pair {name} repeats a coupling")
             norm[key] = g
         object.__setattr__(self, "couplings", norm)
 
@@ -222,7 +234,7 @@ class QarModel:
             for (i, j), g in bath.couplings.items():
                 if not (0 <= i < n and 0 <= j < n):
                     raise ValidationError(
-                        f"bath {bath.label!r}: pair ({i + 1}, {j + 1}) references a "
+                        f"bath {bath.label!r}: pair {_pair_name((i, j))} references a "
                         f"level outside 1..{n}"
                     )
                 if g > 0.0:
@@ -248,13 +260,22 @@ def rate(model: QarModel, frm: int, to: int, bath: int) -> float:
     """Rate constant k_{frm->to} induced by one bath.
 
     Upward transitions absorb a resonant quantum (spectrum times occupation);
-    downward ones emit (occupation + 1). Zero when the pair is uncoupled.
+    downward ones emit (occupation + 1). Zero when the pair is uncoupled. A level
+    or bath index the model does not have is refused.
     """
     if frm == to:
         raise ValidationError("rate requires two distinct levels")
-    b = model.baths[bath]
+    try:  # a negative index would wrap around, so it reads past the end instead
+        b = model.baths[bath if bath >= 0 else len(model.baths)]
+    except (IndexError, TypeError):
+        _bath_index(bath, model.baths, "bath index")
+        raise  # not reached: _bath_index refuses every index that fails here
     g = b.couplings.get((frm, to) if frm < to else (to, frm), 0.0)
-    if g == 0.0:
+    if g == 0.0:  # every coupled pair is a pair of levels, so only here can one be missing
+        n = model.n_levels
+        for level in (frm, to):
+            if not (_is_integer(level) and 0 <= level < n):
+                raise ValidationError(f"level index {level!r} must be an integer in 0..{n - 1}")
         return 0.0
     energies = model.system.energies
     e_from, e_to = energies[frm], energies[to]
@@ -268,7 +289,7 @@ def rate_table(model: QarModel, bath: int) -> np.ndarray:
     """Dense (N, N) table with entry [i, j] = k_{i->j} for one bath."""
     n = model.n_levels
     k = np.zeros((n, n))
-    b = model.baths[bath]
+    b = model.baths[_bath_index(bath, model.baths, "bath index")]
     for i, j in b.couplings:  # ``rate`` gives 0.0 for a zero gamma
         k[i, j] = rate(model, i, j, bath)
         k[j, i] = rate(model, j, i, bath)

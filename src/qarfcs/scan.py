@@ -1,10 +1,11 @@
 """Parameter sweeps over (E21, beta_H): cooling-window grids and line cuts.
 
 A grid is evaluated one E21 row at a time: the row's models go through
-``fcs._currents``, the path of the scalar ``heat_current``, which stacks their
-rate tables and generators and takes each point's characteristic polynomial
-alone, so every current and certificate is bitwise that of a per-point
-evaluation. Errors are raised in row-major order. Negative currents are kept in the data;
+``fcs._currents``, the path of the scalar ``heat_current``, whose assembly
+``liouvillian._counted`` (every counting family's) stacks their rate tables
+and generators; each point's characteristic polynomial is taken alone, so
+every current and certificate is bitwise that of a per-point evaluation.
+Errors are raised in row-major order. Negative currents are kept in the data;
 masking is the consumer's choice.
 
 Tolerance policy, the ``tolerance_policy = scale-relative`` header line of a

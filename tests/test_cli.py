@@ -295,12 +295,12 @@ class TestMalformedModelFile:
             # json.load reads back
             (
                 _malformed(lambda d: d["baths"][1]["couplings"][0].update(gamma=math.inf)),
-                "bath 'H': coupling 'gamma' for pair (0, 2) must be nonnegative and finite, "
+                "bath 'H': coupling 'gamma' for pair (1, 3) must be nonnegative and finite, "
                 "got inf",
             ),
             (
                 _malformed(lambda d: d["baths"][0]["couplings"][0].update(gamma=math.nan)),
-                "bath 'C': coupling 'gamma' for pair (0, 1) must be nonnegative and finite, "
+                "bath 'C': coupling 'gamma' for pair (1, 2) must be nonnegative and finite, "
                 "got nan",
             ),
             (
@@ -364,7 +364,7 @@ class TestMalformedModelFile:
         code, out, err = run(capsys, "current", "--model", str(path), "--format", fmt)
         assert code == 2
         message = (
-            "bath 'C': coupling 'gamma' for pair (0, 1) must be nonnegative and finite, got inf"
+            "bath 'C': coupling 'gamma' for pair (1, 2) must be nonnegative and finite, got inf"
         )
         if fmt == "json":
             assert message in json.loads(out)["error"]["message"]

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from qarfcs.fcs import _trace_product, adjugate_derivative, charpoly
+from qarfcs import model as model_module
+from qarfcs.errors import ValidationError
+from qarfcs.fcs import _trace_product, adjugate_derivative, charpoly, heat_current
 from qarfcs.liouvillian import (
+    _counted_transitions,
     build_counting_family,
     build_generator,
     generator_from_tables,
@@ -240,3 +243,79 @@ class TestCountingFamily:
         fam = build_counting_family(m3, 2)
         assert fam.dressed == ()
         assert derivative_entries(fam, 1) == derivative_entries(fam, 2) == {}
+
+
+class TestOneAssembly:
+    """``build_counting_family`` is the size-1 case of the stack behind every s = 0 current."""
+
+    @staticmethod
+    def _models():
+        models = [preset(pid, 0.3, 0.9) for pid in "ABCD"]
+        rng = np.random.default_rng(3737)
+        for n in range(2, 6):
+            for nb in range(2, 5):
+                for topology in ("tree", "any"):
+                    models += [
+                        random_connected_model(rng, n_levels=n, n_baths=nb, topology=topology)
+                        for _ in range(9)
+                    ]
+        return models
+
+    def test_family_is_bitwise_the_per_bath_assembly(self):
+        # the assembly the family had of its own: L(0) from build_generator and the counted
+        # transitions from the counted bath's rate table
+        def bits(transitions):
+            return [(type(r), r, type(c), c, k.hex(), de.hex()) for r, c, k, de in transitions]
+
+        models = self._models()
+        assert len(models) >= 204
+        for m in models:
+            energies = m.system.energies
+            l0 = build_generator(m)
+            for bath in range(m.n_baths):
+                fam = build_counting_family(m, bath)
+                assert fam.base.dtype == l0.dtype and fam.base.shape == l0.shape
+                assert fam.base.tobytes() == l0.tobytes()
+                expected = tuple(_counted_transitions(rate_table(m, bath).tolist(), energies))
+                assert bits(fam.dressed) == bits(expected)
+                assert fam.energies == tuple(energies)
+                assert fam.betas == tuple(b.beta for b in m.baths)
+
+    @pytest.mark.parametrize("bath", [3, -1, 1.0, True])
+    def test_bad_bath_is_refused_before_any_rate(self, monkeypatch, bath):
+        calls = []
+        monkeypatch.setattr(model_module, "rate", lambda *args: calls.append(args))
+        m = preset("A", 0.3, 0.9)
+        with pytest.raises(ValidationError, match="counted bath index"):
+            build_counting_family(m, bath)
+        with pytest.raises(ValidationError, match="counted bath index"):
+            heat_current(m, bath)
+        assert calls == []
+
+    @pytest.mark.parametrize("counted", [0, 1, 2])
+    def test_failing_rate_raises_in_bath_order(self, monkeypatch, counted):
+        # bath H's first rate fails: bath C's table is complete, and the failure itself comes
+        # back, whichever bath is counted
+        failure, calls = RuntimeError("rate failed"), []
+
+        def failing(m, frm, to, bath):
+            calls.append(bath)
+            if bath == 1:
+                raise failure
+            return rate(m, frm, to, bath)
+
+        monkeypatch.setattr(model_module, "rate", failing)
+        m = preset("B", 0.3, 0.9)
+        for build in (build_counting_family, heat_current):
+            calls.clear()
+            with pytest.raises(RuntimeError) as info:
+                build(m, counted)
+            assert info.value is failure
+            assert calls == [0] * 6 + [1]
+
+    def test_overflowing_rate_is_the_first_bath_s_refusal(self):
+        # bath C (beta_C * E21 = 900) and bath H (beta_H * E31 = 2000) both leave double range
+        m = preset("A", 0.3, 2000.0, beta_c=3000.0)
+        for bath in range(3):
+            with pytest.raises(ValidationError, match=r"overflows at beta \* omega = 900$"):
+                build_counting_family(m, bath)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,30 @@ class TestRates:
         with pytest.raises(ValidationError):
             rate(m, 1, 1, 0)
 
+    @pytest.mark.parametrize(
+        "frm, to, bath, message",
+        [
+            # these used to give 0.0, 0.0, bath W's rate, a bare IndexError, 0.0, a TypeError
+            (0, 5, 0, "level index 5 must be an integer in 0..2"),
+            (-1, 0, 0, "level index -1 must be an integer in 0..2"),
+            (0, 1, -1, "bath index -1 out of range"),
+            (0, 1, 7, "bath index 7 out of range"),
+            (0, 1.5, 0, "level index 1.5 must be an integer in 0..2"),
+            (0, 1, 1.0, "bath index must be an integer, got 1.0"),
+        ],
+    )
+    def test_indices_the_model_does_not_have_are_refused(self, frm, to, bath, message):
+        m = preset("A", 0.3, 0.9)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            rate(m, frm, to, bath)
+
+    @pytest.mark.parametrize("bath", [3, -1, 1.0, True])
+    def test_rate_table_refuses_a_bath_the_model_does_not_have(self, bath):
+        # 3 used to raise a bare IndexError and -1 to return bath W's table
+        m = preset("A", 0.3, 0.9)
+        with pytest.raises(ValidationError, match="bath index"):
+            rate_table(m, bath)
+
     def test_explicit_zero_coupling_changes_no_bit(self):
         # rate_table skips a listed zero coupling; the currents are those without it
         sd = OhmicSpectralDensity()
@@ -165,8 +190,15 @@ class TestValidation:
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_nonfinite_coupling(self, gamma):
-        with pytest.raises(ValidationError, match=r"bath 'C': coupling 'gamma' for pair \(0, 1\)"):
+        with pytest.raises(ValidationError, match=r"bath 'C': coupling 'gamma' for pair \(1, 2\)"):
             BathSpec("C", 1.0, {(0, 1): gamma})
+
+    def test_a_key_that_is_no_pair_is_quoted_as_given(self):
+        # pairs of integer levels are numbered from 1, as model files number them
+        with pytest.raises(ValidationError, match=r"for pair '12' must be nonnegative"):
+            BathSpec("C", 1.0, {"12": math.inf})
+        with pytest.raises(ValidationError, match=r"for pair \(0, 1.0\) must be nonnegative"):
+            BathSpec("C", 1.0, {(0, 1.0): -1.0})
 
     @pytest.mark.parametrize("omega_c", [math.nan, 0.0, -1.0])
     def test_nonpositive_or_nan_cutoff(self, omega_c):
@@ -182,7 +214,7 @@ class TestValidation:
             SystemSpec((0.0, energy, 1.0))
 
     def test_pair_listed_in_both_orders(self):
-        with pytest.raises(ValidationError, match=r"bath 'C': pair \(1, 0\) repeats a coupling"):
+        with pytest.raises(ValidationError, match=r"bath 'C': pair \(2, 1\) repeats a coupling"):
             BathSpec("C", 1.0, {(0, 1): 1e-3, (1, 0): 0.5})
 
     def test_disconnected_graph(self):
@@ -240,7 +272,7 @@ class TestValidation:
             )
 
     def test_pair_joining_a_level_to_itself(self):
-        with pytest.raises(ValidationError, match=r"must join distinct levels, got \(1, 1\)"):
+        with pytest.raises(ValidationError, match=r"must join distinct levels, got \(2, 2\)"):
             BathSpec("C", 1.0, {(1, 1): 1e-3})
 
     def test_one_integer_rule(self):
@@ -260,8 +292,8 @@ class TestValidation:
             (lambda: SystemSpec(energies="012"), r"field 'energies': level 1 .* got '0'"),
             (lambda: SystemSpec(energies=(False, 0.5, True)), r"'energies': level 1 .* False"),
             (lambda: SystemSpec((0.0, 1.0), gap_tol="1e-6"), r"field 'gap_tol' .* '1e-6'"),
-            (lambda: BathSpec("C", 1.0, {(0, 1): "0.001"}), r"'gamma' for pair \(0, 1\)"),
-            (lambda: BathSpec("C", 1.0, {(0, 1): True}), r"'gamma' for pair \(0, 1\)"),
+            (lambda: BathSpec("C", 1.0, {(0, 1): "0.001"}), r"'gamma' for pair \(1, 2\)"),
+            (lambda: BathSpec("C", 1.0, {(0, 1): True}), r"'gamma' for pair \(1, 2\)"),
             (lambda: BathSpec(None, 1.0, {}), r"field 'label' .* got None"),
             (lambda: BathSpec("C", "1.0", {}), r"bath 'C': field 'beta' .* got '1.0'"),
             (lambda: BathSpec("C", 1.0, {(True, 2): 0.1}), r"pair \(True, 2\) .* integer"),

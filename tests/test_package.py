@@ -24,6 +24,15 @@ def test_public_names_resolve():
         assert gone not in names and not hasattr(qarfcs, gone)
 
 
+def test_fcs_takes_its_counting_data_from_liouvillian():
+    # every L(0) and counted transition of the counting pipeline comes from
+    # liouvillian._counted, so fcs binds none of the assembly's parts
+    fcs = importlib.import_module("qarfcs.fcs")
+    assert fcs._counted is importlib.import_module("qarfcs.liouvillian")._counted
+    for gone in ("rate_table", "_bath_index", "generator_from_tables", "_counted_transitions"):
+        assert not hasattr(fcs, gone)
+
+
 # per-layer metrics that do not name a function
 _NOT_FUNCTIONS = {"trace.overhead_frac", "scan.bytes_written"}
 
